@@ -383,14 +383,7 @@ def local_minimality_probe(
         if pair is None:
             skipped += 1
             continue
-        a, b = pair
-        values = f_field.values.copy()
-        for offs in np.ndindex(*(k,) * spec.dim):
-            ia = tuple((a[d] + offs[d] * block_sizes[d]) for d in range(spec.dim))
-            ib = tuple(((b[d] % block_sizes[d]) + offs[d] * block_sizes[d]) for d in range(spec.dim))
-            values[ia] = -1.0
-            values[ib] = 1.0
-        g_field = ScalarField(spec, values, "indicator")
+        g_field = _replicated_swap(f_field, k, pair)
         energy = total_variation_perimeter(g_field) + gamma_bar * nonlocal_energy(g_field)
         gaps.append(energy - base_energy)
     return ProbeReport(np.array(gaps), skipped, n_probes)
@@ -425,19 +418,25 @@ def enumerate_swap_pairs(f_field: ScalarField, k: int, amplitude: int = 1):
                 yield tuple(int(x) for x in a), b
 
 
-def probe_energy_gap(f_field: ScalarField, gamma_bar: float, k: int, pair) -> float:
-    """Energy change of one replicated cell-pair swap."""
+def _replicated_swap(f_field: ScalarField, k: int, pair) -> ScalarField:
+    """F with inside cell a and outside cell b of the fundamental cell swapped
+    in every one of the k^dim periodicity cells."""
     spec = f_field.spec
     block_sizes = tuple(n // k for n in spec.sizes)
-    base = total_variation_perimeter(f_field) + gamma_bar * nonlocal_energy(f_field)
     a, b = pair
     values = f_field.values.copy()
     for offs in np.ndindex(*(k,) * spec.dim):
-        ia = tuple((a[d] + offs[d] * block_sizes[d]) % spec.sizes[d] for d in range(spec.dim))
-        ib = tuple(((b[d] % block_sizes[d]) + offs[d] * block_sizes[d]) % spec.sizes[d] for d in range(spec.dim))
+        ia = tuple(a[d] + offs[d] * block_sizes[d] for d in range(spec.dim))
+        ib = tuple(b[d] % block_sizes[d] + offs[d] * block_sizes[d] for d in range(spec.dim))
         values[ia] = -1.0
         values[ib] = 1.0
-    g_field = ScalarField(spec, values, "indicator")
+    return ScalarField(spec, values, "indicator")
+
+
+def probe_energy_gap(f_field: ScalarField, gamma_bar: float, k: int, pair) -> float:
+    """Energy change of one replicated cell-pair swap."""
+    base = total_variation_perimeter(f_field) + gamma_bar * nonlocal_energy(f_field)
+    g_field = _replicated_swap(f_field, k, pair)
     return total_variation_perimeter(g_field) + gamma_bar * nonlocal_energy(g_field) - base
 
 

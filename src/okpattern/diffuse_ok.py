@@ -174,7 +174,9 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
         new_values = np.fft.ifftn(new_hat * spec.cells).real
         energy = _ok_energy_from(new_values, new_hat, ws, config.eps, config.gamma)
         if energy <= state.energy:
-            u_new = ScalarField(spec, new_values, state.u.kind if _phase_ok(new_values) else "generic")
+            # a smooth iterate of an indicator start is a phase field
+            kind = "phase" if state.u.kind == "indicator" else state.u.kind
+            u_new = ScalarField(spec, new_values, kind if _phase_ok(new_values) else "generic")
             return FlowState(
                 u=u_new,
                 energy=energy,

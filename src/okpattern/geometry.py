@@ -42,10 +42,11 @@ class Chart:
 
     points/normals have shape (*grid, dim); weights (*grid).  tangent_fn maps
     chart-sampled values to a list of derivative components whose squares sum
-    to |D_tau phi|^2.  tangent_fn_full is its complex companion keeping the
-    chart Nyquist mode (the nodal values of a Nyquist cosine have derivative
-    zero at the nodes, so stiffness assembly must use the full symbol or the
-    alternating vector becomes a spurious kernel direction).
+    to |D_tau phi|^2.  tangent_fn(values, full=True) returns the complex
+    components that keep the chart Nyquist mode (the nodal values of a Nyquist
+    cosine have derivative zero at the nodes, so stiffness assembly must use
+    the full symbol or the alternating vector becomes a spurious kernel
+    direction).
     """
 
     points: np.ndarray
@@ -53,8 +54,7 @@ class Chart:
     weights: np.ndarray
     mean_curv: float
     second_fundamental_sq: float
-    tangent_fn: Callable[[np.ndarray], list[np.ndarray]]
-    tangent_fn_full: Callable[[np.ndarray], list[np.ndarray]] | None = None
+    tangent_fn: Callable[..., list[np.ndarray]]
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -65,9 +65,6 @@ class Chart:
         for comp in self.tangent_fn(values):
             out += comp**2
         return out
-
-    def assembly_tangent_fn(self) -> Callable[[np.ndarray], list[np.ndarray]]:
-        return self.tangent_fn_full if self.tangent_fn_full is not None else self.tangent_fn
 
 
 @dataclass
@@ -133,13 +130,10 @@ def _lamella_charts(shape: Lamella, dim: int, res: int) -> list[Chart]:
         normals[..., shape.axis] = side
         weights = np.full(grid_shape, 1.0 / res ** len(tangential))
 
-        def tangent_fn(values):
-            return [_fft_deriv(values, ax, period=1.0) for ax in range(values.ndim)]
+        def tangent_fn(values, full=False):
+            return [_fft_deriv(values, ax, period=1.0, full=full) for ax in range(values.ndim)]
 
-        def tangent_fn_full(values):
-            return [_fft_deriv(values, ax, period=1.0, full=True) for ax in range(values.ndim)]
-
-        charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn, tangent_fn_full))
+        charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn))
     return charts
 
 
@@ -149,13 +143,10 @@ def _circle_chart(center, r: float, res: int) -> Chart:
     pts = (np.asarray(center) + r * nx) % 1.0
     weights = np.full(res, 2 * np.pi * r / res)
 
-    def tangent_fn(values, _r=r):
-        return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r)]
+    def tangent_fn(values, full=False, _r=r):
+        return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r, full=full)]
 
-    def tangent_fn_full(values, _r=r):
-        return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r, full=True)]
-
-    return Chart(pts, nx.copy(), weights, 1.0 / r, 1.0 / r**2, tangent_fn, tangent_fn_full)
+    return Chart(pts, nx.copy(), weights, 1.0 / r, 1.0 / r**2, tangent_fn)
 
 
 def _sphere_tangent_components(values, r, mu, dmat, sin_t, full):
@@ -208,13 +199,10 @@ def _sphere_chart(center, r: float, res: int) -> Chart:
     weights = np.broadcast_to(r**2 * w_gl[:, None] * (2 * np.pi / res), (res, res)).copy()
     dmat = _legendre_diff_matrix(mu)
 
-    def tangent_fn(values, _r=r, _d=dmat, _sin=sin_t, _mu=mu):
-        return _sphere_tangent_components(values, _r, _mu, _d, _sin, full=False)
+    def tangent_fn(values, full=False, _r=r, _d=dmat, _sin=sin_t, _mu=mu):
+        return _sphere_tangent_components(values, _r, _mu, _d, _sin, full=full)
 
-    def tangent_fn_full(values, _r=r, _d=dmat, _sin=sin_t, _mu=mu):
-        return _sphere_tangent_components(values, _r, _mu, _d, _sin, full=True)
-
-    return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn, tangent_fn_full)
+    return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn)
 
 
 def _cylinder_chart(shape: Cylinder, res: int) -> Chart:
@@ -230,19 +218,13 @@ def _cylinder_chart(shape: Cylinder, res: int) -> Chart:
     normals[..., a2] = np.sin(theta)[None, :]
     weights = np.full((res, res), 2 * np.pi * shape.radius / res**2)
 
-    def tangent_fn(values, _r=shape.radius):
+    def tangent_fn(values, full=False, _r=shape.radius):
         return [
-            _fft_deriv(values, 0, period=1.0),
-            _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r),
+            _fft_deriv(values, 0, period=1.0, full=full),
+            _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r, full=full),
         ]
 
-    def tangent_fn_full(values, _r=shape.radius):
-        return [
-            _fft_deriv(values, 0, period=1.0, full=True),
-            _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r, full=True),
-        ]
-
-    return Chart(pts, normals, weights, 1.0 / shape.radius, 1.0 / shape.radius**2, tangent_fn, tangent_fn_full)
+    return Chart(pts, normals, weights, 1.0 / shape.radius, 1.0 / shape.radius**2, tangent_fn)
 
 
 def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceMesh:
@@ -285,11 +267,8 @@ def _tile_mesh(parent: InterfaceMesh, k: int) -> InterfaceMesh:
     for offs in np.ndindex(*(k,) * dim):
         origin = np.asarray(offs, dtype=float) / k
         for c in parent.charts:
-            def tangent_fn(values, _fn=c.tangent_fn, _k=k):
-                return [_k * comp for comp in _fn(values)]
-
-            def tangent_fn_full(values, _fn=c.assembly_tangent_fn(), _k=k):
-                return [_k * comp for comp in _fn(values)]
+            def tangent_fn(values, full=False, _fn=c.tangent_fn, _k=k):
+                return [_k * comp for comp in _fn(values, full)]
 
             charts.append(
                 Chart(
@@ -299,7 +278,6 @@ def _tile_mesh(parent: InterfaceMesh, k: int) -> InterfaceMesh:
                     mean_curv=c.mean_curv * k,
                     second_fundamental_sq=c.second_fundamental_sq * k**2,
                     tangent_fn=tangent_fn,
-                    tangent_fn_full=tangent_fn_full,
                 )
             )
     return InterfaceMesh(charts)

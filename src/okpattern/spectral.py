@@ -202,24 +202,39 @@ def _potential_coeffs(u: ScalarField, ws: SpectralWorkspace) -> np.ndarray:
     return ws.voxel_coeffs(u) * ws.inv_lap
 
 
+# Byte budget of the phase blocks (cos and sin, one chunk of points by every
+# lattice frequency) that the dense mode sum holds at a time.
+_PHASE_BLOCK_BYTES = 32 * 2**20
+
+
+def _mode_sum(
+    coeffs: np.ndarray, points: np.ndarray, ws: SpectralWorkspace, gradient: bool
+) -> np.ndarray:
+    """Re sum_xi coeffs(xi) e^{2 pi i xi . x} (or its gradient) at each point.
+
+    Dense, O(P * cells), chunked over points so that the phase blocks stay
+    within _PHASE_BLOCK_BYTES.  Returns (P,) values or (P, dim) components.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    lattice = np.stack([np.broadcast_to(f, ws.spec.sizes).ravel() for f in ws.freqs], axis=1)
+    c = coeffs.ravel()[:, None]
+    if gradient:
+        c = c * (TWO_PI * 1j * lattice)
+    c_re, c_im = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
+    out = np.empty((pts.shape[0], c.shape[1]))
+    chunk = max(1, _PHASE_BLOCK_BYTES // (16 * ws.spec.cells))
+    for lo in range(0, pts.shape[0], chunk):
+        arg = (TWO_PI * pts[lo : lo + chunk]) @ lattice.T
+        out[lo : lo + chunk] = np.cos(arg) @ c_re - np.sin(arg) @ c_im
+    return out if gradient else out[:, 0]
+
+
 def sample_field(
-    u: ScalarField,
-    points: np.ndarray,
-    ws: SpectralWorkspace | None = None,
-    *,
-    chunk: int = 256,
+    u: ScalarField, points: np.ndarray, ws: SpectralWorkspace | None = None
 ) -> np.ndarray:
     """Trigonometric interpolation of the samples of u at arbitrary points."""
     ws = ws or get_workspace(u.spec)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    coeffs = ws.interp_coeffs(u).ravel()
-    lattice = np.stack([np.broadcast_to(f, u.spec.sizes).ravel() for f in ws.freqs], axis=1)
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        phases = np.exp((TWO_PI * 1j) * (pts[lo:hi] @ lattice.T))
-        out[lo:hi] = (phases @ coeffs).real
-    return out
+    return _mode_sum(ws.interp_coeffs(u), points, ws, gradient=False)
 
 
 def sample_potential(
@@ -228,7 +243,6 @@ def sample_potential(
     ws: SpectralWorkspace | None = None,
     *,
     gradient: bool = False,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Evaluate the potential of u (or its gradient) at arbitrary torus points.
 
@@ -236,22 +250,7 @@ def sample_potential(
     Dense mode sum; cost O(P * cells), chunked over points.
     """
     ws = ws or get_workspace(u.spec)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    coeffs = _potential_coeffs(u, ws).ravel()
-    lattice = np.stack([np.broadcast_to(f, u.spec.sizes).ravel() for f in ws.freqs], axis=1)
-    if gradient:
-        out = np.empty((pts.shape[0], u.spec.dim))
-    else:
-        out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        phases = np.exp((TWO_PI * 1j) * (pts[lo:hi] @ lattice.T))
-        if gradient:
-            for a in range(u.spec.dim):
-                out[lo:hi, a] = (phases * (TWO_PI * 1j * lattice[:, a]) @ coeffs).real
-        else:
-            out[lo:hi] = (phases @ coeffs).real
-    return out
+    return _mode_sum(_potential_coeffs(u, ws), points, ws, gradient)
 
 
 def sample_potential_on_planes(

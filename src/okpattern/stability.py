@@ -21,9 +21,10 @@ Two evaluation routes are kept deliberately distinct:
 * grid route: tangential terms from the mesh chart operators, d_nu v sampled
   spectrally from the rasterized set, and the Green term by multilinear
   splatting of phi dH onto the grid, kernel deconvolution, a Poisson solve,
-  and the Dirichlet pairing.  Fully generic; agrees with the mode route to
-  about a part in 10^3 at production resolutions, which is exactly the
-  oracle-equivalence check the test suite runs.
+  and the Dirichlet pairing (the pencil's Green matrix applies the same
+  splat stencil to one real-space kernel).  Fully generic; agrees with the
+  mode route to about a part in 10^3 at production resolutions, which is
+  exactly the oracle-equivalence check the test suite runs.
 """
 
 from __future__ import annotations
@@ -266,6 +267,23 @@ def _quad_form_lamella_modes(shape: Lamella, gamma: float, phi: SurfaceFunction)
     return QuadFormReport(term_perimeter, term_potential, term_green)
 
 
+def _splat_stencil(mesh: InterfaceMesh, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Multilinear splat of every mesh node onto its 2^dim surrounding cells.
+
+    Returns the flat cell index and the weight (node weight x cells x tent
+    factor, a density normalization) of each corner, both shaped (p, 2^dim).
+    """
+    sizes = np.asarray(spec.sizes)
+    ucoord = mesh.all_points() * sizes - 0.5
+    base = np.floor(ucoord)
+    frac = ucoord - base
+    corners = np.array(list(np.ndindex(*(2,) * spec.dim)))
+    pos = (base.astype(np.int64)[:, None, :] + corners) % sizes
+    idx = np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), spec.sizes)
+    tent = np.prod(np.where(corners == 1, frac[:, None, :], 1.0 - frac[:, None, :]), axis=-1)
+    return idx, (mesh.all_weights() * spec.cells)[:, None] * tent
+
+
 def splat_surface_density(phi: SurfaceFunction, spec: GridSpec) -> np.ndarray:
     """Deposit the weighted surface measure phi dH onto the grid (multilinear).
 
@@ -275,25 +293,10 @@ def splat_surface_density(phi: SurfaceFunction, spec: GridSpec) -> np.ndarray:
     total = phi.weighted_integral()
     if abs(total) > 1e-10 * phi.mesh.total_weight:
         raise ValueError(f"surface measure has mean {total:.3e}; zero-mean phi required")
-    s = np.zeros(spec.sizes)
-    dim = spec.dim
-    for chart, vals in zip(phi.mesh.charts, phi.values):
-        pts = chart.points.reshape(-1, dim)
-        mass = (chart.weights * vals).ravel() * spec.cells  # density normalization
-        base = np.empty((len(mass), dim), dtype=np.int64)
-        frac = np.empty((len(mass), dim))
-        for a in range(dim):
-            u = pts[:, a] * spec.sizes[a] - 0.5
-            b = np.floor(u)
-            base[:, a] = b.astype(np.int64)
-            frac[:, a] = u - b
-        for corner in np.ndindex(*(2,) * dim):
-            weight = np.ones(len(mass))
-            idx = []
-            for a in range(dim):
-                weight = weight * (frac[:, a] if corner[a] else 1.0 - frac[:, a])
-                idx.append((base[:, a] + corner[a]) % spec.sizes[a])
-            np.add.at(s, tuple(idx), mass * weight)
+    idx, weight = _splat_stencil(phi.mesh, spec)
+    vals = np.concatenate([v.ravel() for v in phi.values])
+    s = np.bincount(idx.ravel(), (weight * vals[:, None]).ravel(), minlength=spec.cells)
+    s = s.reshape(spec.sizes)
     s -= s.mean()
     return s
 
@@ -433,7 +436,6 @@ def lamella_threshold(
     *,
     q_max: int = 8,
     gamma_max: float = 1e4,
-    tol: float = 1e-6,
     tangential_dim: int = 1,
 ) -> ThresholdResult:
     """Smallest gamma at which the lamella mode spectrum touches zero.
@@ -441,25 +443,25 @@ def lamella_threshold(
     Scans wave vectors q in {1..q_max} (in each tangential direction).  The
     q = 0 antisymmetric sector is the translation null mode for every gamma
     and so never drives the threshold; it is excluded along with the rest of
-    the translation space.  Bisection to absolute tolerance tol; returns an
-    open status when no crossing exists below gamma_max.
+    the translation space.  The least eigenvalue of each block is linear in
+    gamma, 4 pi^2 |q|^2 + gamma c_q with c_q = 4 d_nu v + 8 K_q(0) - 8 |K_q(2w)|,
+    so the threshold is min over c_q < 0 of 4 pi^2 |q|^2 / (-c_q); the status
+    is open when no crossing exists up to gamma_max.
     """
-
-    def min_eig(gamma: float) -> float:
-        return mode_scan_min_eigenvalue(
-            halfwidth, gamma, q_max, tangential_dim=tangential_dim
+    dv = lamella_potential_slope(halfwidth)
+    gamma_star = math.inf
+    for q in _tangential_wave_vectors(q_max, tangential_dim):
+        q_sq = float(sum(c * c for c in q))
+        slope = (
+            4.0 * dv
+            + 8.0 * screened_green_coupling(q_sq, 0.0)
+            - 8.0 * abs(screened_green_coupling(q_sq, 2.0 * halfwidth))
         )
-
-    if min_eig(gamma_max) > 0:
+        if slope < 0:
+            gamma_star = min(gamma_star, FOUR_PI_SQ * q_sq / -slope)
+    if gamma_star > gamma_max:
         return ThresholdResult(math.inf, "open", q_max)
-    lo, hi = 0.0, gamma_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(0.5 * (lo + hi), "crossed", q_max)
+    return ThresholdResult(gamma_star, "crossed", q_max)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +503,11 @@ def min_eigenvalue(
         sl = slice(offsets[ci], offsets[ci] + m)
         w = chart.weights.ravel()
         basis = np.eye(m)
-        tangent = chart.assembly_tangent_fn()
-        ncomp = len(tangent(np.zeros(chart.grid_shape)))
+        ncomp = len(chart.tangent_fn(np.zeros(chart.grid_shape)))
         comps = [np.zeros((m, m), dtype=complex) for _ in range(ncomp)]
         for j in range(m):
             col = basis[j].reshape(chart.grid_shape)
-            for d, comp in enumerate(tangent(col)):
+            for d, comp in enumerate(chart.tangent_fn(col, full=True)):
                 comps[d][:, j] = comp.ravel()
         # full-symbol stiffness: Re(T^H W T) is the exact Dirichlet form of
         # the chart trigonometric interpolant, Nyquist mode included
@@ -526,7 +527,7 @@ def min_eigenvalue(
             sl = slice(col, col + m)
             a_mat[sl, sl] += 4.0 * gamma * np.diag(chart.weights.ravel() * dnu)
             col += m
-        # Green term: P solves, sparse pairings
+        # Green term: one real-space kernel against the splat stencils
         green = _green_matrix(mesh, spec, ws)
         a_mat += 8.0 * gamma * green
 
@@ -553,49 +554,21 @@ def min_eigenvalue(
 
 
 def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
-    """G_ij = int int G b_i b_j over the splatted nodal surface measures."""
-    charts = mesh.charts
-    dim = spec.dim
-    sizes = [int(np.prod(c.grid_shape)) for c in charts]
-    p = sum(sizes)
-    # sparse splat stencils per node
-    stencils = []
-    for chart in charts:
-        pts = chart.points.reshape(-1, dim)
-        w = chart.weights.ravel()
-        base = np.empty((len(w), dim), dtype=np.int64)
-        frac = np.empty((len(w), dim))
-        for a in range(dim):
-            ucoord = pts[:, a] * spec.sizes[a] - 0.5
-            b = np.floor(ucoord)
-            base[:, a] = b.astype(np.int64)
-            frac[:, a] = ucoord - b
-        for i in range(len(w)):
-            idx = []
-            vals = []
-            for corner in np.ndindex(*(2,) * dim):
-                weight = w[i] * spec.cells
-                pos = []
-                for a in range(dim):
-                    weight *= frac[i, a] if corner[a] else 1.0 - frac[i, a]
-                    pos.append(int((base[i, a] + corner[a]) % spec.sizes[a]))
-                idx.append(tuple(pos))
-                vals.append(weight)
-            stencils.append((idx, np.array(vals)))
-    # potential of each nodal stencil with both tent kernels divided out
+    """G_ij = int int G b_i b_j over the splatted nodal surface measures.
+
+    Splat, solve (both tent kernels divided out) and pairing are circular
+    convolutions, so with kern the real-space kernel of that solve,
+    G_ij = (1/cells) sum_{a,b} w_ia w_jb kern[idx_ia - idx_jb] over the
+    stencil corners a of node i and b of node j.
+    """
+    idx, weight = _splat_stencil(mesh, spec)
+    pos = np.unravel_index(idx, spec.sizes)
+    kern = np.fft.ifftn(ws.inv_lap / ws.cell_factor**4).real
+    p, corners = idx.shape
     g = np.zeros((p, p))
-    mult = ws.inv_lap / ws.cell_factor**4
-    grid = np.zeros(spec.sizes)
-    for j in range(p):
-        idx, vals = stencils[j]
-        grid[:] = 0.0
-        for pos, val in zip(idx, vals):
-            grid[pos] += val
-        z = np.fft.ifftn(np.fft.fftn(grid) * mult).real
-        for i in range(p):
-            idx_i, vals_i = stencils[i]
-            acc = 0.0
-            for pos, val in zip(idx_i, vals_i):
-                acc += val * z[pos]
-            g[i, j] = acc / spec.cells
+    for a in range(corners):
+        for b in range(corners):
+            shift = tuple((x[:, a, None] - x[None, :, b]) % n for x, n in zip(pos, spec.sizes))
+            g += np.outer(weight[:, a], weight[:, b]) * kern[shift]
+    g /= spec.cells
     return 0.5 * (g + g.T)

@@ -105,6 +105,14 @@ def test_minimize_zero_steps():
     assert np.array_equal(trace.final.values, u0.values)
 
 
+def test_minimize_from_indicator_start():
+    u0 = rasterize(Lamella(0, 0.5, 0.25), GridSpec((32, 32)))
+    trace = minimize(u0, FlowConfig(eps=0.1, max_steps=3))
+    assert len(trace.records) == 3
+    assert trace.final.kind == "phase"
+    assert np.max(np.abs(trace.masses() - u0.mean)) <= 1e-12
+
+
 def test_minimize_keeps_stable_lamella():
     spec = GridSpec((64, 64))
     shape = Lamella(axis=0, center=0.5, halfwidth=0.25)

@@ -5,10 +5,13 @@ a cumulative-integration solve of -v'' = u - m on the circle for the lamella
 potential, and direct trapezoid quadrature for its Dirichlet energy.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from okpattern.spectral import (
+    _PHASE_BLOCK_BYTES,
     cell_average_potential,
     dirichlet_energy,
     get_workspace,
@@ -22,6 +25,7 @@ from okpattern.spectral import (
 )
 from okpattern.torus_field import (
     Ball,
+    Cylinder,
     GridSpec,
     Lamella,
     ScalarField,
@@ -232,3 +236,18 @@ def test_sample_potential_matches_grid_and_plane_path():
     grad_dense = sample_potential(u, tpts, ws, gradient=True)
     assert np.allclose(grad_plane[0], grad_dense, atol=1e-10)
     assert dense.shape == (3,)
+
+
+def test_dense_sampler_memory_stays_within_phase_budget():
+    spec = GridSpec((32, 32, 32))
+    u = rasterize(Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), spec)
+    ws = get_workspace(spec)
+    pts = np.random.default_rng(3).random((300, 3))
+    tracemalloc.start()
+    try:
+        grad = sample_potential(u, pts, ws, gradient=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == (300, 3)
+    assert peak < 2 * _PHASE_BLOCK_BYTES

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from okpattern.geometry import interface_mesh
+from okpattern.spectral import get_workspace
 from okpattern.stability import (
     SurfaceFunction,
+    _green_matrix,
     lamella_mode_matrix,
     lamella_potential_slope,
     lamella_threshold,
@@ -24,7 +26,7 @@ from okpattern.stability import (
     translation_mode,
     zero_mean_green_kernel,
 )
-from okpattern.torus_field import Ball, GridSpec, Lamella
+from okpattern.torus_field import Ball, Cylinder, GridSpec, Lamella
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -135,6 +137,26 @@ def test_green_term_nonnegative():
         assert quad_form(shape, 3.0, phi, method="mode").term_green >= 0.0
 
 
+def test_green_matrix_pairing_matches_grid_green_term():
+    # 8 gamma phi^T G phi is the grid route's Green term: the real-space
+    # kernel of the matrix and the one-FFT splat/solve are the same operator
+    rng = np.random.default_rng(11)
+    gamma = 2.5
+    for shape, spec, res in (
+        (Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), GridSpec((32, 32, 32)), 16),
+        (Ball((0.4, 0.55), 0.3), GridSpec((64, 64)), 48),
+    ):
+        mesh = interface_mesh(shape, res, spec.dim)
+        raw = rng.standard_normal(len(mesh.all_weights()))
+        w = mesh.all_weights()
+        flat = raw - (w @ raw) / w.sum()
+        sizes = np.cumsum([c.weights.size for c in mesh.charts])[:-1]
+        phi = SurfaceFunction(mesh, np.split(flat, sizes))
+        green = _green_matrix(mesh, spec, get_workspace(spec))
+        expected = quad_form(shape, gamma, phi, spec, method="grid").term_green
+        assert 8.0 * gamma * flat @ green @ flat == pytest.approx(expected, rel=1e-12)
+
+
 def test_surface_function_zero_mean_validation():
     mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 16, dim=2)
     with pytest.raises(ValueError, match="zero-mean"):
@@ -221,7 +243,7 @@ def test_threshold_positive_crossing_and_formula():
         slope = np.linalg.eigvalsh(m1 - m0)[0]
         if slope < 0:
             best = min(best, -m0[0, 0] / slope)
-    assert res.gamma_star == pytest.approx(best, abs=1e-5)
+    assert res.gamma_star == pytest.approx(best, rel=1e-12)
 
 
 def test_threshold_continuous_in_halfwidth():
