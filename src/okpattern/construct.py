@@ -33,7 +33,7 @@ import numpy as np
 from .diffuse_ok import FlowConfig, FlowTrace, minimize, sharp_to_diffuse_gamma
 from .geometry import fit_ball, fit_lamella, interface_mesh, el_residual
 from .sharp_energy import total_variation_perimeter
-from .spectral import get_workspace, nonlocal_energy, sample_field
+from .spectral import nonlocal_energy, sample_field
 from .stability import min_eigenvalue
 from .torus_field import (
     Ball,
@@ -175,14 +175,13 @@ def zero_level_displacement(
     Returns the window value when a line never changes sign (saturated).
     """
     mesh = interface_mesh(seed, resolution, phase.spec.dim)
-    pts = mesh.all_points()
-    normals = mesh.all_normals()
-    ws = get_workspace(phase.spec)
     ts = np.linspace(-window, window, samples)
+    lines = np.mod(
+        mesh.all_points()[:, None, :] + ts[None, :, None] * mesh.all_normals()[:, None, :], 1.0
+    )
+    line_vals = sample_field(phase, lines.reshape(-1, phase.spec.dim)).reshape(len(lines), samples)
     worst = 0.0
-    for p, nu in zip(pts, normals):
-        line = np.mod(p[None, :] + ts[:, None] * nu[None, :], 1.0)
-        vals = sample_field(phase, line, ws)
+    for vals in line_vals:
         sgn = np.sign(vals)
         crossings = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
         if len(crossings) == 0:

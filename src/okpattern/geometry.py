@@ -20,11 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import (
-    get_workspace,
-    sample_potential,
-    sample_potential_on_planes,
-)
+from .spectral import get_workspace, sample_potential
 from .torus_field import (
     Ball,
     Cylinder,
@@ -324,36 +320,10 @@ class CriticalityReport:
 
 
 def _sample_v_on_chart(u: ScalarField, chart: Chart, ws, gradient=False):
-    """Potential (or gradient) at chart points.
-
-    Flat full-span charts (lamella interfaces covering the whole torus in
-    their tangential axes, origin at 0) factorize through the plane sampler;
-    everything else takes the dense mode sum.
-    """
-    flat = chart.points.reshape(-1, chart.points.shape[-1])
-    n0 = chart.normals.reshape(-1, chart.normals.shape[-1])[0]
-    is_flat = np.all(chart.normals == n0) and np.sum(np.abs(n0) == 1.0) == 1 and np.count_nonzero(n0) == 1
-    if is_flat and chart.points.shape[-1] >= 2:
-        axis = int(np.argmax(np.abs(n0)))
-        tang = [a for a in range(u.spec.dim) if a != axis]
-        res = chart.grid_shape
-        full_span = all(
-            abs(float(flat[0][a])) < 1e-12
-            and abs(np.ptp(chart.points[..., a]) - (res[p] - 1) / res[p]) < 1e-12
-            for p, a in enumerate(tang)
-        )
-        if full_span:
-            offset = float(flat[0][axis])
-            return sample_potential_on_planes(u, axis, [offset], res, ws, gradient=gradient)[0]
-    return _sample_v_dense(u, chart, ws, gradient)
-
-
-def _sample_v_dense(u: ScalarField, chart: Chart, ws, gradient=False):
+    """Potential (or gradient) of u at the chart points, shaped like the chart grid."""
     pts = chart.points.reshape(-1, chart.points.shape[-1])
     vals = sample_potential(u, pts, ws, gradient=gradient)
-    if gradient:
-        return vals.reshape(chart.grid_shape + (chart.points.shape[-1],))
-    return vals.reshape(chart.grid_shape)
+    return vals.reshape(chart.grid_shape + vals.shape[1:])
 
 
 def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> CriticalityReport:

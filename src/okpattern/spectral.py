@@ -202,9 +202,9 @@ def _potential_coeffs(u: ScalarField, ws: SpectralWorkspace) -> np.ndarray:
     return ws.voxel_coeffs(u) * ws.inv_lap
 
 
-# Byte budget of the phase blocks (cos and sin, one chunk of points by every
-# lattice frequency) that the dense mode sum holds at a time.
-_PHASE_BLOCK_BYTES = 32 * 2**20
+# Byte budget of one chunk of points in the separable mode sum: the per-axis
+# factor blocks plus the first partial contraction, counted per point.
+_PHASE_BLOCK_BYTES = 2 * 2**20
 
 
 def _mode_sum(
@@ -212,20 +212,32 @@ def _mode_sum(
 ) -> np.ndarray:
     """Re sum_xi coeffs(xi) e^{2 pi i xi . x} (or its gradient) at each point.
 
-    Dense, O(P * cells), chunked over points so that the phase blocks stay
-    within _PHASE_BLOCK_BYTES.  Returns (P,) values or (P, dim) components.
+    Separable: e^{2 pi i xi . x} = prod_a E_a[p, xi_a] with per-axis factors
+    E_a = e^{2 pi i xi_a x_a}, so a chunk of points contracts axis 0 with one
+    matrix product and every further axis with one per-point batched product;
+    gradient component a replaces E_a by 2 pi i xi_a E_a.  Exact to rounding,
+    O(P * cells) multiply-adds and no points x cells phase block.  The chunk
+    keeps the factor blocks and the first partial contraction within
+    _PHASE_BLOCK_BYTES.  Returns (P,) values or (P, dim) components.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    lattice = np.stack([np.broadcast_to(f, ws.spec.sizes).ravel() for f in ws.freqs], axis=1)
-    c = coeffs.ravel()[:, None]
-    if gradient:
-        c = c * (TWO_PI * 1j * lattice)
-    c_re, c_im = np.ascontiguousarray(c.real), np.ascontiguousarray(c.imag)
-    out = np.empty((pts.shape[0], c.shape[1]))
-    chunk = max(1, _PHASE_BLOCK_BYTES // (16 * ws.spec.cells))
+    sizes = ws.spec.sizes
+    xis = [f.ravel() for f in ws.freqs]
+    head = coeffs.reshape(sizes[0], -1)
+    ncomp = len(sizes) if gradient else 1
+    out = np.empty((pts.shape[0], ncomp))
+    chunk = max(1, _PHASE_BLOCK_BYTES // (16 * (ws.spec.cells // sizes[0] + sum(sizes))))
     for lo in range(0, pts.shape[0], chunk):
-        arg = (TWO_PI * pts[lo : lo + chunk]) @ lattice.T
-        out[lo : lo + chunk] = np.cos(arg) @ c_re - np.sin(arg) @ c_im
+        x = pts[lo : lo + chunk]
+        factors = [np.exp(TWO_PI * 1j * np.outer(x[:, a], xi)) for a, xi in enumerate(xis)]
+        for comp in range(ncomp):
+            f = list(factors)
+            if gradient:
+                f[comp] = factors[comp] * (TWO_PI * 1j * xis[comp])
+            t = f[0] @ head
+            for a in range(1, len(sizes)):
+                t = np.matmul(f[a][:, None, :], t.reshape(len(x), sizes[a], -1))[:, 0]
+            out[lo : lo + chunk, comp] = t[:, 0].real
     return out if gradient else out[:, 0]
 
 
@@ -247,7 +259,7 @@ def sample_potential(
     """Evaluate the potential of u (or its gradient) at arbitrary torus points.
 
     points: (P, dim).  Returns (P,) values or (P, dim) gradient components.
-    Dense mode sum; cost O(P * cells), chunked over points.
+    Separable mode sum (see _mode_sum); cost O(P * cells), chunked over points.
     """
     ws = ws or get_workspace(u.spec)
     return _mode_sum(_potential_coeffs(u, ws), points, ws, gradient)
@@ -265,32 +277,18 @@ def sample_potential_on_planes(
     """Potential of u on planes x_axis = offset, tangential uniform chart grids.
 
     Chart points run over prod(chart_sizes) positions t_j = j / chart_size per
-    tangential axis.  Factorized evaluation: collapse the normal frequency
-    axis with the plane phase, then contract each tangential axis.  Returns
-    shape (len(offsets), *chart_sizes) or (..., dim) when gradient=True.
+    tangential axis; the (offsets x chart grid) points go through
+    sample_potential.  Returns shape (len(offsets), *chart_sizes) or (..., dim)
+    when gradient=True.
     """
-    ws = ws or get_workspace(u.spec)
     spec = u.spec
     offsets = np.atleast_1d(np.asarray(offsets, dtype=np.float64))
     tangential = [a for a in range(spec.dim) if a != axis]
     if len(chart_sizes) != len(tangential):
         raise ValueError("one chart size per tangential axis required")
-    base = _potential_coeffs(u, ws)
-    ncomp = spec.dim if gradient else 1
-    out = np.empty((ncomp, len(offsets)) + tuple(chart_sizes))
-    for comp in range(ncomp):
-        coeffs = base
-        if gradient:
-            coeffs = coeffs * (TWO_PI * 1j * ws.freqs[comp])
-        for i, p in enumerate(offsets):
-            phase = np.exp(TWO_PI * 1j * ws.freqs[axis] * p)
-            g = np.sum(coeffs * phase, axis=axis)  # tangential spectrum
-            for t_pos, (t_axis, res) in enumerate(zip(tangential, chart_sizes)):
-                xi = np.fft.fftfreq(spec.sizes[t_axis], d=1.0 / spec.sizes[t_axis])
-                tpts = np.arange(res) / res
-                mat = np.exp(TWO_PI * 1j * np.outer(tpts, xi))
-                g = np.moveaxis(np.tensordot(mat, g, axes=(1, t_pos)), 0, t_pos)
-            out[comp, i] = g.real
-    if gradient:
-        return np.moveaxis(out, 0, -1)
-    return out[0]
+    grids = np.meshgrid(offsets, *[np.arange(res) / res for res in chart_sizes], indexing="ij")
+    pts = np.empty(grids[0].shape + (spec.dim,))
+    for a, g in zip([axis] + tangential, grids):
+        pts[..., a] = g
+    vals = sample_potential(u, pts.reshape(-1, spec.dim), ws, gradient=gradient)
+    return vals.reshape(pts.shape[:-1] + vals.shape[1:])

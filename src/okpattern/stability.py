@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import Chart, InterfaceMesh, interface_mesh
-from .spectral import get_workspace, sample_potential, sample_potential_on_planes
+from .spectral import get_workspace
 from .torus_field import GridSpec, Lamella, ScalarField, ShapeCandidate, TiledShape, rasterize
 
 FOUR_PI_SQ = 4.0 * math.pi**2

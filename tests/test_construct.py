@@ -160,6 +160,15 @@ def test_zero_level_displacement_detects_shift():
     assert d == pytest.approx(2.0 / 128, abs=2e-4)
 
 
+def test_zero_level_displacement_on_curved_normals():
+    # disk seed: every normal line is oblique to the grid axes
+    spec = GridSpec((128, 128))
+    seed = Ball((0.5, 0.5), 0.25)
+    u = tanh_profile(Ball((0.5, 0.5), 0.25 + 2.0 / 128), spec, 0.05)
+    d = zero_level_displacement(u, seed, resolution=16)
+    assert d == pytest.approx(2.0 / 128, abs=2e-4)
+
+
 def test_local_minimality_probe_gaps():
     spec = GridSpec((64, 64))
     f2 = tile(rasterize(SEED, spec), 2)

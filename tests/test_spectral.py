@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okpattern.spectral import (
     _PHASE_BLOCK_BYTES,
@@ -20,6 +22,7 @@ from okpattern.spectral import (
     laplacian,
     nonlocal_energy,
     poisson_zero_mean,
+    sample_field,
     sample_potential,
     sample_potential_on_planes,
 )
@@ -251,3 +254,60 @@ def test_dense_sampler_memory_stays_within_phase_budget():
         tracemalloc.stop()
     assert grad.shape == (300, 3)
     assert peak < 2 * _PHASE_BLOCK_BYTES
+
+
+def dense_mode_sum(coeffs: np.ndarray, points: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Oracle: Re sum_xi c(xi) e^{2 pi i xi . x}, or its d/dx_axis, term by term."""
+    xi = np.stack(
+        np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in coeffs.shape], indexing="ij"), -1
+    ).reshape(-1, coeffs.ndim)
+    c = coeffs.ravel()
+    if axis is not None:
+        c = c * (2j * np.pi * xi[:, axis])
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 16):
+        phase = np.exp(2j * np.pi * (points[lo : lo + 16] @ xi.T))
+        out[lo : lo + 16] = (phase @ c).real
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(64, 64), (32, 32, 32), (16, 24, 20)])
+def test_samplers_match_dense_mode_sum(sizes):
+    spec = GridSpec(sizes)
+    rng = np.random.default_rng(11)
+    u = ScalarField(spec, rng.standard_normal(sizes))
+    pts = rng.random((300, spec.dim))
+    # interpolant coefficients: DFT shifted to cell centres; potential: voxel
+    # (sinc) weights over 4 pi^2 |xi|^2, zero mode dropped
+    freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes], indexing="ij")
+    interp = np.fft.fftn(u.values) / spec.cells
+    sinc = np.ones(sizes)
+    for f, n in zip(freqs, sizes):
+        interp = interp * np.exp(-1j * np.pi * f / n)
+        sinc = sinc * np.sinc(f / n)
+    lap = sum(4 * np.pi**2 * f**2 for f in freqs)
+    pot = np.where(lap > 0, interp * sinc / np.where(lap > 0, lap, 1.0), 0.0)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    close(sample_field(u, pts), dense_mode_sum(interp, pts))
+    close(sample_potential(u, pts), dense_mode_sum(pot, pts))
+    grad = sample_potential(u, pts, gradient=True)
+    assert grad.shape == (300, spec.dim)
+    for a in range(spec.dim):
+        close(grad[:, a], dense_mode_sum(pot, pts, axis=a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half_sizes=st.lists(st.integers(2, 12), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_field_reproduces_samples_at_cell_centres(half_sizes, seed):
+    # trigonometric interpolation is exact at the nodes
+    spec = GridSpec(tuple(2 * h for h in half_sizes))
+    u = ScalarField(spec, np.random.default_rng(seed).standard_normal(spec.sizes))
+    centres = np.stack(np.broadcast_arrays(*spec.center_mesh()), -1).reshape(-1, spec.dim)
+    got = sample_field(u, centres).reshape(spec.sizes)
+    assert np.max(np.abs(got - u.values)) <= 1e-12 * max(1.0, np.max(np.abs(u.values)))
