@@ -33,7 +33,7 @@ import numpy as np
 from .diffuse_ok import FlowConfig, FlowTrace, minimize, sharp_to_diffuse_gamma
 from .geometry import fit_ball, fit_lamella, interface_mesh, el_residual
 from .sharp_energy import total_variation_perimeter
-from .spectral import nonlocal_energy, sample_field
+from .spectral import _trig_shift, cell_average_potential, get_workspace, nonlocal_energy, sample_field
 from .stability import min_eigenvalue
 from .torus_field import (
     Ball,
@@ -75,19 +75,9 @@ def interface_wobble(u: ScalarField, axis: int, delta: float, tangential_axis: i
     """Displace the field along `axis` by delta*cos(2 pi t) of the tangential
     coordinate (an exact trigonometric shift per slice)."""
     spec = u.spec
-    n = spec.sizes[axis]
-    xi = np.fft.fftfreq(n, d=1.0 / n)
-    t = spec.centers(tangential_axis)
-    disp = delta * np.cos(2 * np.pi * t)
-    uhat = np.fft.fft(u.values, axis=axis)
-    shape = [1] * spec.dim
-    shape[axis] = n
-    xi = xi.reshape(shape)
-    shape_t = [1] * spec.dim
-    shape_t[tangential_axis] = spec.sizes[tangential_axis]
-    phase = np.exp(-2j * np.pi * xi * disp.reshape(shape_t))
-    out = np.fft.ifft(uhat * phase, axis=axis).real
-    return ScalarField(spec, np.clip(out, -1.1, 1.1), "phase")
+    others = [a for a in range(spec.dim) if a != tangential_axis]
+    disp = np.expand_dims(delta * np.cos(2 * np.pi * spec.centers(tangential_axis)), others)
+    return ScalarField(spec, np.clip(_trig_shift(u.values, axis, disp), -1.1, 1.1), "phase")
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +272,7 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
         ramp = [gamma_k * (j + 1) / config.continuation_steps for j in range(config.continuation_steps)]
         family = continue_family(config.seed, [0.0] + ramp, config.flow, spec)
         if family.status != "complete":
-            out.append(
-                (
-                    ConstructCertificate(k, gamma_k, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, family.status),
-                    None,
-                )
-            )
+            out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, family.status), None))
             continue
         last = family.members[-1]
         e_field = last.sharp
@@ -338,11 +323,12 @@ class ProbeReport:
         return float(self.gaps.min()) if len(self.gaps) else 0.0
 
 
-def _is_k_periodic(u: ScalarField, k: int) -> bool:
-    block = [slice(0, n // k) for n in u.spec.sizes]
-    return bool(
-        np.array_equal(u.values, np.tile(u.values[tuple(block)], (k,) * u.spec.dim))
-    )
+def _check_probe_field(f_field: ScalarField, k: int) -> None:
+    if f_field.kind != "indicator":
+        raise ValueError("probes require an indicator field")
+    block = f_field.values[tuple(slice(0, n // k) for n in f_field.spec.sizes)]
+    if not np.array_equal(f_field.values, np.tile(block, (k,) * f_field.spec.dim)):
+        raise ValueError("field is not 1/k-periodic")
 
 
 def local_minimality_probe(
@@ -356,87 +342,98 @@ def local_minimality_probe(
 ) -> ProbeReport:
     """Random volume-preserving 1/k-periodic cell-pair swaps of F.
 
-    Each probe moves one inside cell of the fundamental cell onto a nearby
-    outside cell (displacement at most `amplitude` cells in sup distance),
-    replicated over all k^dim periodicity cells, and evaluates the sharp
-    energy difference.  Probes that cannot find a valid pair are skipped and
-    counted.
+    Each probe moves one inside cell a of the fundamental cell onto a nearby
+    outside cell b (displacement at most `amplitude` cells in sup distance),
+    replicated over all R = k^dim periodicity cells.  The probes are drawn
+    uniformly, in one batch, from every valid (a, displacement) pair, and the
+    exact sharp energy change of each swap is
+
+        dF = R dP_B + gamma_bar (4R/M) [(w_b - w_a) + 2 (K_B(0) - K_B(b - a))]
+
+    (see _swap_gaps).  All probes are skipped and counted only when no valid
+    pair exists; amplitude 0 or an empty set gives all-zero gaps.
     """
-    if f_field.kind != "indicator":
-        raise ValueError("probes require an indicator field")
-    if not _is_k_periodic(f_field, k):
-        raise ValueError("field is not 1/k-periodic")
+    _check_probe_field(f_field, k)
     if amplitude < 0 or amplitude > 3:
         raise ValueError("probe amplitude is limited to 3 cells")
-    spec = f_field.spec
-    block_sizes = tuple(n // k for n in spec.sizes)
-    rng = np.random.default_rng(seed)
-    base_energy = total_variation_perimeter(f_field) + gamma_bar * nonlocal_energy(f_field)
-    gaps = []
-    skipped = 0
-    inside = np.argwhere(f_field.values[tuple(slice(0, b) for b in block_sizes)] > 0)
-    if amplitude == 0 or len(inside) == 0:
+    if amplitude == 0 or not np.any(f_field.values > 0):
         return ProbeReport(np.zeros(n_probes), 0, n_probes)
-    for _ in range(n_probes):
-        pair = _find_swap_pair(f_field, block_sizes, inside, amplitude, rng)
-        if pair is None:
-            skipped += 1
-            continue
-        g_field = _replicated_swap(f_field, k, pair)
-        energy = total_variation_perimeter(g_field) + gamma_bar * nonlocal_energy(g_field)
-        gaps.append(energy - base_energy)
-    return ProbeReport(np.array(gaps), skipped, n_probes)
+    a, b = _swap_pairs(f_field, k, amplitude)
+    if len(a) == 0:
+        return ProbeReport(np.zeros(0), n_probes, n_probes)
+    pick = np.random.default_rng(seed).integers(len(a), size=n_probes)
+    return ProbeReport(_swap_gaps(f_field, gamma_bar, k, a[pick], b[pick]), 0, n_probes)
 
 
-def _find_swap_pair(f_field, block_sizes, inside, amplitude, rng, tries: int = 64):
-    dim = len(block_sizes)
-    for _ in range(tries):
-        a = inside[rng.integers(len(inside))]
-        delta = rng.integers(-amplitude, amplitude + 1, size=dim)
-        if not np.any(delta):
-            continue
-        b = [(int(a[d]) + int(delta[d])) % f_field.spec.sizes[d] for d in range(dim)]
-        if f_field.values[tuple(b)] < 0:
-            return tuple(int(x) for x in a), tuple(b)
-    return None
+def _swap_pairs(f_field: ScalarField, k: int, amplitude: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (inside, outside) cell pair of the fundamental cell within the
+    given sup-distance, as (P, dim) index arrays a and b = (a + delta) mod n:
+    inside cells in index order, nonzero displacements in index order."""
+    spec = f_field.spec
+    sizes = np.array(spec.sizes)
+    inside = np.argwhere(f_field.values[tuple(slice(0, n // k) for n in spec.sizes)] > 0)
+    deltas = np.array(list(np.ndindex(*(2 * amplitude + 1,) * spec.dim))) - amplitude
+    deltas = deltas[np.any(deltas, axis=1)]
+    outside = np.empty((len(inside), len(deltas)), dtype=bool)
+    for j, d in enumerate(deltas):
+        outside[:, j] = f_field.values[tuple(((inside + d) % sizes).T)] < 0
+    ia, jd = np.nonzero(outside)
+    return inside[ia], (inside[ia] + deltas[jd]) % sizes
 
 
 def enumerate_swap_pairs(f_field: ScalarField, k: int, amplitude: int = 1):
     """Every (inside, outside) cell pair of the fundamental cell within the
     given sup-distance; the exhaustive companion of the random probe."""
-    spec = f_field.spec
-    block_sizes = tuple(n // k for n in spec.sizes)
-    inside = np.argwhere(f_field.values[tuple(slice(0, b) for b in block_sizes)] > 0)
-    for a in inside:
-        for delta in np.ndindex(*(2 * amplitude + 1,) * spec.dim):
-            d = tuple(int(x) - amplitude for x in delta)
-            if not any(d):
-                continue
-            b = tuple((int(a[i]) + d[i]) % spec.sizes[i] for i in range(spec.dim))
-            if f_field.values[b] < 0:
-                yield tuple(int(x) for x in a), b
+    for a, b in zip(*_swap_pairs(f_field, k, amplitude)):
+        yield tuple(int(x) for x in a), tuple(int(x) for x in b)
 
 
-def _replicated_swap(f_field: ScalarField, k: int, pair) -> ScalarField:
-    """F with inside cell a and outside cell b of the fundamental cell swapped
-    in every one of the k^dim periodicity cells."""
+def _swap_gaps(
+    f_field: ScalarField, gamma_bar: float, k: int, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Exact energy change of each replicated swap of inside cell a with
+    outside cell b ((P, dim) arrays, read modulo the block B = n/k).
+
+    The swap adds du = 2 (e_b - e_a) to each of the R = k^dim blocks.  dP is R
+    times the face-jump change on the block torus; since (1/M) <u, w(v)> is
+    the voxel Green pairing (w = cell_average_potential), dNL = (2/M) <du, w(F)>
+    + (1/M) <du, w(du)>, the second term from the kernel K_B of w folded onto
+    the block."""
     spec = f_field.spec
-    block_sizes = tuple(n // k for n in spec.sizes)
-    a, b = pair
-    values = f_field.values.copy()
-    for offs in np.ndindex(*(k,) * spec.dim):
-        ia = tuple(a[d] + offs[d] * block_sizes[d] for d in range(spec.dim))
-        ib = tuple(b[d] % block_sizes[d] + offs[d] * block_sizes[d] for d in range(spec.dim))
-        values[ia] = -1.0
-        values[ib] = 1.0
-    return ScalarField(spec, values, "indicator")
+    block = np.array(spec.sizes) // k
+    reps = k**spec.dim
+    a, b = np.asarray(a) % block, np.asarray(b) % block
+    u = f_field.values[tuple(slice(0, n) for n in block)]
+    # flipping a (+1 -> -1) changes each face by weight * u_nb, flipping b
+    # afterwards by -weight * u_nb with a now -1; a block side of 1 has no faces
+    d_perim = np.zeros(len(a))
+    for ax in np.flatnonzero(block > 1):
+        n = block[ax]
+        for step in (-1, 1):
+            na, nb = a.copy(), b.copy()
+            na[:, ax] = (na[:, ax] + step) % n
+            nb[:, ax] = (nb[:, ax] + step) % n
+            adjacent = np.all(nb == a, axis=1)
+            d_perim += spec.sizes[ax] / spec.cells * (u[tuple(na.T)] - u[tuple(nb.T)] + 2 * adjacent)
+    ws = get_workspace(spec)
+    w = cell_average_potential(f_field, ws).values
+    kern = np.fft.ifftn(ws.inv_lap * ws.cell_factor**2).real
+    kern_b = kern.reshape([m for n in block for m in (k, n)]).sum(axis=tuple(range(0, 2 * spec.dim, 2)))
+    d_nl = (4 * reps / spec.cells) * (
+        w[tuple(b.T)] - w[tuple(a.T)] + 2 * (kern_b.flat[0] - kern_b[tuple(((b - a) % block).T)])
+    )
+    return reps * d_perim + gamma_bar * d_nl
 
 
 def probe_energy_gap(f_field: ScalarField, gamma_bar: float, k: int, pair) -> float:
-    """Energy change of one replicated cell-pair swap."""
-    base = total_variation_perimeter(f_field) + gamma_bar * nonlocal_energy(f_field)
-    g_field = _replicated_swap(f_field, k, pair)
-    return total_variation_perimeter(g_field) + gamma_bar * nonlocal_energy(g_field) - base
+    """Energy change of one replicated cell-pair swap (a, b): the closed form
+
+        dF = R dP_B + gamma_bar (4R/M) [(w_b - w_a) + 2 (K_B(0) - K_B(b - a))]
+
+    of local_minimality_probe, evaluated for this one pair."""
+    _check_probe_field(f_field, k)
+    a, b = pair
+    return float(_swap_gaps(f_field, gamma_bar, k, np.array([a]), np.array([b]))[0])
 
 
 # ---------------------------------------------------------------------------

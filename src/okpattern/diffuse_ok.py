@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import SpectralWorkspace, get_workspace
+from .spectral import SpectralWorkspace, _trig_shift, get_workspace
 from .torus_field import GridSpec, Lamella, ScalarField, tanh_profile
 
 # Surface tension of the optimal profile for W(s) = (s^2-1)^2:
@@ -276,11 +276,7 @@ def fitted_order(rows: list[GammaLimitRow]) -> float:
 
 def _shifted_profile_2d(flat: np.ndarray, displacement: np.ndarray) -> np.ndarray:
     """Columns of the flat 1d profile shifted by displacement[j] (trig shift)."""
-    n = flat.size
-    xi = np.fft.fftfreq(n, d=1.0 / n)
-    fhat = np.fft.fft(flat)
-    phases = np.exp(-2j * np.pi * np.outer(xi, displacement))
-    return np.fft.ifft(fhat[:, None] * phases, axis=0).real
+    return _trig_shift(flat[:, None], 0, displacement[None, :])
 
 
 def _tangential_mode_energy(values: np.ndarray, mode: int = 1) -> float:

@@ -150,6 +150,16 @@ def cell_average_potential(u: ScalarField, ws: SpectralWorkspace | None = None) 
     return ScalarField(u.spec, np.fft.ifftn(vhat).real, "generic")
 
 
+def _trig_shift(values: np.ndarray, axis: int, disp: np.ndarray) -> np.ndarray:
+    """Shift values along `axis` by disp (torus units) through the
+    trigonometric interpolant: FFT along the axis, times exp(-2 pi i xi disp),
+    inverse FFT.  disp broadcasts against values and has length 1 on `axis`."""
+    n = values.shape[axis]
+    xi = np.expand_dims(np.fft.fftfreq(n, d=1.0 / n), [a for a in range(values.ndim) if a != axis])
+    vhat = np.fft.fft(values, axis=axis)
+    return np.fft.ifft(vhat * np.exp(-2j * np.pi * xi * disp), axis=axis).real
+
+
 # ---------------------------------------------------------------------------
 # Energies
 # ---------------------------------------------------------------------------
@@ -195,11 +205,6 @@ def gradient_energy(u: ScalarField, ws: SpectralWorkspace | None = None) -> floa
 # ---------------------------------------------------------------------------
 # Off-grid evaluation (voxel-exact trigonometric sampling)
 # ---------------------------------------------------------------------------
-
-
-def _potential_coeffs(u: ScalarField, ws: SpectralWorkspace) -> np.ndarray:
-    """Truncated Fourier coefficients of the voxel-density potential of u."""
-    return ws.voxel_coeffs(u) * ws.inv_lap
 
 
 # Byte budget of one chunk of points in the separable mode sum: the per-axis
@@ -262,7 +267,7 @@ def sample_potential(
     Separable mode sum (see _mode_sum); cost O(P * cells), chunked over points.
     """
     ws = ws or get_workspace(u.spec)
-    return _mode_sum(_potential_coeffs(u, ws), points, ws, gradient)
+    return _mode_sum(ws.voxel_coeffs(u) * ws.inv_lap, points, ws, gradient)
 
 
 def sample_potential_on_planes(

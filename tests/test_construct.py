@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okpattern.construct import (
     ConstructConfig,
+    _swap_gaps,
+    _swap_pairs,
     build_periodic,
     continue_family,
     enumerate_swap_pairs,
@@ -18,12 +22,15 @@ from okpattern.construct import (
     zero_level_displacement,
 )
 from okpattern.diffuse_ok import FlowConfig
+from okpattern.sharp_energy import total_variation_perimeter
+from okpattern.spectral import nonlocal_energy
 from okpattern.torus_field import (
     Ball,
     GridSpec,
     Lamella,
     ScalarField,
     alpha_distance,
+    periodize,
     rasterize,
     tanh_profile,
     tile,
@@ -186,17 +193,100 @@ def test_local_minimality_probe_gaps():
         local_minimality_probe(not_periodic, 1.0, 2, 5, 1)
 
 
+def _full_recompute_gaps(f_field, gamma, k, a, b):
+    """Oracle: swap a and b in every periodicity cell of a copy of F and
+    difference the full TV perimeter plus gamma times the FFT nonlocal energy."""
+    spec = f_field.spec
+    block = [n // k for n in spec.sizes]
+    base = total_variation_perimeter(f_field) + gamma * nonlocal_energy(f_field)
+    gaps = []
+    for pa, pb in zip(a, b):
+        values = f_field.values.copy()
+        for offs in np.ndindex(*(k,) * spec.dim):
+            values[tuple(pa[d] % block[d] + offs[d] * block[d] for d in range(spec.dim))] = -1.0
+            values[tuple(pb[d] % block[d] + offs[d] * block[d] for d in range(spec.dim))] = 1.0
+        g_field = ScalarField(spec, values, "indicator")
+        gaps.append(total_variation_perimeter(g_field) + gamma * nonlocal_energy(g_field) - base)
+    return np.array(gaps)
+
+
+ORACLE_CASES = (
+    [pytest.param((64, 64), SEED, k, id=f"lamella64-k{k}") for k in (1, 2, 4)]
+    + [pytest.param((64, 64), Ball((0.43, 0.57), 0.2), k, id=f"disk64-k{k}") for k in (1, 2)]
+    # at k = 8 the 6 x 4 block makes neighbours wrap through the block torus
+    + [pytest.param((48, 32), Ball((0.5, 0.5), 0.3), k, id=f"disk48x32-k{k}") for k in (1, 2, 4, 8)]
+    + [pytest.param((16, 24, 20), Ball((0.5, 0.45, 0.55), 0.3), k, id=f"ball3d-k{k}") for k in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("sizes,shape,k", ORACLE_CASES)
+def test_swap_gaps_match_full_recompute(sizes, shape, k):
+    spec = GridSpec(sizes)
+    f = periodize(rasterize(shape, spec.coarsen(k)), k, spec)
+    rng = np.random.default_rng(3)
+    for amplitude in (1, 2, 3):
+        a, b = _swap_pairs(f, k, amplitude)
+        pick = rng.choice(len(a), size=min(len(a), 40), replace=False)
+        closed = _swap_gaps(f, 3.0, k, a[pick], b[pick])
+        oracle = _full_recompute_gaps(f, 3.0, k, a[pick], b[pick])
+        assert np.max(np.abs(closed - oracle)) <= 1e-12
+        pair = (tuple(a[pick[0]]), tuple(b[pick[0]]))
+        assert probe_energy_gap(f, 3.0, k, pair) == closed[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half_sizes=st.lists(st.integers(2, 6), min_size=2, max_size=3),
+    k=st.sampled_from([1, 2]),
+    amplitude=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swap_gaps_match_full_recompute_on_random_sets(half_sizes, k, amplitude, seed):
+    # random two-phase sets on even grids 4-12, 1/k-periodic; a block side of
+    # 2 puts two distinct faces between a cell and its axis neighbour
+    spec = GridSpec(tuple(2 * h for h in half_sizes))
+    rng = np.random.default_rng(seed)
+    block = np.where(rng.random([n // k for n in spec.sizes]) < 0.5, 1.0, -1.0)
+    block.flat[0], block.flat[-1] = 1.0, -1.0
+    f = ScalarField(spec, np.tile(block, (k,) * spec.dim), "indicator")
+    a, b = _swap_pairs(f, k, amplitude)
+    pick = rng.choice(len(a), size=min(len(a), 30), replace=False)
+    gamma = float(rng.uniform(0.0, 50.0))
+    closed = _swap_gaps(f, gamma, k, a[pick], b[pick])
+    oracle = _full_recompute_gaps(f, gamma, k, a[pick], b[pick])
+    assert np.max(np.abs(closed - oracle)) <= 1e-12
+
+
 def test_exhaustive_small_probe_scan_coarse():
     spec = GridSpec((32, 32))
     f2 = tile(rasterize(SEED, spec), 2)
-    worst = 0.0
-    count = 0
-    for pair in enumerate_swap_pairs(f2, 2, amplitude=1):
-        gap = probe_energy_gap(f2, 1.0, 2, pair)
-        worst = min(worst, gap) if count else gap
-        count += 1
-        assert gap >= -1e-12
-    assert count > 0
+    a, b = _swap_pairs(f2, 2, 1)
+    assert len(a) == len(list(enumerate_swap_pairs(f2, 2, amplitude=1))) > 0
+    assert np.min(_swap_gaps(f2, 1.0, 2, a, b)) >= -1e-12
+
+
+@pytest.mark.parametrize("k,count", [(1, 5376), (2, 2688), (4, 1344)])
+def test_exhaustive_amplitude_three_scan_of_tiled_lamella(k, count):
+    spec = GridSpec((64, 64))
+    f = tile(rasterize(SEED, spec), k)
+    a, b = _swap_pairs(f, k, 3)
+    assert len(a) == count
+    assert np.min(_swap_gaps(f, 1.0, k, a, b)) >= -1e-12
+
+
+def test_probe_draws_from_valid_pairs_only():
+    spec = GridSpec((64, 64))
+    f = rasterize(SEED, spec)
+    rep = local_minimality_probe(f, 1.0, 1, 500, 2, seed=1)
+    assert rep.skipped == 0 and len(rep.gaps) == 500
+    # a full set has inside cells but no outside cell within reach
+    full = ScalarField(spec, np.ones(spec.sizes), "indicator")
+    rep = local_minimality_probe(full, 1.0, 1, 20, 2)
+    assert rep.skipped == 20 and len(rep.gaps) == 0
+    empty = ScalarField(spec, -np.ones(spec.sizes), "indicator")
+    for field_, amplitude in ((empty, 2), (f, 0)):
+        rep = local_minimality_probe(field_, 1.0, 1, 20, amplitude)
+        assert rep.skipped == 0 and np.array_equal(rep.gaps, np.zeros(20))
 
 
 def test_graph_probe_quadratic_growth():
