@@ -42,7 +42,9 @@ class Chart:
     components that keep the chart Nyquist mode (the nodal values of a Nyquist
     cosine have derivative zero at the nodes, so stiffness assembly must use
     the full symbol or the alternating vector becomes a spurious kernel
-    direction).
+    direction).  values may carry trailing batch axes after the chart grid;
+    each component then carries them too, so one call on the identity stack
+    differentiates every nodal basis vector.
     """
 
     points: np.ndarray
@@ -127,7 +129,9 @@ def _lamella_charts(shape: Lamella, dim: int, res: int) -> list[Chart]:
         weights = np.full(grid_shape, 1.0 / res ** len(tangential))
 
         def tangent_fn(values, full=False):
-            return [_fft_deriv(values, ax, period=1.0, full=full) for ax in range(values.ndim)]
+            return [
+                _fft_deriv(values, ax, period=1.0, full=full) for ax in range(len(grid_shape))
+            ]
 
         charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn))
     return charts
@@ -152,8 +156,11 @@ def _sphere_tangent_components(values, r, mu, dmat, sin_t, full):
     so each mode is differentiated through that associated basis (plain
     collocation of the square-root factor would lose several digits).  Modes
     whose basis factor underflows fall back to the value interpolant.
+    values may carry trailing batch axes after the (polar, azimuth) grid.
     """
     res = values.shape[1]
+    column = (values.shape[0],) + (1,) * (values.ndim - 2)
+    mu, sin_t = mu.reshape(column), sin_t.reshape(column)
     vhat = np.fft.fft(values, axis=1)
     ms = np.fft.fftfreq(res, d=1.0 / res).astype(int)
     one_minus = 1.0 - mu**2
@@ -161,21 +168,15 @@ def _sphere_tangent_components(values, r, mu, dmat, sin_t, full):
     d_azim = np.empty_like(vhat)
     for col, m in enumerate(ms):
         am = abs(int(m))
-        if not full and am == res // 2:
-            d_azim[:, col] = 0.0
-            d_polar[:, col] = sin_t * (dmat @ vhat[:, col])
-            continue
-        d_azim[:, col] = 1j * m * vhat[:, col] / sin_t
-        if am == 0:
-            d_polar[:, col] = sin_t * (dmat @ vhat[:, col])
-            continue
+        nyquist = not full and am == res // 2
+        d_azim[:, col] = 0.0 if nyquist else 1j * m * vhat[:, col] / sin_t
         a = one_minus ** (am / 2.0)
-        if a.min() < 1e-10:
-            d_polar[:, col] = sin_t * (dmat @ vhat[:, col])
-            continue
-        g = vhat[:, col] / a
-        dphi_m = a * ((dmat @ g) - am * mu * g / one_minus)
-        d_polar[:, col] = sin_t * dphi_m
+        if nyquist or am == 0 or a.min() < 1e-10:
+            d_polar[:, col] = sin_t * np.tensordot(dmat, vhat[:, col], axes=1)
+        else:
+            g = vhat[:, col] / a
+            dphi_m = a * (np.tensordot(dmat, g, axes=1) - am * mu * g / one_minus)
+            d_polar[:, col] = sin_t * dphi_m
     polar = np.fft.ifft(d_polar, axis=1) / r
     azim = np.fft.ifft(d_azim, axis=1) / r
     if full:

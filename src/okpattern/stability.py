@@ -25,10 +25,17 @@ Two evaluation routes are kept deliberately distinct:
   splat stencil to one real-space kernel).  Fully generic; agrees with the
   mode route to about a part in 10^3 at production resolutions, which is
   exactly the oracle-equivalence check the test suite runs.
+
+The dense pencil (min_eigenvalue) is assembled in O(p^2) memory, with no
+per-node loop before its final generalized eigensolve: the Green matrix from
+the 3^dim distinct splat cell shifts, each chart stiffness from
+one batched tangent_fn call on the identity stack, and the weighted zero-mean
+restriction from one Householder reflector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -267,18 +274,24 @@ def _quad_form_lamella_modes(shape: Lamella, gamma: float, phi: SurfaceFunction)
     return QuadFormReport(term_perimeter, term_potential, term_green)
 
 
+def _splat_geometry(mesh: InterfaceMesh, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lower splat corner (a cell index per axis, wrapped into the grid) and
+    per-axis tent fraction of every mesh node, both shaped (p, dim)."""
+    sizes = np.asarray(spec.sizes)
+    ucoord = mesh.all_points() * sizes - 0.5
+    base = np.floor(ucoord)
+    return base.astype(np.int64) % sizes, ucoord - base
+
+
 def _splat_stencil(mesh: InterfaceMesh, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Multilinear splat of every mesh node onto its 2^dim surrounding cells.
 
     Returns the flat cell index and the weight (node weight x cells x tent
     factor, a density normalization) of each corner, both shaped (p, 2^dim).
     """
-    sizes = np.asarray(spec.sizes)
-    ucoord = mesh.all_points() * sizes - 0.5
-    base = np.floor(ucoord)
-    frac = ucoord - base
+    base, frac = _splat_geometry(mesh, spec)
     corners = np.array(list(np.ndindex(*(2,) * spec.dim)))
-    pos = (base.astype(np.int64)[:, None, :] + corners) % sizes
+    pos = (base[:, None, :] + corners) % spec.sizes
     idx = np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), spec.sizes)
     tent = np.prod(np.where(corners == 1, frac[:, None, :], 1.0 - frac[:, None, :]), axis=-1)
     return idx, (mesh.all_weights() * spec.cells)[:, None] * tent
@@ -502,16 +515,13 @@ def min_eigenvalue(
         m = sizes[ci]
         sl = slice(offsets[ci], offsets[ci] + m)
         w = chart.weights.ravel()
-        basis = np.eye(m)
-        ncomp = len(chart.tangent_fn(np.zeros(chart.grid_shape)))
-        comps = [np.zeros((m, m), dtype=complex) for _ in range(ncomp)]
-        for j in range(m):
-            col = basis[j].reshape(chart.grid_shape)
-            for d, comp in enumerate(chart.tangent_fn(col, full=True)):
-                comps[d][:, j] = comp.ravel()
+        # one batched call on the identity stack: column j of each component
+        # is the derivative of nodal basis vector j
+        comps = chart.tangent_fn(np.eye(m).reshape(chart.grid_shape + (m,)), full=True)
         # full-symbol stiffness: Re(T^H W T) is the exact Dirichlet form of
         # the chart trigonometric interpolant, Nyquist mode included
-        grad_block = sum((t.conj().T @ (w[:, None] * t)).real for t in comps)
+        tangents = (c.reshape(m, m) for c in comps)
+        grad_block = sum((t.conj().T @ (w[:, None] * t)).real for t in tangents)
         a_mat[sl, sl] += grad_block - chart.second_fundamental_sq * np.diag(w)
         b_mat[sl, sl] += grad_block + np.diag(w)
 
@@ -543,32 +553,81 @@ def min_eigenvalue(
         v = moments[:, j]
         a_mat += penalty_weight * np.outer(v, v)
 
-    # weighted zero-mean restriction (orthonormal basis of {w . phi = 0})
-    proj = np.eye(p) - np.outer(weights, weights) / float(weights @ weights)
-    u_svd, svals, _ = np.linalg.svd(proj)
-    z = u_svd[:, svals > 0.5]
-    a_r = z.T @ a_mat @ z
-    b_r = z.T @ b_mat @ z
-    vals = scipy.linalg.eigh(a_r, b_r, eigvals_only=True)
+    vals = scipy.linalg.eigh(
+        _restrict_zero_mean(a_mat, weights),
+        _restrict_zero_mean(b_mat, weights),
+        eigvals_only=True,
+    )
     return float(vals[0])
+
+
+def _restrict_zero_mean(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Z^T M Z for an orthonormal basis Z of {weights . phi = 0}, M symmetric.
+
+    The Householder reflector H = I - 2 v v^T with v along
+    weights/|weights| + sign(weights_0) e_0 maps weights onto the e_0 axis,
+    so Z = H[:, 1:].  H M H = M - v y^T - y v^T with y = 2 (M v - (v^T M v) v),
+    two rank-1 updates in place of an SVD and two dense products.
+    """
+    v = weights / np.linalg.norm(weights)
+    v[0] += math.copysign(1.0, v[0])
+    v /= np.linalg.norm(v)
+    mv = mat @ v
+    y = 2.0 * (mv - (v @ mv) * v)
+    out = mat[1:, 1:] - np.outer(v[1:], y[1:])
+    out -= np.outer(y[1:], v[1:])
+    return out
 
 
 def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
     """G_ij = int int G b_i b_j over the splatted nodal surface measures.
 
     Splat, solve (both tent kernels divided out) and pairing are circular
-    convolutions, so with kern the real-space kernel of that solve,
-    G_ij = (1/cells) sum_{a,b} w_ia w_jb kern[idx_ia - idx_jb] over the
-    stencil corners a of node i and b of node j.
+    convolutions with kern = ifftn(inv_lap / cell_factor^4).real.  Corner a
+    of node i minus corner b of node j is (base_i - base_j) + s with
+    s = a - b in {-1, 0, 1}^dim, and the tent weights summed over the corner
+    pairs of one s factor per axis into T(+1) = f_i (1 - f_j),
+    T(-1) = (1 - f_i) f_j and T(0) = (1 - f_i)(1 - f_j) + f_i f_j, so
+
+        G_ij = cells W_i W_j sum_s kern[base_i - base_j + s] prod_a T_a(s_a)
+
+    with W the node weights and f the tent fractions: 3^dim gathers from the
+    kernel padded by one wrapped cell into three reused p x p work arrays.
     """
-    idx, weight = _splat_stencil(mesh, spec)
-    pos = np.unravel_index(idx, spec.sizes)
+    base, frac = _splat_geometry(mesh, spec)
+    p, dim = base.shape
     kern = np.fft.ifftn(ws.inv_lap / ws.cell_factor**4).real
-    p, corners = idx.shape
-    g = np.zeros((p, p))
-    for a in range(corners):
-        for b in range(corners):
-            shift = tuple((x[:, a, None] - x[None, :, b]) % n for x, n in zip(pos, spec.sizes))
-            g += np.outer(weight[:, a], weight[:, b]) * kern[shift]
-    g /= spec.cells
-    return 0.5 * (g + g.T)
+    padded = np.pad(kern, 1, mode="wrap").ravel()
+    strides = [int(np.prod([n + 2 for n in spec.sizes[a + 1 :]])) for a in range(dim)]
+    centre = sum(strides)  # flat offset of the unpadded origin
+    # T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f: the 1/2 joins the rank-1 part
+    g_axes = 1.0 - 2.0 * frac
+    col_of = {1: frac, -1: 1.0 - frac, 0: np.full_like(frac, 0.5)}
+    row_of = {1: 1.0 - frac, -1: frac, 0: np.ones_like(frac)}
+    weights = mesh.all_weights()
+
+    flat = np.zeros((p, p), dtype=np.intp)
+    for a, n in enumerate(spec.sizes):
+        flat += (base[:, a, None] - base[None, :, a]) % n * strides[a]
+    out = np.zeros((p, p))
+    term = np.empty((p, p))
+    spare = np.empty((p, p))
+    for s in itertools.product((-1, 0, 1), repeat=dim):
+        # indices are in range by construction; "clip" lets take write
+        # straight into term instead of through a buffer
+        np.take(padded[centre + int(np.dot(s, strides)) :], flat, out=term, mode="clip")
+        col = spec.cells * weights
+        row = weights.copy()
+        for a, sa in enumerate(s):
+            col *= col_of[sa][:, a]
+            row *= row_of[sa][:, a]
+        term *= col[:, None]
+        term *= row
+        for a in (a for a, sa in enumerate(s) if sa == 0):
+            np.multiply(term, g_axes[:, a, None], out=spare)
+            spare *= g_axes[:, a]
+            term += spare
+        out += term
+    out += out.T
+    out *= 0.5
+    return out

@@ -5,14 +5,19 @@ the full 27-combination mode-vs-grid equivalence sweep lives in the
 acceptance module.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from okpattern.geometry import interface_mesh
 from okpattern.spectral import get_workspace
 from okpattern.stability import (
     SurfaceFunction,
     _green_matrix,
+    _restrict_zero_mean,
+    _splat_stencil,
     lamella_mode_matrix,
     lamella_potential_slope,
     lamella_threshold,
@@ -26,7 +31,7 @@ from okpattern.stability import (
     translation_mode,
     zero_mean_green_kernel,
 )
-from okpattern.torus_field import Ball, Cylinder, GridSpec, Lamella
+from okpattern.torus_field import Ball, Cylinder, GridSpec, Lamella, TiledShape
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -157,6 +162,111 @@ def test_green_matrix_pairing_matches_grid_green_term():
         assert 8.0 * gamma * flat @ green @ flat == pytest.approx(expected, rel=1e-12)
 
 
+def green_matrix_corner_pair_reference(mesh, spec, ws):
+    """G_ij = (1/cells) sum_{a,b} w_ia w_jb kern[idx_ia - idx_jb] over every
+    pair of splat corners a of node i and b of node j: 4^dim full p x p
+    gathers, the direct form of the matrix."""
+    idx, weight = _splat_stencil(mesh, spec)
+    pos = np.unravel_index(idx, spec.sizes)
+    kern = np.fft.ifftn(ws.inv_lap / ws.cell_factor**4).real
+    p, corners = idx.shape
+    g = np.zeros((p, p))
+    for a in range(corners):
+        for b in range(corners):
+            shift = tuple((x[:, a, None] - x[None, :, b]) % n for x, n in zip(pos, spec.sizes))
+            g += np.outer(weight[:, a], weight[:, b]) * kern[shift]
+    g /= spec.cells
+    return 0.5 * (g + g.T)
+
+
+CUBE = GridSpec((32, 32, 32))
+
+
+@pytest.mark.parametrize(
+    "shape, spec, res",
+    [
+        (Lamella(axis=0, center=0.5, halfwidth=0.25), CUBE, 16),
+        (Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), CUBE, 16),
+        (Ball((0.41, 0.57, 0.33), 0.25), CUBE, 16),
+        (Ball((0.4, 0.55), 0.3), GridSpec((48, 40)), 48),
+        (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), CUBE, 24),
+    ],
+    ids=["lamella", "cylinder", "ball-off-centre", "disk-48x40", "cylinder-res24"],
+)
+def test_green_matrix_matches_corner_pair_reference(shape, spec, res):
+    mesh = interface_mesh(shape, res, spec.dim)
+    ws = get_workspace(spec)
+    green = _green_matrix(mesh, spec, ws)
+    ref = green_matrix_corner_pair_reference(mesh, spec, ws)
+    assert np.max(np.abs(green - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(green, green.T)
+
+
+def test_green_matrix_memory_stays_within_eight_p_squared():
+    # three reused p x p work arrays, not one p x p factor matrix per shift
+    mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 16, 3)
+    p = len(mesh.all_weights())
+    assert p == 512
+    ws = get_workspace(CUBE)
+    tracemalloc.start()
+    try:
+        _green_matrix(mesh, CUBE, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * p * p * 8
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize(
+    "shape, dim, res",
+    [
+        (Lamella(axis=0, center=0.5, halfwidth=0.25), 2, 16),
+        (Lamella(axis=1, center=0.5, halfwidth=0.25), 3, 16),
+        (Ball((0.4, 0.55), 0.3), 2, 24),
+        (Ball((0.5, 0.5, 0.5), 0.25), 3, 16),
+        (Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), 3, 16),
+        (TiledShape(Ball((0.5, 0.5), 0.3), 2), 2, 16),
+    ],
+    ids=["lamella-2d", "lamella-3d", "circle", "sphere", "cylinder", "tiled-disk"],
+)
+def test_batched_tangent_fn_matches_per_column_calls(shape, dim, res, full):
+    # min_eigenvalue assembles each chart stiffness from one call on the
+    # identity stack; every column must be the single-vector derivative
+    chart = interface_mesh(shape, res, dim).charts[0]
+    m = chart.weights.size
+    basis = np.eye(m)
+    batch = chart.tangent_fn(basis.reshape(chart.grid_shape + (m,)), full=full)
+    for j in range(m):
+        cols = chart.tangent_fn(basis[j].reshape(chart.grid_shape), full=full)
+        assert len(cols) == len(batch)
+        for whole, col in zip(batch, cols):
+            assert whole[..., j].shape == col.shape
+            assert np.max(np.abs(whole[..., j] - col)) <= 1e-15 * max(1.0, np.max(np.abs(col)))
+
+
+def test_zero_mean_restriction_matches_svd_basis():
+    rng = np.random.default_rng(21)
+    p = 40
+    q_a = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    q_b = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    a_mat = q_a @ np.diag(rng.choice([-1.0, 1.0], p) * rng.uniform(1.0, 2.0, p)) @ q_a.T
+    b_mat = q_b @ np.diag(rng.uniform(1.0, 2.0, p)) @ q_b.T
+    a_mat, b_mat = 0.5 * (a_mat + a_mat.T), 0.5 * (b_mat + b_mat.T)
+    weights = rng.uniform(0.5, 1.5, p)
+    proj = np.eye(p) - np.outer(weights, weights) / (weights @ weights)
+    u_svd, svals, _ = np.linalg.svd(proj)
+    z = u_svd[:, svals > 0.5]
+    ref = scipy.linalg.eigh(z.T @ a_mat @ z, z.T @ b_mat @ z, eigvals_only=True)
+    vals = scipy.linalg.eigh(
+        _restrict_zero_mean(a_mat, weights),
+        _restrict_zero_mean(b_mat, weights),
+        eigvals_only=True,
+    )
+    assert vals.shape == (p - 1,)
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_surface_function_zero_mean_validation():
     mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 16, dim=2)
     with pytest.raises(ValueError, match="zero-mean"):
@@ -229,6 +339,22 @@ def test_strict_stability_at_small_gamma():
     assert ball_star > 0
     for gamma in np.linspace(0.0, ball_star / 2, 8):
         assert min_eigenvalue(ball, float(gamma), spec, resolution=32) > 0
+
+
+def test_min_eigenvalue_3d_cylinder_area_form():
+    # gamma = 0 leaves -Delta - |B|^2 on the r = 1/4 cylinder; translations
+    # (m = 1, q = 0) are penalized, so the least H^1-normalized mode is
+    # q = 1 along the axis: (4 pi^2 - 16) / (4 pi^2 + 1)
+    cyl = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
+    pencil = min_eigenvalue(cyl, 0.0, CUBE, resolution=16)
+    assert pencil == pytest.approx((FOUR_PI_SQ - 16) / (FOUR_PI_SQ + 1), rel=1e-4)
+
+
+def test_min_eigenvalue_3d_lamella_sign_tracks_threshold():
+    shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
+    gamma_star = lamella_threshold(0.25, tangential_dim=2).gamma_star
+    assert min_eigenvalue(shape, 0.9 * gamma_star, CUBE, resolution=16) > 0
+    assert min_eigenvalue(shape, 1.2 * gamma_star, CUBE, resolution=16) < 0
 
 
 def test_threshold_positive_crossing_and_formula():
