@@ -31,12 +31,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffuse_ok import FlowConfig, FlowTrace, minimize, sharp_to_diffuse_gamma
-from .geometry import fit_ball, fit_lamella, interface_mesh, el_residual
+from .geometry import fit_ball, fit_cylinder, fit_lamella, interface_mesh, el_residual
 from .sharp_energy import total_variation_perimeter
 from .spectral import _trig_shift, cell_average_potential, get_workspace, nonlocal_energy, sample_field
 from .stability import min_eigenvalue
 from .torus_field import (
     Ball,
+    Cylinder,
     GridSpec,
     Lamella,
     ScalarField,
@@ -246,11 +247,18 @@ class ConstructCertificate:
         )
 
 
+class StabilityGateError(RuntimeError):
+    """The seed's least pencil eigenvalue is not positive (a numerical
+    failure status of the construction, not a configuration error)."""
+
+
 def fit_like(seed: ShapeCandidate, sharp: ScalarField) -> ShapeCandidate:
     if isinstance(seed, Lamella):
         return fit_lamella(sharp, seed.axis)
     if isinstance(seed, Ball):
         return fit_ball(sharp)
+    if isinstance(seed, Cylinder):
+        return fit_cylinder(sharp, seed.axis)
     raise ValueError(f"no candidate fit for seeds of type {type(seed).__name__}")
 
 
@@ -264,7 +272,7 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
     if config.stability_gate:
         gate = min_eigenvalue(config.seed, 0.0, spec, resolution=16)
         if gate <= 0:
-            raise ValueError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
+            raise StabilityGateError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
     seed_raster = rasterize(config.seed, spec)
     out = []
     for k in config.k_list:

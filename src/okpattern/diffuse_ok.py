@@ -81,12 +81,18 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
+    """One flow iterate.  uhat carries the normalized half spectrum
+    rfftn(u.values)/cells from the step that produced u, so the next step
+    need not transform u again; a state built without it (None) has it
+    recomputed from u."""
+
     u: ScalarField
     energy: float
     dt: float
     step: int = 0
     rejections: int = 0
     last_update_sup: float = 0.0
+    uhat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -125,24 +131,38 @@ def ok_energy(
     if eps <= 0 or gamma < 0:
         raise ValueError("eps must be positive and gamma nonnegative")
     ws = ws or get_workspace(u.spec)
-    uhat = np.fft.fftn(u.values) / u.spec.cells
-    return _ok_energy_from(u.values, uhat, ws, eps, gamma)
+    return _ok_energy_from(u.values, _half_spectrum(u.values), ws, eps, gamma)
+
+
+# The flow works on the real-FFT half spectrum: rfftn keeps the last-axis
+# frequencies 0..n/2 (the others are the complex conjugates of these), so each
+# multiplier is the full-grid one cut to those columns (_half).
+
+
+def _half_spectrum(values: np.ndarray) -> np.ndarray:
+    """Normalized half spectrum rfftn(values)/cells."""
+    return np.fft.rfftn(values, axes=range(values.ndim), norm="forward")
+
+
+def _from_half_spectrum(uhat: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """Real field whose normalized half spectrum is uhat."""
+    return np.fft.irfftn(uhat, s=sizes, axes=range(len(sizes)), norm="forward")
+
+
+def _half(multiplier: np.ndarray) -> np.ndarray:
+    return multiplier[..., : multiplier.shape[-1] // 2 + 1]
 
 
 def _ok_energy_from(
     values: np.ndarray, uhat: np.ndarray, ws: SpectralWorkspace, eps: float, gamma: float
 ) -> float:
-    power = np.abs(uhat) ** 2
-    grad_term = eps * float(np.sum(power * ws.lap_symbol))
+    # Parseval over the half spectrum: each column but the self-conjugate
+    # 0 and n/2 ones stands for itself and its conjugate twin
+    power = np.abs(uhat) ** 2 * ws.half_weights
+    grad_term = eps * float(np.sum(power * _half(ws.lap_symbol)))
     well_term = float(np.mean((values**2 - 1.0) ** 2)) / eps
-    nl_term = gamma * float(np.sum(power * ws.inv_lap))
+    nl_term = gamma * float(np.sum(power * _half(ws.inv_lap)))
     return grad_term + well_term + nl_term
-
-
-def _explicit_force(values: np.ndarray, uhat: np.ndarray, ws: SpectralWorkspace, cfg: FlowConfig):
-    # uhat holds normalized coefficients (fftn/M); scale back for the solve
-    v = np.fft.ifftn(uhat * ws.inv_lap).real * values.size
-    return -(4.0 / cfg.eps) * values * (values**2 - 1.0) - 2.0 * cfg.gamma * v
 
 
 def flow_state(u0: ScalarField, config: FlowConfig, ws: SpectralWorkspace | None = None) -> FlowState:
@@ -152,26 +172,38 @@ def flow_state(u0: ScalarField, config: FlowConfig, ws: SpectralWorkspace | None
             f"(needs eps >= {2.0 * u0.spec.max_spacing})"
         )
     ws = ws or get_workspace(u0.spec)
-    uhat = np.fft.fftn(u0.values) / u0.spec.cells
-    return FlowState(u0, _ok_energy_from(u0.values, uhat, ws, config.eps, config.gamma), config.dt)
+    uhat = _half_spectrum(u0.values)
+    uhat.flags.writeable = False
+    energy = _ok_energy_from(u0.values, uhat, ws, config.eps, config.gamma)
+    return FlowState(u0, energy, config.dt, uhat=uhat)
 
 
 def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None = None) -> FlowState:
-    """One semi-implicit step; rejects and shrinks dt on any energy increase."""
+    """One semi-implicit step; rejects and shrinks dt on any energy increase.
+
+    The explicit force N(u) = -(4/eps) u (u^2 - 1) - 2 gamma v_u is formed in
+    Fourier space: the local part is transformed, the potential part is
+    uhat / (4 pi^2 |xi|^2) itself.  An accepted step therefore costs two real
+    FFTs (force transform, new iterate) and each rejection one more inverse
+    FFT; a state without its half spectrum pays one forward FFT to recover it.
+    """
     ws = ws or get_workspace(state.u.spec)
     spec = state.u.spec
     values = state.u.values
-    uhat = np.fft.fftn(values) / spec.cells
-    force_hat = np.fft.fftn(_explicit_force(values, uhat, ws, config)) / spec.cells
+    uhat = state.uhat if state.uhat is not None else _half_spectrum(values)
+    local = -(4.0 / config.eps) * values * (values**2 - 1.0)
+    force_hat = _half_spectrum(local) - 2.0 * config.gamma * (uhat * _half(ws.inv_lap))
+    lap = _half(ws.lap_symbol)
     dt = state.dt
     rejections = state.rejections
     while True:
         if dt < DT_STALL_FLOOR:
             raise FlowStallError(f"dt underflow ({dt:.3e}) after {rejections} rejections")
-        denom = 1.0 + dt * config.c_s + dt * 2.0 * config.eps * ws.lap_symbol
+        denom = 1.0 + dt * config.c_s + dt * 2.0 * config.eps * lap
         new_hat = ((1.0 + dt * config.c_s) * uhat + dt * force_hat) / denom
         new_hat.flat[0] = uhat.flat[0]  # frozen zero mode: exact mass conservation
-        new_values = np.fft.ifftn(new_hat * spec.cells).real
+        new_hat.flags.writeable = False
+        new_values = _from_half_spectrum(new_hat, spec.sizes)
         energy = _ok_energy_from(new_values, new_hat, ws, config.eps, config.gamma)
         if energy <= state.energy:
             # a smooth iterate of an indicator start is a phase field
@@ -184,6 +216,7 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
                 step=state.step + 1,
                 rejections=rejections,
                 last_update_sup=float(np.max(np.abs(new_values - values))),
+                uhat=new_hat,
             )
         dt *= config.dt_backoff
         rejections += 1

@@ -320,13 +320,6 @@ class CriticalityReport:
         )
 
 
-def _sample_v_on_chart(u: ScalarField, chart: Chart, ws, gradient=False):
-    """Potential (or gradient) of u at the chart points, shaped like the chart grid."""
-    pts = chart.points.reshape(-1, chart.points.shape[-1])
-    vals = sample_potential(u, pts, ws, gradient=gradient)
-    return vals.reshape(chart.grid_shape + vals.shape[1:])
-
-
 def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> CriticalityReport:
     """Criticality diagnostics of a candidate (or its 1/k tiling) at gamma.
 
@@ -334,29 +327,22 @@ def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> Cr
     sup of |H + 4 gamma v - lambda| over the mesh.  grad_h_sup estimates
     sup |grad_tau H| through the critical-set identity grad_tau H =
     -4 gamma grad_tau v (the curvature of candidates is constant per chart,
-    so its direct tangential derivative vanishes identically).
+    so its direct tangential derivative vanishes identically).  The potential
+    and its gradient are each sampled in one call over the points of every
+    chart.
     """
     k = shape.k if isinstance(shape, TiledShape) else 1
     mesh = interface_mesh(shape, resolution, spec.dim)
     u = rasterize(shape, spec)
     ws = get_workspace(spec)
-
-    weighted_sum = 0.0
-    weight = 0.0
-    per_chart = []
-    grad_sup = 0.0
-    for chart in mesh.charts:
-        v = _sample_v_on_chart(u, chart, ws)
-        g = chart.mean_curv + 4.0 * gamma * v
-        per_chart.append((chart, g))
-        weighted_sum += float(np.sum(chart.weights * g))
-        weight += float(np.sum(chart.weights))
-        gv = _sample_v_on_chart(u, chart, ws, gradient=True)
-        normal_component = np.sum(gv * chart.normals, axis=-1)
-        tang = gv - normal_component[..., None] * chart.normals
-        grad_sup = max(grad_sup, 4.0 * gamma * float(np.max(np.linalg.norm(tang, axis=-1))))
-    lam = weighted_sum / weight
-    residual = max(float(np.max(np.abs(g - lam))) for _, g in per_chart)
+    pts, normals, weights = mesh.all_points(), mesh.all_normals(), mesh.all_weights()
+    curv = np.concatenate([np.full(c.weights.size, c.mean_curv) for c in mesh.charts])
+    g = curv + 4.0 * gamma * sample_potential(u, pts, ws)
+    lam = float(np.sum(weights * g)) / float(np.sum(weights))
+    residual = float(np.max(np.abs(g - lam)))
+    gv = sample_potential(u, pts, ws, gradient=True)
+    tang = gv - np.sum(gv * normals, axis=-1)[:, None] * normals
+    grad_sup = 4.0 * gamma * float(np.max(np.linalg.norm(tang, axis=-1)))
     return CriticalityReport(gamma, k, lam, residual, grad_sup)
 
 
@@ -369,7 +355,8 @@ def _circular_mean(angles_weights) -> float:
     angles, weights = angles_weights
     s = np.sum(weights * np.sin(angles))
     c = np.sum(weights * np.cos(angles))
-    return float(np.mod(math.atan2(s, c) / (2 * np.pi), 1.0))
+    t = math.atan2(s, c) / (2 * np.pi) % 1.0
+    return 0.0 if t == 1.0 else t  # a tiny negative angle rounds up to 1
 
 
 def fit_lamella(u: ScalarField, axis: int) -> Lamella:
@@ -385,17 +372,31 @@ def fit_lamella(u: ScalarField, axis: int) -> Lamella:
     return Lamella(axis=axis, center=center, halfwidth=halfwidth)
 
 
+def _circular_centroid(u: ScalarField, axes) -> tuple[float, ...]:
+    """Circular mean position of the indicator's inside cells along each axis."""
+    inside = u.values > 0
+    center = []
+    for a in axes:
+        frac = inside.mean(axis=tuple(b for b in range(u.spec.dim) if b != a))
+        center.append(_circular_mean((2 * np.pi * u.spec.centers(a), frac)))
+    return tuple(center)
+
+
 def fit_ball(u: ScalarField) -> Ball:
     """Ball with the indicator's circular centroid and volume-matched radius."""
-    inside = u.values > 0
-    vol = float(inside.mean())
+    vol = float(np.mean(u.values > 0))
     if vol <= 0:
         raise ValueError("field is empty; no ball to fit")
     dim = u.spec.dim
-    center = []
-    for a in range(dim):
-        other = tuple(b for b in range(dim) if b != a)
-        frac = inside.mean(axis=other)
-        center.append(_circular_mean((2 * np.pi * u.spec.centers(a), frac)))
     radius = {2: math.sqrt(vol / math.pi), 3: (vol * 3 / (4 * math.pi)) ** (1 / 3)}[dim]
-    return Ball(tuple(center), radius)
+    return Ball(_circular_centroid(u, range(dim)), radius)
+
+
+def fit_cylinder(u: ScalarField, axis: int) -> Cylinder:
+    """Cylinder along `axis` with the indicator's circular centroid in the two
+    cross axes and the volume-matched radius."""
+    area = float(np.mean(u.values > 0))
+    if area <= 0:
+        raise ValueError("field is empty; no cylinder to fit")
+    cross = [a for a in range(3) if a != axis]
+    return Cylinder(axis, _circular_centroid(u, cross), math.sqrt(area / math.pi))

@@ -74,6 +74,12 @@ class SpectralWorkspace:
             phase = phase * np.exp(-1j * np.pi * self.freqs[a] / n)
         phase.flags.writeable = False
         self.center_phase = phase
+        # Parseval weights of a real-FFT half spectrum along the last axis:
+        # the self-conjugate 0 and n/2 columns count once, the others twice
+        half = np.full(spec.sizes[-1] // 2 + 1, 2.0)
+        half[[0, -1]] = 1.0
+        half.flags.writeable = False
+        self.half_weights = half
 
     # -- coefficient views -------------------------------------------------
 
@@ -220,21 +226,32 @@ def _mode_sum(
     Separable: e^{2 pi i xi . x} = prod_a E_a[p, xi_a] with per-axis factors
     E_a = e^{2 pi i xi_a x_a}, so a chunk of points contracts axis 0 with one
     matrix product and every further axis with one per-point batched product;
-    gradient component a replaces E_a by 2 pi i xi_a E_a.  Exact to rounding,
+    gradient component a replaces E_a by 2 pi i xi_a E_a.  Each factor row is
+    built in ascending xi = -n/2..n/2-1 (so the coefficients are fftshifted
+    once) from about 2 sqrt(n) exponentials: with b dividing n/2, xi = b q + r
+    and e^{2 pi i xi x} = e^{2 pi i b q x} e^{2 pi i r x}.  Exact to rounding,
     O(P * cells) multiply-adds and no points x cells phase block.  The chunk
     keeps the factor blocks and the first partial contraction within
     _PHASE_BLOCK_BYTES.  Returns (P,) values or (P, dim) components.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     sizes = ws.spec.sizes
-    xis = [f.ravel() for f in ws.freqs]
-    head = coeffs.reshape(sizes[0], -1)
+    head = np.fft.fftshift(coeffs).reshape(sizes[0], -1)
+    xis = [np.arange(-n // 2, n // 2) for n in sizes]
+    splits = []
+    for n in sizes:
+        b = min((d for d in range(1, n // 2 + 1) if (n // 2) % d == 0), key=lambda d: d + n // d)
+        splits.append((b * np.arange(-n // (2 * b), n // (2 * b)), np.arange(b)))
     ncomp = len(sizes) if gradient else 1
     out = np.empty((pts.shape[0], ncomp))
     chunk = max(1, _PHASE_BLOCK_BYTES // (16 * (ws.spec.cells // sizes[0] + sum(sizes))))
     for lo in range(0, pts.shape[0], chunk):
         x = pts[lo : lo + chunk]
-        factors = [np.exp(TWO_PI * 1j * np.outer(x[:, a], xi)) for a, xi in enumerate(xis)]
+        factors = []
+        for a, (coarse, fine) in enumerate(splits):
+            e_coarse = np.exp(TWO_PI * 1j * np.outer(x[:, a], coarse))
+            e_fine = np.exp(TWO_PI * 1j * np.outer(x[:, a], fine))
+            factors.append((e_coarse[:, :, None] * e_fine[:, None, :]).reshape(len(x), -1))
         for comp in range(ncomp):
             f = list(factors)
             if gradient:

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import Chart, InterfaceMesh, interface_mesh
-from .spectral import get_workspace
+from .spectral import get_workspace, sample_potential
 from .torus_field import GridSpec, Lamella, ScalarField, ShapeCandidate, TiledShape, rasterize
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -349,9 +349,9 @@ def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -
 
 
 def _chart_potential_gradient(u: ScalarField, chart: Chart, ws) -> np.ndarray:
-    from .geometry import _sample_v_on_chart
-
-    return _sample_v_on_chart(u, chart, ws, gradient=True)
+    """Potential gradient of u at the chart points, shaped like the points."""
+    pts = chart.points.reshape(-1, chart.points.shape[-1])
+    return sample_potential(u, pts, ws, gradient=True).reshape(chart.points.shape)
 
 
 # ---------------------------------------------------------------------------

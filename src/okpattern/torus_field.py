@@ -329,8 +329,8 @@ def alpha_distance(e: ScalarField, f: ScalarField) -> float:
 
     The minimization runs over grid translations only (continuum translations
     would change the answer by at most one cell's worth of volume, which
-    vanishes under refinement).  Computed exactly via FFT cross-correlation of
-    the +-1 indicators.
+    vanishes under refinement).  Computed exactly via real-FFT
+    cross-correlation of the +-1 indicators.
     """
     if e.spec != f.spec:
         raise ValueError("alpha_distance requires fields on the same grid")
@@ -338,7 +338,9 @@ def alpha_distance(e: ScalarField, f: ScalarField) -> float:
         if g.kind != "indicator":
             raise ValueError("alpha_distance is defined for indicator fields")
     m = e.spec.cells
-    corr = np.fft.ifftn(np.fft.fftn(e.values) * np.conj(np.fft.fftn(f.values))).real
+    axes = range(e.spec.dim)
+    spectrum = np.fft.rfftn(e.values, axes=axes) * np.conj(np.fft.rfftn(f.values, axes=axes))
+    corr = np.fft.irfftn(spectrum, s=e.spec.sizes, axes=axes)
     # u,v in {-1,+1}: matching count = (M + corr)/2, mismatches = (M - corr)/2
     mismatch = np.rint((m - corr) / 2.0)
     return float(mismatch.min()) * e.spec.cell_volume

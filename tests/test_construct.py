@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from okpattern.construct import (
     ConstructConfig,
+    StabilityGateError,
     _swap_gaps,
     _swap_pairs,
     build_periodic,
@@ -26,6 +27,7 @@ from okpattern.sharp_energy import total_variation_perimeter
 from okpattern.spectral import nonlocal_energy
 from okpattern.torus_field import (
     Ball,
+    Cylinder,
     GridSpec,
     Lamella,
     ScalarField,
@@ -149,6 +151,45 @@ def test_build_periodic_gamma_k_scaling_and_nl_identity():
     fam = continue_family(SEED, [0.0, cert.gamma_k], default_flow(), spec)
     err = nl_tiling_identity_error(fam.members[-1].sharp, 2)
     assert err <= 1e-12
+
+
+def test_build_periodic_3d_cylinder():
+    spec = GridSpec((32, 32, 32))
+    cfg = ConstructConfig(
+        seed=Cylinder(axis=2, center=(0.5, 0.5), radius=0.25),
+        gamma_bar=1.0,
+        k_list=(1, 2),
+        spec=spec,
+        flow=default_flow(eps=0.07),
+    )
+    results = build_periodic(cfg)
+    assert [c.k for c, _ in results] == [1, 2]
+    for cert, tiled in results:
+        assert cert.status == "ok"
+        assert cert.energy_rel_err <= 1e-3
+        assert cert.alpha_to_seed <= 1.0 / 32
+        # the residual of the fitted raster is voxel-level (5e-4 to 6e-4 here)
+        assert cert.residual_sup <= 5e-3
+        # exhaustive amplitude-2 swap scan of the tiled field
+        a, b = _swap_pairs(tiled, cert.k, 2)
+        assert len(a) > 0
+        assert _swap_gaps(tiled, cfg.gamma_bar, cert.k, a, b).min() >= -1e-12
+    # the k = 1 field is the constructed parent itself
+    assert nl_tiling_identity_error(results[0][1], 2) <= 1e-12
+
+
+def test_failed_stability_gate_exits_3(tmp_path, monkeypatch):
+    import okpattern.construct
+    from okpattern.cli import run
+
+    monkeypatch.setattr(okpattern.construct, "min_eigenvalue", lambda *args, **kwargs: -1.0)
+    cfg = ConstructConfig(
+        seed=SEED, gamma_bar=1.0, k_list=(1,), spec=GridSpec((32, 32)), flow=default_flow()
+    )
+    with pytest.raises(StabilityGateError, match="strict-stability"):
+        build_periodic(cfg)
+    assert issubclass(StabilityGateError, RuntimeError)
+    assert run(["construct", "--grid", "32,32", "--k", "1", "--out", str(tmp_path / "c")]) == 3
 
 
 def test_build_periodic_config_validation():

@@ -4,6 +4,8 @@ The surface-tension constant is pinned by a quadrature oracle here:
 sigma = 2 * int_{-1}^{1} sqrt(W(s)) ds with W(s) = (s^2 - 1)^2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from okpattern.diffuse_ok import (
     ok_energy,
     sharp_to_diffuse_gamma,
 )
+from okpattern.spectral import get_workspace
 from okpattern.torus_field import (
     Ball,
     GridSpec,
@@ -173,3 +176,90 @@ def test_flow_config_validation():
     u0 = ScalarField(spec, np.zeros(spec.sizes), "phase")
     with pytest.raises(ValueError):
         flow_state(u0, FlowConfig(eps=0.01))  # unresolvable interface width
+
+
+# ---------------------------------------------------------------------------
+# Half-spectrum flow against the full complex-FFT reference
+# ---------------------------------------------------------------------------
+
+
+def full_fft_energy(values: np.ndarray, eps: float, gamma: float) -> float:
+    """Oracle: OK_eps with Parseval sums over the full complex spectrum."""
+    ws = get_workspace(GridSpec(values.shape))
+    power = np.abs(np.fft.fftn(values) / values.size) ** 2
+    return (
+        eps * float(np.sum(power * ws.lap_symbol))
+        + float(np.mean((values**2 - 1.0) ** 2)) / eps
+        + gamma * float(np.sum(power * ws.inv_lap))
+    )
+
+
+def full_fft_step(values: np.ndarray, cfg: FlowConfig) -> np.ndarray:
+    """Oracle: one semi-implicit update at cfg.dt on the full complex
+    spectrum, with the force potential solved back in real space."""
+    ws = get_workspace(GridSpec(values.shape))
+    m = values.size
+    uhat = np.fft.fftn(values) / m
+    v = np.fft.ifftn(uhat * ws.inv_lap).real * m
+    force = -(4.0 / cfg.eps) * values * (values**2 - 1.0) - 2.0 * cfg.gamma * v
+    force_hat = np.fft.fftn(force) / m
+    denom = 1.0 + cfg.dt * cfg.c_s + cfg.dt * 2.0 * cfg.eps * ws.lap_symbol
+    new_hat = ((1.0 + cfg.dt * cfg.c_s) * uhat + cfg.dt * force_hat) / denom
+    new_hat.flat[0] = uhat.flat[0]
+    return np.fft.ifftn(new_hat * m).real
+
+
+def noisy_ball(sizes, seed: int) -> ScalarField:
+    spec = GridSpec(sizes)
+    base = tanh_profile(Ball((0.45,) * len(sizes), 0.3), spec, 0.2).values
+    noise = 0.05 * np.random.default_rng(seed).standard_normal(sizes)
+    return ScalarField(spec, np.clip(base + noise, -1.1, 1.1), "phase")
+
+
+@pytest.mark.parametrize("sizes", [(64, 64), (16, 24, 20)])
+def test_half_spectrum_energy_matches_full_fft(sizes):
+    u = noisy_ball(sizes, 1)
+    for eps, gamma in ((0.2, 0.0), (0.2, 7.5)):
+        want = full_fft_energy(u.values, eps, gamma)
+        assert ok_energy(u, eps, gamma) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("sizes", [(64, 64), (16, 24, 20)])
+def test_flow_step_matches_full_fft_step(sizes):
+    u = noisy_ball(sizes, 2)
+    cfg = FlowConfig(eps=0.2, gamma=7.5, dt=5e-3)
+    state = flow_step(flow_state(u, cfg), cfg)
+    assert (state.step, state.rejections, state.dt) == (1, 0, cfg.dt)
+    assert np.max(np.abs(state.u.values - full_fft_step(u.values, cfg))) <= 1e-13
+
+
+def test_carried_half_spectrum_stays_exact():
+    u = noisy_ball((64, 64), 3)
+    cfg = FlowConfig(eps=0.2, gamma=7.5, dt=5e-3)
+    state = flow_state(u, cfg)
+    for _ in range(50):
+        state = flow_step(state, cfg)
+    assert state.step == 50
+    fresh = np.fft.rfftn(state.u.values) / state.u.spec.cells
+    assert np.max(np.abs(state.uhat - fresh)) <= 1e-13
+    # a state without its spectrum recomputes it from u
+    with_hat = flow_step(state, cfg)
+    without = flow_step(replace(state, uhat=None), cfg)
+    assert np.max(np.abs(with_hat.u.values - without.u.values)) <= 1e-13
+
+
+def test_minimize_fft_count(monkeypatch):
+    # one forward FFT for the start, then per accepted step the transform of
+    # the local force and the new iterate, and one inverse FFT per rejection
+    calls = {}
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    u0 = tanh_profile(Ball((0.5, 0.5), 0.3), GridSpec((32, 32)), 0.1)
+    trace = minimize(u0, FlowConfig(eps=0.1, gamma=5.0, dt=5.0, max_steps=40))
+    assert trace.status == "max_steps" and trace.rejections > 0
+    accepted = len(trace.records)
+    assert calls == {"rfftn": 1 + accepted, "irfftn": accepted + trace.rejections}

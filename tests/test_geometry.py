@@ -6,6 +6,7 @@ import pytest
 from okpattern.geometry import (
     el_residual,
     fit_ball,
+    fit_cylinder,
     fit_lamella,
     interface_mesh,
     mean_curvature,
@@ -15,9 +16,11 @@ from okpattern.torus_field import (
     Cylinder,
     GridSpec,
     Lamella,
+    ScalarField,
     TiledShape,
     rasterize,
 )
+from okpattern.spectral import sample_potential
 
 
 def test_lamella_mesh_weights_and_normals():
@@ -136,6 +139,59 @@ def test_fit_lamella_and_ball_round_trip():
     assert fitted_ball.center[0] == pytest.approx(0.5, abs=1e-6)
     assert fitted_ball.center[1] == pytest.approx(0.5, abs=1e-6)
     assert fitted_ball.radius == pytest.approx(0.3, abs=5e-3)
+
+
+def test_fit_cylinder_recovers_off_centre_raster():
+    # centres on cell edges make the raster mirror-symmetric, so the circular
+    # centroid is exact; the last one straddles the torus seam
+    spec = GridSpec((32, 32, 32))
+    for axis, center in ((0, (0.3125, 0.6875)), (2, (0.3125, 0.6875)), (1, (0.96875, 0.0))):
+        fitted = fit_cylinder(rasterize(Cylinder(axis, center, 0.2), spec), axis)
+        assert fitted.axis == axis
+        offset = np.mod(np.array(fitted.center) - center + 0.5, 1.0) - 0.5
+        assert np.max(np.abs(offset)) <= 1e-9
+        assert fitted.radius == pytest.approx(0.2, abs=5e-3)
+    with pytest.raises(ValueError):
+        fit_cylinder(ScalarField(spec, -np.ones(spec.sizes), "indicator"), 2)
+
+
+def per_chart_el_residual(shape, gamma, spec, resolution):
+    """Oracle: the criticality residual with two potential samples per chart
+    and the sums and maxima accumulated chart by chart."""
+    mesh = interface_mesh(shape, resolution, spec.dim)
+    u = rasterize(shape, spec)
+    weighted_sum = weight = grad_sup = 0.0
+    per_chart = []
+    for chart in mesh.charts:
+        pts = chart.points.reshape(-1, spec.dim)
+        g = chart.mean_curv + 4.0 * gamma * sample_potential(u, pts).reshape(chart.grid_shape)
+        per_chart.append(g)
+        weighted_sum += float(np.sum(chart.weights * g))
+        weight += float(np.sum(chart.weights))
+        gv = sample_potential(u, pts, gradient=True).reshape(chart.points.shape)
+        tang = gv - np.sum(gv * chart.normals, axis=-1)[..., None] * chart.normals
+        grad_sup = max(grad_sup, 4.0 * gamma * float(np.max(np.linalg.norm(tang, axis=-1))))
+    lam = weighted_sum / weight
+    return lam, max(float(np.max(np.abs(g - lam))) for g in per_chart), grad_sup
+
+
+@pytest.mark.parametrize(
+    "shape, sizes, gamma",
+    [
+        # off-centre so that the two faces see different potentials
+        (TiledShape(Lamella(axis=0, center=0.3, halfwidth=0.2), 4), (64, 64), 1.0),
+        (Ball((0.43, 0.61), 0.27), (64, 64), 3.0),
+        (Cylinder(axis=2, center=(0.41, 0.5), radius=0.25), (32, 32, 32), 1.0),
+    ],
+    ids=["tiled-lamella", "disk", "cylinder"],
+)
+def test_batched_el_residual_matches_per_chart_sampling(shape, sizes, gamma):
+    spec = GridSpec(sizes)
+    rep = el_residual(shape, gamma, spec, resolution=16)
+    lam, residual, grad_sup = per_chart_el_residual(shape, gamma, spec, 16)
+    assert residual > 1e-6
+    for got, want in ((rep.lambda_, lam), (rep.residual_sup, residual), (rep.grad_h_sup, grad_sup)):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_criticality_report_csv():

@@ -271,7 +271,7 @@ def dense_mode_sum(coeffs: np.ndarray, points: np.ndarray, axis: int | None = No
     return out
 
 
-@pytest.mark.parametrize("sizes", [(64, 64), (32, 32, 32), (16, 24, 20)])
+@pytest.mark.parametrize("sizes", [(64, 64), (32, 32, 32), (16, 24, 20), (6, 10, 4)])
 def test_samplers_match_dense_mode_sum(sizes):
     spec = GridSpec(sizes)
     rng = np.random.default_rng(11)

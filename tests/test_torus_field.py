@@ -134,6 +134,24 @@ def test_alpha_distance_pseudometric_properties():
         alpha_distance(a, rasterize(Lamella(), GridSpec((32, 32))))
 
 
+def complex_fft_alpha_distance(e: ScalarField, f: ScalarField) -> float:
+    """Oracle: the cross-correlation through three full complex FFTs."""
+    corr = np.fft.ifftn(np.fft.fftn(e.values) * np.conj(np.fft.fftn(f.values))).real
+    return float(np.rint((e.spec.cells - corr) / 2.0).min()) * e.spec.cell_volume
+
+
+@pytest.mark.parametrize("sizes", [(6,), (48, 40), (16, 24, 20), (8, 6, 10)])
+def test_alpha_distance_real_fft_equals_complex_fft(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    spec = GridSpec(sizes)
+    for fill in (0.1, 0.5, 0.9):
+        e, f = (
+            ScalarField(spec, np.where(rng.random(sizes) < fill, 1.0, -1.0), "indicator")
+            for _ in range(2)
+        )
+        assert alpha_distance(e, f) == complex_fft_alpha_distance(e, f)
+
+
 def test_tile_identity_and_unrolled_definition():
     spec = GridSpec((64, 64))
     u = rasterize(Lamella(axis=0, center=0.5, halfwidth=0.25), spec)
