@@ -8,8 +8,8 @@ The quadratic form on zero-mean surface functions phi is
 
 with the Green term nonnegative (it is the Dirichlet energy of the potential
 of the surface measure phi dH).  Translations phi = nu . e_i are exact null
-directions; the penalization 2 |int phi nu|^2 (the same device the penalized
-functional uses) removes them without deflation.
+directions.  penalized_quad_form adds 2 |int phi nu|^2 (the same device the
+penalized functional uses); the pencil instead restricts to T-perp exactly.
 
 Two evaluation routes are kept deliberately distinct:
 
@@ -28,9 +28,12 @@ Two evaluation routes are kept deliberately distinct:
 
 The dense pencil (min_eigenvalue) is assembled in O(p^2) memory, with no
 per-node loop before its final generalized eigensolve: the Green matrix from
-the 3^dim distinct splat cell shifts, each chart stiffness from
-one batched tangent_fn call on the identity stack, and the weighted zero-mean
-restriction from one Householder reflector.
+the 3^dim distinct splat cell shifts in cache-sized row blocks of its upper
+triangle, each chart stiffness from one batched tangent_fn call on the
+identity stack, and the exact T-perp restriction (weighted zero mean, no
+normal moment) from at most dim + 1 Householder reflectors in compact-WY
+form, applied by rank updates.  No translation penalty enters, and one
+eigenvalue is solved for, not the whole spectrum.
 """
 
 from __future__ import annotations
@@ -481,21 +484,20 @@ def lamella_threshold(
 # Dense generalized eigenvalue pencil on the mesh basis
 # ---------------------------------------------------------------------------
 
+# entries per Green-matrix row block: 256 KiB of float64, so a block's index,
+# term and accumulator arrays stay in cache across the 3^dim shift gathers
+_GREEN_BLOCK = 1 << 15
 
-def min_eigenvalue(
-    shape,
-    gamma: float,
-    spec: GridSpec,
-    resolution: int = 32,
-    *,
-    penalty_weight: float | None = None,
-) -> float:
+
+def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> float:
     """Discrete inf of the form over T-perp with ||phi||_{H^1} = 1.
 
-    Assembles the dense symmetric pencil A (grid-route quadratic form plus a
-    translation penalty large enough to push the null modes above the
-    spectrum) against B (the H^1 inner product), restricted to weighted
-    zero-mean nodal vectors, and returns the smallest generalized eigenvalue.
+    Assembles the dense symmetric pencil A (the grid-route quadratic form)
+    against B (the H^1 inner product) on the nodal basis, restricts both
+    exactly to T-perp, the null space of C = [w, W nu_1, ..., W nu_d]
+    (weighted zero mean and no normal moment, so translations are excluded
+    rather than penalized), and returns the smallest generalized eigenvalue
+    from a one-eigenvalue solve.
     """
     if resolution < 16:
         raise ValueError("min_eigenvalue needs resolution >= 16")
@@ -505,11 +507,15 @@ def min_eigenvalue(
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     p = int(offsets[-1])
     weights = mesh.all_weights()
-    normals = mesh.all_normals()
-    dim = normals.shape[1]
 
-    # per-chart tangential operators and H^1 blocks
-    a_mat = np.zeros((p, p))
+    ws = get_workspace(spec)
+    if gamma > 0:
+        u = rasterize(shape, spec)
+        # Green term: one real-space kernel against the splat stencils
+        a_mat = _green_matrix(mesh, spec, ws)
+        a_mat *= 8.0 * gamma
+    else:
+        a_mat = np.zeros((p, p))
     b_mat = np.zeros((p, p))
     for ci, chart in enumerate(charts):
         m = sizes[ci]
@@ -522,60 +528,66 @@ def min_eigenvalue(
         # the chart trigonometric interpolant, Nyquist mode included
         tangents = (c.reshape(m, m) for c in comps)
         grad_block = sum((t.conj().T @ (w[:, None] * t)).real for t in tangents)
-        a_mat[sl, sl] += grad_block - chart.second_fundamental_sq * np.diag(w)
+        # exactly symmetric: the restriction reads the whole matrix, eigh one triangle
+        grad_block = 0.5 * (grad_block + grad_block.T)
+        diag = -chart.second_fundamental_sq * w
+        if gamma > 0:
+            grad_v = _chart_potential_gradient(u, chart, ws)
+            diag += 4.0 * gamma * w * np.sum(grad_v * chart.normals, axis=-1).ravel()
+        a_mat[sl, sl] += grad_block + np.diag(diag)
         b_mat[sl, sl] += grad_block + np.diag(w)
 
-    ws = get_workspace(spec)
-    if gamma > 0:
-        u = rasterize(shape, spec)
-        # potential term
-        col = 0
-        for chart in charts:
-            m = int(np.prod(chart.grid_shape))
-            grad_v = _chart_potential_gradient(u, chart, ws)
-            dnu = np.sum(grad_v * chart.normals, axis=-1).ravel()
-            sl = slice(col, col + m)
-            a_mat[sl, sl] += 4.0 * gamma * np.diag(chart.weights.ravel() * dnu)
-            col += m
-        # Green term: one real-space kernel against the splat stencils
-        green = _green_matrix(mesh, spec, ws)
-        a_mat += 8.0 * gamma * green
-
-    a_mat = 0.5 * (a_mat + a_mat.T)
-    b_mat = 0.5 * (b_mat + b_mat.T)
-
-    # translation penalty
-    moments = weights[:, None] * normals  # columns int e_j . nu phi
-    if penalty_weight is None:
-        scale = np.linalg.norm(a_mat, ord="fro") + 1.0
-        penalty_weight = 1e4 * scale / max(float(np.sum(moments**2)), 1e-12)
-    for j in range(dim):
-        v = moments[:, j]
-        a_mat += penalty_weight * np.outer(v, v)
-
-    vals = scipy.linalg.eigh(
-        _restrict_zero_mean(a_mat, weights),
-        _restrict_zero_mean(b_mat, weights),
-        eigvals_only=True,
-    )
+    v, t = _constraint_reflectors(np.column_stack([weights, weights[:, None] * mesh.all_normals()]))
+    # free each full matrix once it is restricted
+    a_r = _restrict(a_mat, v, t)
+    del a_mat
+    b_r = _restrict(b_mat, v, t)
+    del b_mat
+    vals = scipy.linalg.eigh(a_r, b_r, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
 
 
-def _restrict_zero_mean(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Z^T M Z for an orthonormal basis Z of {weights . phi = 0}, M symmetric.
+def _constraint_reflectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compact-WY Householder factors of the constraint columns.
 
-    The Householder reflector H = I - 2 v v^T with v along
-    weights/|weights| + sign(weights_0) e_0 maps weights onto the e_0 axis,
-    so Z = H[:, 1:].  H M H = M - v y^T - y v^T with y = 2 (M v - (v^T M v) v),
-    two rank-1 updates in place of an SVD and two dense products.
+    Returns V (p x k) and upper-triangular T (k x k) with
+    Q = H_1 ... H_k = I - V T V^T orthogonal and Q^T C upper triangular, so
+    Z = Q[:, k:] is an orthonormal basis of {x : C^T x = 0}; k is the rank of
+    C.  Column v_i is zero above row i.  A column that the earlier reflectors
+    leave at rounding level (a zero column, or one in the span of earlier
+    ones) adds no reflector.
     """
-    v = weights / np.linalg.norm(weights)
-    v[0] += math.copysign(1.0, v[0])
-    v /= np.linalg.norm(v)
-    mv = mat @ v
-    y = 2.0 * (mv - (v @ mv) * v)
-    out = mat[1:, 1:] - np.outer(v[1:], y[1:])
-    out -= np.outer(y[1:], v[1:])
+    p, ncols = constraints.shape
+    tol = 1e-10 * np.max(np.linalg.norm(constraints, axis=0))
+    v = np.zeros((p, 0))
+    t = np.zeros((0, 0))
+    for j in range(ncols):
+        k = v.shape[1]
+        x = constraints[:, j] - v @ (t.T @ (v.T @ constraints[:, j]))  # Q^T c_j
+        x[:k] = 0.0
+        norm = np.linalg.norm(x)
+        if norm <= tol:
+            continue
+        x[k] += math.copysign(norm, x[k])
+        tau = 2.0 / (x @ x)
+        # H_1 ... H_{k+1} = I - [V x] [[T, -tau T V^T x], [0, tau]] [V x]^T
+        t = np.block([[t, -tau * (t @ (v.T @ x))[:, None]], [np.zeros((1, k)), tau]])
+        v = np.column_stack([v, x])
+    return v, t
+
+
+def _restrict(mat: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Z^T M Z for Z = Q[:, k:], Q = I - V T V^T, M symmetric.
+
+    With X = M V T and S = T^T V^T X, Q^T M Q = M - Y V^T - V Y^T for
+    Y = X - V S / 2: one p x k product and a rank-2k update, O(k p^2), in
+    place of forming Z and two dense products.
+    """
+    k = v.shape[1]
+    x = mat @ v @ t
+    y = x - 0.5 * v @ (t.T @ (v.T @ x))
+    out = np.column_stack([y, v])[k:] @ np.column_stack([v, y])[k:].T
+    np.subtract(mat[k:, k:], out, out=out)
     return out
 
 
@@ -592,42 +604,58 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
         G_ij = cells W_i W_j sum_s kern[base_i - base_j + s] prod_a T_a(s_a)
 
     with W the node weights and f the tent fractions: 3^dim gathers from the
-    kernel padded by one wrapped cell into three reused p x p work arrays.
+    kernel padded by one wrapped cell.  Each row block of about _GREEN_BLOCK
+    entries is computed from its first row's diagonal on and mirrored into
+    the lower triangle, so the matrix is exactly symmetric.
     """
     base, frac = _splat_geometry(mesh, spec)
     p, dim = base.shape
-    kern = np.fft.ifftn(ws.inv_lap / ws.cell_factor**4).real
-    padded = np.pad(kern, 1, mode="wrap").ravel()
+    padded = np.pad(np.fft.ifftn(ws.inv_lap / ws.cell_factor**4).real, 1, mode="wrap").ravel()
     strides = [int(np.prod([n + 2 for n in spec.sizes[a + 1 :]])) for a in range(dim)]
     centre = sum(strides)  # flat offset of the unpadded origin
-    # T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f: the 1/2 joins the rank-1 part
+    # T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f: the 1/2 joins the i factor
     g_axes = 1.0 - 2.0 * frac
-    col_of = {1: frac, -1: 1.0 - frac, 0: np.full_like(frac, 0.5)}
-    row_of = {1: 1.0 - frac, -1: frac, 0: np.ones_like(frac)}
+    i_of = {1: frac, -1: 1.0 - frac, 0: np.full_like(frac, 0.5)}
+    j_of = {1: 1.0 - frac, -1: frac, 0: np.ones_like(frac)}
     weights = mesh.all_weights()
-
-    flat = np.zeros((p, p), dtype=np.intp)
-    for a, n in enumerate(spec.sizes):
-        flat += (base[:, a, None] - base[None, :, a]) % n * strides[a]
-    out = np.zeros((p, p))
-    term = np.empty((p, p))
-    spare = np.empty((p, p))
+    # per shift: kernel offset, the factors over i and over j, the s_a = 0 axes
+    shifts = []
     for s in itertools.product((-1, 0, 1), repeat=dim):
-        # indices are in range by construction; "clip" lets take write
-        # straight into term instead of through a buffer
-        np.take(padded[centre + int(np.dot(s, strides)) :], flat, out=term, mode="clip")
-        col = spec.cells * weights
-        row = weights.copy()
+        fac_i = spec.cells * weights
+        fac_j = weights.copy()
         for a, sa in enumerate(s):
-            col *= col_of[sa][:, a]
-            row *= row_of[sa][:, a]
-        term *= col[:, None]
-        term *= row
-        for a in (a for a, sa in enumerate(s) if sa == 0):
-            np.multiply(term, g_axes[:, a, None], out=spare)
-            spare *= g_axes[:, a]
-            term += spare
-        out += term
-    out += out.T
-    out *= 0.5
+            fac_i *= i_of[sa][:, a]
+            fac_j *= j_of[sa][:, a]
+        zero_axes = [a for a, sa in enumerate(s) if sa == 0]
+        shifts.append((centre + int(np.dot(s, strides)), fac_i, fac_j, zero_axes))
+
+    out = np.empty((p, p))
+    r0 = 0
+    while r0 < p:
+        m = p - r0
+        h = min(m, max(1, _GREEN_BLOCK // m))
+        r1 = r0 + h
+        flat = np.zeros((h, m), dtype=np.intp)
+        t0 = np.empty((dim, h, m))
+        for a, n in enumerate(spec.sizes):
+            flat += (base[r0:r1, a, None] - base[None, r0:, a]) % n * strides[a]
+            # 2 T(0) along axis a, shared by every shift with s_a = 0
+            np.multiply(g_axes[r0:r1, a, None], g_axes[None, r0:, a], out=t0[a])
+            t0[a] += 1.0
+        term = np.empty((h, m))
+        acc = np.zeros((h, m))
+        for offset, fac_i, fac_j, zero_axes in shifts:
+            # indices are in range by construction; "clip" lets take write
+            # straight into term instead of through a buffer
+            np.take(padded[offset:], flat, out=term, mode="clip")
+            term *= fac_i[r0:r1, None]
+            term *= fac_j[r0:]
+            for a in zero_axes:
+                term *= t0[a]
+            acc += term
+        square = acc[:, :h]
+        out[r0:r1, r0:r1] = np.triu(square) + np.triu(square, 1).T
+        out[r0:r1, r1:] = acc[:, h:]
+        out[r1:, r0:r1] = acc[:, h:].T
+        r0 = r1
     return out

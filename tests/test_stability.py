@@ -1,11 +1,15 @@
-"""Quadratic form, mode matrix, penalization, pencil, and threshold tests.
+"""Quadratic form, mode matrix, penalization, pencil, restriction and threshold tests.
 
 Kernel closed forms are validated against direct lattice-sum oracles here;
 the full 27-combination mode-vs-grid equivalence sweep lives in the
 acceptance module.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,9 @@ from okpattern.geometry import interface_mesh
 from okpattern.spectral import get_workspace
 from okpattern.stability import (
     SurfaceFunction,
+    _constraint_reflectors,
     _green_matrix,
-    _restrict_zero_mean,
+    _restrict,
     _splat_stencil,
     lamella_mode_matrix,
     lamella_potential_slope,
@@ -180,6 +185,8 @@ def green_matrix_corner_pair_reference(mesh, spec, ws):
 
 
 CUBE = GridSpec((32, 32, 32))
+LAMELLA = Lamella(axis=0, center=0.5, halfwidth=0.25)
+CYLINDER = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
 
 
 @pytest.mark.parametrize(
@@ -217,6 +224,21 @@ def test_green_matrix_memory_stays_within_eight_p_squared():
     assert peak <= 8 * p * p * 8
 
 
+def test_green_matrix_memory_stays_within_three_p_squared():
+    # the output plus cache-sized row blocks: no p x p work array
+    mesh = interface_mesh(LAMELLA, 16, 3)
+    p = len(mesh.all_weights())
+    assert p == 512
+    ws = get_workspace(CUBE)
+    tracemalloc.start()
+    try:
+        _green_matrix(mesh, CUBE, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * p * p * 8
+
+
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize(
     "shape, dim, res",
@@ -245,7 +267,15 @@ def test_batched_tangent_fn_matches_per_column_calls(shape, dim, res, full):
             assert np.max(np.abs(whole[..., j] - col)) <= 1e-15 * max(1.0, np.max(np.abs(col)))
 
 
-def test_zero_mean_restriction_matches_svd_basis():
+def random_constraints(rng, p):
+    """Weights, a random column, a zero column and a column dependent on
+    the first two: rank 2."""
+    weights = rng.uniform(0.5, 1.5, p)
+    other = rng.standard_normal(p)
+    return np.column_stack([weights, other, np.zeros(p), 2.0 * weights - 3.0 * other])
+
+
+def test_constraint_restriction_matches_svd_basis():
     rng = np.random.default_rng(21)
     p = 40
     q_a = np.linalg.qr(rng.standard_normal((p, p)))[0]
@@ -253,18 +283,41 @@ def test_zero_mean_restriction_matches_svd_basis():
     a_mat = q_a @ np.diag(rng.choice([-1.0, 1.0], p) * rng.uniform(1.0, 2.0, p)) @ q_a.T
     b_mat = q_b @ np.diag(rng.uniform(1.0, 2.0, p)) @ q_b.T
     a_mat, b_mat = 0.5 * (a_mat + a_mat.T), 0.5 * (b_mat + b_mat.T)
-    weights = rng.uniform(0.5, 1.5, p)
-    proj = np.eye(p) - np.outer(weights, weights) / (weights @ weights)
-    u_svd, svals, _ = np.linalg.svd(proj)
-    z = u_svd[:, svals > 0.5]
+    constraints = random_constraints(rng, p)
+    u_svd, svals, _ = np.linalg.svd(constraints)
+    z = u_svd[:, int(np.sum(svals > 1e-10 * svals[0])) :]
+    assert z.shape == (p, p - 2)
     ref = scipy.linalg.eigh(z.T @ a_mat @ z, z.T @ b_mat @ z, eigvals_only=True)
-    vals = scipy.linalg.eigh(
-        _restrict_zero_mean(a_mat, weights),
-        _restrict_zero_mean(b_mat, weights),
-        eigvals_only=True,
-    )
-    assert vals.shape == (p - 1,)
+    v, t = _constraint_reflectors(constraints)
+    vals = scipy.linalg.eigh(_restrict(a_mat, v, t), _restrict(b_mat, v, t), eigvals_only=True)
+    assert vals.shape == (p - 2,)
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def pencil_constraints(mesh):
+    w = mesh.all_weights()
+    return np.column_stack([w, w[:, None] * mesh.all_normals()])
+
+
+@pytest.mark.parametrize(
+    "constraints, rank",
+    [
+        (random_constraints(np.random.default_rng(5), 40), 2),
+        (pencil_constraints(interface_mesh(LAMELLA, 16, 3)), 2),
+        (pencil_constraints(interface_mesh(CYLINDER, 16, 3)), 3),
+        (pencil_constraints(interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16, 3)), 4),
+    ],
+    ids=["random", "lamella", "cylinder", "ball"],
+)
+def test_constraint_restriction_is_orthonormal_and_annihilates_constraints(constraints, rank):
+    # Z^T I Z = I says Z is orthonormal; Z^T C C^T Z = 0 says C^T Z = 0
+    p = constraints.shape[0]
+    v, t = _constraint_reflectors(constraints)
+    assert v.shape == (p, rank)
+    eye = _restrict(np.eye(p), v, t)
+    assert np.max(np.abs(eye - np.eye(p - rank))) <= 1e-14
+    gram = constraints @ constraints.T
+    assert np.max(np.abs(_restrict(gram, v, t))) <= 1e-14 * np.max(np.abs(gram))
 
 
 def test_surface_function_zero_mean_validation():
@@ -343,11 +396,77 @@ def test_strict_stability_at_small_gamma():
 
 def test_min_eigenvalue_3d_cylinder_area_form():
     # gamma = 0 leaves -Delta - |B|^2 on the r = 1/4 cylinder; translations
-    # (m = 1, q = 0) are penalized, so the least H^1-normalized mode is
-    # q = 1 along the axis: (4 pi^2 - 16) / (4 pi^2 + 1)
+    # (m = 1, q = 0) are restricted away exactly, so the least H^1-normalized
+    # mode is q = 1 along the axis: (4 pi^2 - 16) / (4 pi^2 + 1), which the
+    # chart's trigonometric interpolant represents exactly
     cyl = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
     pencil = min_eigenvalue(cyl, 0.0, CUBE, resolution=16)
-    assert pencil == pytest.approx((FOUR_PI_SQ - 16) / (FOUR_PI_SQ + 1), rel=1e-4)
+    assert pencil == pytest.approx((FOUR_PI_SQ - 16) / (FOUR_PI_SQ + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "center", [(0.5, 0.5, 0.5), (0.515625, 0.5, 0.5)], ids=["cell-edge", "half-cell-shift"]
+)
+def test_min_eigenvalue_3d_ball_area_form(center):
+    # gamma = 0 leaves -Delta - 2/r^2 on the sphere; past the l = 1
+    # translations the least H^1-normalized mode is l = 2:
+    # (6 - 2) / r^2 / (6 / r^2 + 1) = 4 / (6 + r^2)
+    r = 0.25
+    ball = Ball(center, r)
+    value = min_eigenvalue(ball, 0.0, CUBE, resolution=16)
+    assert value == pytest.approx(4.0 / (6.0 + r * r), rel=1e-4)
+    assert min_eigenvalue(ball, 0.1, CUBE, resolution=16) > 0
+
+
+PENCIL_SCRIPT = """
+from okpattern import Cylinder, GridSpec, Lamella, lamella_threshold, min_eigenvalue
+cube = GridSpec((32, 32, 32))
+lam = Lamella(axis=0, center=0.5, halfwidth=0.25)
+cyl = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
+g_star = lamella_threshold(0.25, tangential_dim=2).gamma_star
+for shape, gamma in ((lam, 0.9 * g_star), (lam, 1.2 * g_star), (cyl, 0.1)):
+    print(repr(min_eigenvalue(shape, gamma, cube, resolution=16)))
+"""
+
+
+def test_min_eigenvalue_same_with_one_and_two_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", PENCIL_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        values.append([float(line) for line in run.stdout.split()])
+    one, two = np.array(values)
+    assert one.shape == (3,)
+    assert np.all(np.abs(one - two) <= 1e-12 * np.abs(one))
+
+
+@pytest.mark.parametrize(
+    "shape, gamma",
+    [(LAMELLA, 80.0), (CYLINDER, 0.1)],
+    ids=["lamella", "cylinder"],
+)
+def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, monkeypatch):
+    full = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, b, **kwargs):
+        assert kwargs.get("subset_by_index") == [0, 0]
+        full.append(eigh(a, b, eigvals_only=True)[0])
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    value = min_eigenvalue(shape, gamma, CUBE, resolution=16)
+    assert len(full) == 1
+    assert value == pytest.approx(full[0], rel=1e-12)
 
 
 def test_min_eigenvalue_3d_lamella_sign_tracks_threshold():
@@ -416,11 +535,3 @@ def test_penalty_vanishes_on_t_perp():
     pen = penalized_quad_form(shape, 2.0, phi)
     assert pen.penalty <= 1e-25
     assert pen.total == pytest.approx(plain.total, rel=1e-14)
-
-
-def test_min_eigenvalue_explicit_penalty_weight():
-    shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
-    spec = GridSpec((128, 128))
-    auto = min_eigenvalue(shape, 0.0, spec, resolution=32)
-    manual = min_eigenvalue(shape, 0.0, spec, resolution=32, penalty_weight=1e8)
-    assert manual == pytest.approx(auto, rel=1e-6)
