@@ -33,7 +33,8 @@ import numpy as np
 from .diffuse_ok import FlowConfig, FlowTrace, minimize, sharp_to_diffuse_gamma
 from .geometry import fit_ball, fit_cylinder, fit_lamella, interface_mesh, el_residual
 from .sharp_energy import total_variation_perimeter
-from .spectral import _trig_shift, cell_average_potential, get_workspace, nonlocal_energy, sample_field
+from .spectral import _trig_shift, cell_average_potential, get_workspace
+from .spectral import nonlocal_energy, real_space_kernel, sample_field
 from .stability import min_eigenvalue
 from .torus_field import (
     Ball,
@@ -425,7 +426,7 @@ def _swap_gaps(
             d_perim += spec.sizes[ax] / spec.cells * (u[tuple(na.T)] - u[tuple(nb.T)] + 2 * adjacent)
     ws = get_workspace(spec)
     w = cell_average_potential(f_field, ws).values
-    kern = np.fft.ifftn(ws.inv_lap * ws.cell_factor**2).real
+    kern = real_space_kernel(ws, 2)
     kern_b = kern.reshape([m for n in block for m in (k, n)]).sum(axis=tuple(range(0, 2 * spec.dim, 2)))
     d_nl = (4 * reps / spec.cells) * (
         w[tuple(b.T)] - w[tuple(a.T)] + 2 * (kern_b.flat[0] - kern_b[tuple(((b - a) % block).T)])

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .spectral import SpectralWorkspace, _trig_shift, get_workspace
+from .spectral import from_half_spectrum, half_spectrum, parseval_sum
 from .torus_field import GridSpec, Lamella, ScalarField, tanh_profile
 
 # Surface tension of the optimal profile for W(s) = (s^2-1)^2:
@@ -131,37 +132,15 @@ def ok_energy(
     if eps <= 0 or gamma < 0:
         raise ValueError("eps must be positive and gamma nonnegative")
     ws = ws or get_workspace(u.spec)
-    return _ok_energy_from(u.values, _half_spectrum(u.values), ws, eps, gamma)
-
-
-# The flow works on the real-FFT half spectrum: rfftn keeps the last-axis
-# frequencies 0..n/2 (the others are the complex conjugates of these), so each
-# multiplier is the full-grid one cut to those columns (_half).
-
-
-def _half_spectrum(values: np.ndarray) -> np.ndarray:
-    """Normalized half spectrum rfftn(values)/cells."""
-    return np.fft.rfftn(values, axes=range(values.ndim), norm="forward")
-
-
-def _from_half_spectrum(uhat: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """Real field whose normalized half spectrum is uhat."""
-    return np.fft.irfftn(uhat, s=sizes, axes=range(len(sizes)), norm="forward")
-
-
-def _half(multiplier: np.ndarray) -> np.ndarray:
-    return multiplier[..., : multiplier.shape[-1] // 2 + 1]
+    return _ok_energy_from(u.values, half_spectrum(u.values), ws, eps, gamma)
 
 
 def _ok_energy_from(
     values: np.ndarray, uhat: np.ndarray, ws: SpectralWorkspace, eps: float, gamma: float
 ) -> float:
-    # Parseval over the half spectrum: each column but the self-conjugate
-    # 0 and n/2 ones stands for itself and its conjugate twin
-    power = np.abs(uhat) ** 2 * ws.half_weights
-    grad_term = eps * float(np.sum(power * _half(ws.lap_symbol)))
+    grad_term = eps * parseval_sum(uhat, ws.lap_symbol, ws)
     well_term = float(np.mean((values**2 - 1.0) ** 2)) / eps
-    nl_term = gamma * float(np.sum(power * _half(ws.inv_lap)))
+    nl_term = gamma * parseval_sum(uhat, ws.inv_lap, ws)
     return grad_term + well_term + nl_term
 
 
@@ -172,7 +151,7 @@ def flow_state(u0: ScalarField, config: FlowConfig, ws: SpectralWorkspace | None
             f"(needs eps >= {2.0 * u0.spec.max_spacing})"
         )
     ws = ws or get_workspace(u0.spec)
-    uhat = _half_spectrum(u0.values)
+    uhat = half_spectrum(u0.values)
     uhat.flags.writeable = False
     energy = _ok_energy_from(u0.values, uhat, ws, config.eps, config.gamma)
     return FlowState(u0, energy, config.dt, uhat=uhat)
@@ -190,20 +169,19 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
     ws = ws or get_workspace(state.u.spec)
     spec = state.u.spec
     values = state.u.values
-    uhat = state.uhat if state.uhat is not None else _half_spectrum(values)
+    uhat = state.uhat if state.uhat is not None else half_spectrum(values)
     local = -(4.0 / config.eps) * values * (values**2 - 1.0)
-    force_hat = _half_spectrum(local) - 2.0 * config.gamma * (uhat * _half(ws.inv_lap))
-    lap = _half(ws.lap_symbol)
+    force_hat = half_spectrum(local) - 2.0 * config.gamma * (uhat * ws.inv_lap)
     dt = state.dt
     rejections = state.rejections
     while True:
         if dt < DT_STALL_FLOOR:
             raise FlowStallError(f"dt underflow ({dt:.3e}) after {rejections} rejections")
-        denom = 1.0 + dt * config.c_s + dt * 2.0 * config.eps * lap
+        denom = 1.0 + dt * config.c_s + dt * 2.0 * config.eps * ws.lap_symbol
         new_hat = ((1.0 + dt * config.c_s) * uhat + dt * force_hat) / denom
         new_hat.flat[0] = uhat.flat[0]  # frozen zero mode: exact mass conservation
         new_hat.flags.writeable = False
-        new_values = _from_half_spectrum(new_hat, spec.sizes)
+        new_values = from_half_spectrum(new_hat, spec.sizes)
         energy = _ok_energy_from(new_values, new_hat, ws, config.eps, config.gamma)
         if energy <= state.energy:
             # a smooth iterate of an indicator start is a phase field
@@ -313,8 +291,8 @@ def _shifted_profile_2d(flat: np.ndarray, displacement: np.ndarray) -> np.ndarra
 
 
 def _tangential_mode_energy(values: np.ndarray, mode: int = 1) -> float:
-    spectrum = np.fft.fftn(values) / values.size
-    return float(np.sum(np.abs(spectrum[:, mode]) ** 2) + np.sum(np.abs(spectrum[:, -mode]) ** 2))
+    # column -mode of the full spectrum is the conjugate twin of column mode
+    return 2.0 * float(np.sum(np.abs(half_spectrum(values)[:, mode]) ** 2))
 
 
 def lamella_flow_onset(

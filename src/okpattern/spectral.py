@@ -26,11 +26,23 @@ Two weightings therefore coexist and are kept strictly apart:
 
 Both the 1/k tiling law and the Parseval identities below are exact in either
 weighting; tests pin them at 1e-12.
+
+Layout
+------
+Every grid operation runs on the real-FFT half spectrum rfftn(u)/M, whose
+last axis keeps the columns 0..n/2; the last column is the -n/2 one, as
+`fftfreq` labels it.  Every multiplier is even in xi, so on the half
+spectrum it is the full-lattice one cut to those columns, and a Parseval sum
+counts the self-conjugate columns 0 and n/2 once and the others twice.  The
+workspace keeps no full-grid array.  The off-grid samplers alone transform
+the full lattice (one fftn per call): off the grid the Nyquist row of every
+axis enters with one sign only.  `_trig_shift` keeps its one-axis complex
+transform, since its displacement varies across the other axes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -41,58 +53,38 @@ FOUR_PI_SQ = 4.0 * np.pi**2
 
 
 class SpectralWorkspace:
-    """Precomputed frequency lattice and multipliers for one grid.
+    """Half-spectrum multipliers and per-axis factors for one grid.
 
-    A workspace holds only read-only arrays; it may be shared across threads
-    as long as each solve owns its own temporaries (numpy allocates per call).
+    freqs[a] and sinc[a] (the voxel factor sinc(xi/n)) broadcast over the
+    half spectrum; phase[a] = exp(-i pi xi/n) runs over the full lattice, for
+    the samplers.  A workspace holds only read-only arrays; it may be shared
+    across threads as long as each solve owns its own temporaries.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        self.freqs = []
+        self.freqs, self.sinc, self.phase = [], [], []
         for a, n in enumerate(spec.sizes):
-            shape = [1] * spec.dim
-            shape[a] = n
-            xi = np.fft.fftfreq(n, d=1.0 / n).reshape(shape)
+            xi = np.fft.fftfreq(n, d=1.0 / n).reshape([n if b == a else 1 for b in range(spec.dim)])
+            self.phase.append(np.exp(-1j * np.pi * xi / n))
+            if a == spec.dim - 1:
+                xi = xi[..., : n // 2 + 1]  # 0..n/2-1, then -n/2
             self.freqs.append(xi)
-        self.lap_symbol = sum(FOUR_PI_SQ * xi**2 for xi in self.freqs)
+            self.sinc.append(np.sinc(xi / n))
+        lap = self.lap_symbol = sum(FOUR_PI_SQ * xi**2 for xi in self.freqs)
         # 1/(4 pi^2 |xi|^2) with the zero mode exactly zero
-        inv = np.zeros(spec.sizes)
-        nz = self.lap_symbol > 0
-        inv[nz] = 1.0 / self.lap_symbol[nz]
-        inv.flags.writeable = False
-        self.inv_lap = inv
-        # per-axis voxel (cell-average) factors sinc(xi/n), product over axes
-        cell = np.ones(spec.sizes)
-        for a, n in enumerate(spec.sizes):
-            cell = cell * np.sinc(self.freqs[a] / n)
-        cell.flags.writeable = False
-        self.cell_factor = cell
-        # phase aligning fftn coefficients with the true center positions
-        phase = np.ones(spec.sizes, dtype=complex)
-        for a, n in enumerate(spec.sizes):
-            phase = phase * np.exp(-1j * np.pi * self.freqs[a] / n)
-        phase.flags.writeable = False
-        self.center_phase = phase
-        # Parseval weights of a real-FFT half spectrum along the last axis:
-        # the self-conjugate 0 and n/2 columns count once, the others twice
+        inv = self.inv_lap = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0)
+        # Parseval weights along the last axis: the self-conjugate 0 and n/2
+        # columns count once, the others twice
         half = np.full(spec.sizes[-1] // 2 + 1, 2.0)
         half[[0, -1]] = 1.0
-        half.flags.writeable = False
         self.half_weights = half
+        for arr in (lap, inv, half, *self.freqs, *self.sinc, *self.phase):
+            arr.flags.writeable = False
 
-    # -- coefficient views -------------------------------------------------
-
-    def dft(self, u: ScalarField) -> np.ndarray:
-        return np.fft.fftn(u.values) / self.spec.cells
-
-    def interp_coeffs(self, u: ScalarField) -> np.ndarray:
-        """Coefficients of the trigonometric interpolant through the samples."""
-        return self.dft(u) * self.center_phase
-
-    def voxel_coeffs(self, u: ScalarField) -> np.ndarray:
-        """Exact Fourier coefficients of the voxel (cellwise-constant) density."""
-        return self.interp_coeffs(u) * self.cell_factor
+    def sinc_power(self, p: int) -> np.ndarray:
+        """prod_a sinc(xi_a/n_a)^p on the half spectrum: p voxel factors."""
+        return reduce(np.multiply, [s**p for s in self.sinc])
 
 
 @lru_cache(maxsize=16)
@@ -102,6 +94,38 @@ def _workspace(sizes: tuple[int, ...]) -> SpectralWorkspace:
 
 def get_workspace(spec: GridSpec) -> SpectralWorkspace:
     return _workspace(spec.sizes)
+
+
+# ---------------------------------------------------------------------------
+# The one transform path
+# ---------------------------------------------------------------------------
+
+
+def half_spectrum(values: np.ndarray) -> np.ndarray:
+    """Normalized half spectrum rfftn(values)/cells."""
+    return np.fft.rfftn(values, axes=range(values.ndim), norm="forward")
+
+
+def from_half_spectrum(uhat: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """Real field whose normalized half spectrum is uhat."""
+    return np.fft.irfftn(uhat, s=sizes, axes=range(len(sizes)), norm="forward")
+
+
+def apply_multiplier(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Real field whose spectrum is that of values times an even multiplier."""
+    return from_half_spectrum(half_spectrum(values) * multiplier, values.shape)
+
+
+def parseval_sum(uhat: np.ndarray, multiplier: np.ndarray, ws: SpectralWorkspace) -> float:
+    """sum over the full lattice of |c(xi)|^2 multiplier(xi), from the half
+    spectrum c and an even multiplier."""
+    return float(np.sum(np.abs(uhat) ** 2 * ws.half_weights * multiplier))
+
+
+def real_space_kernel(ws: SpectralWorkspace, p: int) -> np.ndarray:
+    """ifftn(inv_lap * sinc^p) over the full lattice: the grid kernel whose
+    circular convolution applies the potential with p voxel factors."""
+    return from_half_spectrum(ws.inv_lap * ws.sinc_power(p), ws.spec.sizes) / ws.spec.cells
 
 
 # ---------------------------------------------------------------------------
@@ -116,31 +140,30 @@ def poisson_zero_mean(rhs: ScalarField, ws: SpectralWorkspace | None = None) -> 
     rhs is removed by the zeroed 0-mode, so the solve is always well posed.
     """
     ws = ws or get_workspace(rhs.spec)
-    vhat = np.fft.fftn(rhs.values) * ws.inv_lap
-    v = np.fft.ifftn(vhat).real
-    return ScalarField(rhs.spec, v, "generic")
+    return ScalarField(rhs.spec, apply_multiplier(rhs.values, ws.inv_lap), "generic")
 
 
 def laplacian(u: ScalarField, ws: SpectralWorkspace | None = None) -> ScalarField:
     """Spectral Laplacian (full lattice, Nyquist included)."""
     ws = ws or get_workspace(u.spec)
-    out = np.fft.ifftn(np.fft.fftn(u.values) * (-ws.lap_symbol)).real
-    return ScalarField(u.spec, out, "generic")
+    return ScalarField(u.spec, apply_multiplier(u.values, -ws.lap_symbol), "generic")
+
+
+def _derivative_symbols(ws: SpectralWorkspace) -> list[np.ndarray]:
+    """2 pi i xi_a per axis with the Nyquist plane zeroed, so derivatives of
+    real fields are real and the induced Laplacian stays symmetric negative
+    semidefinite."""
+    return [TWO_PI * 1j * xi * (np.abs(xi) != n // 2) for xi, n in zip(ws.freqs, ws.spec.sizes)]
 
 
 def gradient(u: ScalarField, ws: SpectralWorkspace | None = None) -> list[ScalarField]:
-    """Spectral partial derivatives, one field per axis.
-
-    The Nyquist plane is zeroed per axis so derivatives of real fields are
-    real and the induced Laplacian stays symmetric negative semidefinite.
-    """
+    """Spectral partial derivatives, one field per axis (Nyquist zeroed)."""
     ws = ws or get_workspace(u.spec)
-    uhat = np.fft.fftn(u.values)
-    out = []
-    for a, n in enumerate(u.spec.sizes):
-        mult = TWO_PI * 1j * ws.freqs[a] * (np.abs(ws.freqs[a]) != n // 2)
-        out.append(ScalarField(u.spec, np.fft.ifftn(uhat * mult).real, "generic"))
-    return out
+    uhat = half_spectrum(u.values)
+    return [
+        ScalarField(u.spec, from_half_spectrum(uhat * d, u.spec.sizes), "generic")
+        for d in _derivative_symbols(ws)
+    ]
 
 
 def cell_average_potential(u: ScalarField, ws: SpectralWorkspace | None = None) -> ScalarField:
@@ -152,8 +175,7 @@ def cell_average_potential(u: ScalarField, ws: SpectralWorkspace | None = None) 
     is what the sharpened Lipschitz bound tests rely on.
     """
     ws = ws or get_workspace(u.spec)
-    vhat = np.fft.fftn(u.values) * ws.inv_lap * ws.cell_factor**2
-    return ScalarField(u.spec, np.fft.ifftn(vhat).real, "generic")
+    return ScalarField(u.spec, apply_multiplier(u.values, ws.inv_lap * ws.sinc_power(2)), "generic")
 
 
 def _trig_shift(values: np.ndarray, axis: int, disp: np.ndarray) -> np.ndarray:
@@ -182,10 +204,8 @@ def nonlocal_energy(
     values (the convention the diffuse flow differentiates).
     """
     ws = ws or get_workspace(u.spec)
-    c = np.abs(ws.dft(u)) ** 2
-    if cell_average:
-        c = c * ws.cell_factor**2
-    return float(np.sum(c * ws.inv_lap))
+    mult = ws.inv_lap * ws.sinc_power(2) if cell_average else ws.inv_lap
+    return parseval_sum(half_spectrum(u.values), mult, ws)
 
 
 def dirichlet_energy(
@@ -193,19 +213,15 @@ def dirichlet_energy(
 ) -> float:
     """int |grad v|^2 evaluated spectrally, in the same weighting as above."""
     ws = ws or get_workspace(v.spec)
-    c = np.abs(ws.dft(v)) ** 2
-    if cell_average:
-        c = c * ws.cell_factor**2
-    return float(np.sum(c * ws.lap_symbol))
+    mult = ws.lap_symbol * ws.sinc_power(2) if cell_average else ws.lap_symbol
+    return parseval_sum(half_spectrum(v.values), mult, ws)
 
 
 def gradient_energy(u: ScalarField, ws: SpectralWorkspace | None = None) -> float:
-    """(1/M) sum_j |grad u|^2 from the Nyquist-zeroed spectral gradient fields."""
+    """(1/M) sum_j |grad u|^2 of the Nyquist-zeroed spectral gradient fields."""
     ws = ws or get_workspace(u.spec)
-    total = 0.0
-    for g in gradient(u, ws):
-        total += float(np.mean(g.values**2))
-    return total
+    mult = sum(np.abs(d) ** 2 for d in _derivative_symbols(ws))
+    return parseval_sum(half_spectrum(u.values), mult, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +279,21 @@ def _mode_sum(
     return out if gradient else out[:, 0]
 
 
+def _interp_coeffs(values: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """Full-lattice coefficients of the trigonometric interpolant through the
+    samples: the normalized DFT times the per-axis centre phases."""
+    coeffs = np.fft.fftn(values) / ws.spec.cells
+    for phase in ws.phase:
+        coeffs *= phase
+    return coeffs
+
+
 def sample_field(
     u: ScalarField, points: np.ndarray, ws: SpectralWorkspace | None = None
 ) -> np.ndarray:
     """Trigonometric interpolation of the samples of u at arbitrary points."""
     ws = ws or get_workspace(u.spec)
-    return _mode_sum(ws.interp_coeffs(u), points, ws, gradient=False)
+    return _mode_sum(_interp_coeffs(u.values, ws), points, ws, gradient=False)
 
 
 def sample_potential(
@@ -281,10 +306,14 @@ def sample_potential(
     """Evaluate the potential of u (or its gradient) at arbitrary torus points.
 
     points: (P, dim).  Returns (P,) values or (P, dim) gradient components.
-    Separable mode sum (see _mode_sum); cost O(P * cells), chunked over points.
+    The grid potential (one voxel factor over 4 pi^2 |xi|^2, on the half
+    spectrum) has the same full-lattice coefficients as the potential, so it
+    is sampled through its interpolant: a separable mode sum (see _mode_sum),
+    cost O(P * cells), chunked over points.
     """
     ws = ws or get_workspace(u.spec)
-    return _mode_sum(ws.voxel_coeffs(u) * ws.inv_lap, points, ws, gradient)
+    potential = apply_multiplier(u.values, ws.inv_lap * ws.sinc_power(1))
+    return _mode_sum(_interp_coeffs(potential, ws), points, ws, gradient)
 
 
 def sample_potential_on_planes(

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .geometry import Chart, InterfaceMesh, interface_mesh
-from .spectral import get_workspace, sample_potential
-from .torus_field import GridSpec, Lamella, ScalarField, ShapeCandidate, TiledShape, rasterize
+from .geometry import InterfaceMesh, interface_mesh
+from .spectral import get_workspace, half_spectrum, parseval_sum, real_space_kernel, sample_potential
+from .torus_field import GridSpec, Lamella, ShapeCandidate, TiledShape, rasterize
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -317,12 +317,6 @@ def splat_surface_density(phi: SurfaceFunction, spec: GridSpec) -> np.ndarray:
     return s
 
 
-def _deconvolved_coeffs(s: np.ndarray, ws) -> np.ndarray:
-    """Normalized DFT of a splatted density with the tent kernel divided out."""
-    coeffs = np.fft.fftn(s) / s.size
-    return coeffs / ws.cell_factor**2
-
-
 def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -> QuadFormReport:
     mesh = phi.mesh
     term_perimeter = 0.0
@@ -334,27 +328,24 @@ def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -
             )
         )
 
-    ws = get_workspace(spec)
-    term_potential = 0.0
+    term_potential = term_green = 0.0
     if gamma > 0:
-        u = rasterize(shape, spec)
-        for chart, vals in zip(mesh.charts, phi.values):
-            grad_v = _chart_potential_gradient(u, chart, ws)
-            dnu = np.sum(grad_v * chart.normals, axis=-1)
-            term_potential += 4.0 * gamma * float(np.sum(chart.weights * dnu * vals**2))
-
-    term_green = 0.0
-    if gamma > 0:
-        s = splat_surface_density(phi, spec)
-        coeffs = _deconvolved_coeffs(s, ws)
-        term_green = 8.0 * gamma * float(np.sum(np.abs(coeffs) ** 2 * ws.inv_lap))
+        vals = np.concatenate([v.ravel() for v in phi.values])
+        dnu = _normal_potential_slope(shape, mesh, spec)
+        term_potential = 4.0 * gamma * float(np.sum(mesh.all_weights() * dnu * vals**2))
+        # Green term: the splatted density with both tent kernels divided out
+        ws = get_workspace(spec)
+        s = half_spectrum(splat_surface_density(phi, spec))
+        term_green = 8.0 * gamma * parseval_sum(s, ws.inv_lap * ws.sinc_power(-4), ws)
     return QuadFormReport(term_perimeter, term_potential, term_green)
 
 
-def _chart_potential_gradient(u: ScalarField, chart: Chart, ws) -> np.ndarray:
-    """Potential gradient of u at the chart points, shaped like the points."""
-    pts = chart.points.reshape(-1, chart.points.shape[-1])
-    return sample_potential(u, pts, ws, gradient=True).reshape(chart.points.shape)
+def _normal_potential_slope(shape, mesh: InterfaceMesh, spec: GridSpec) -> np.ndarray:
+    """d_nu v of the rasterized shape at every mesh node, charts concatenated
+    as in mesh.all_points(), from one sampling call."""
+    u = rasterize(shape, spec)
+    grad_v = sample_potential(u, mesh.all_points(), get_workspace(spec), gradient=True)
+    return np.sum(grad_v * mesh.all_normals(), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +499,11 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
     p = int(offsets[-1])
     weights = mesh.all_weights()
 
-    ws = get_workspace(spec)
     if gamma > 0:
-        u = rasterize(shape, spec)
         # Green term: one real-space kernel against the splat stencils
-        a_mat = _green_matrix(mesh, spec, ws)
+        a_mat = _green_matrix(mesh, spec, get_workspace(spec))
         a_mat *= 8.0 * gamma
+        dnu = _normal_potential_slope(shape, mesh, spec)
     else:
         a_mat = np.zeros((p, p))
     b_mat = np.zeros((p, p))
@@ -532,8 +522,7 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
         grad_block = 0.5 * (grad_block + grad_block.T)
         diag = -chart.second_fundamental_sq * w
         if gamma > 0:
-            grad_v = _chart_potential_gradient(u, chart, ws)
-            diag += 4.0 * gamma * w * np.sum(grad_v * chart.normals, axis=-1).ravel()
+            diag += 4.0 * gamma * w * dnu[sl]
         a_mat[sl, sl] += grad_block + np.diag(diag)
         b_mat[sl, sl] += grad_block + np.diag(w)
 
@@ -595,11 +584,11 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
     """G_ij = int int G b_i b_j over the splatted nodal surface measures.
 
     Splat, solve (both tent kernels divided out) and pairing are circular
-    convolutions with kern = ifftn(inv_lap / cell_factor^4).real.  Corner a
-    of node i minus corner b of node j is (base_i - base_j) + s with
-    s = a - b in {-1, 0, 1}^dim, and the tent weights summed over the corner
-    pairs of one s factor per axis into T(+1) = f_i (1 - f_j),
-    T(-1) = (1 - f_i) f_j and T(0) = (1 - f_i)(1 - f_j) + f_i f_j, so
+    convolutions with kern = real_space_kernel(ws, -4).  Corner a of node i
+    minus corner b of node j is (base_i - base_j) + s with s = a - b in
+    {-1, 0, 1}^dim, and the tent weights summed over the corner pairs of one
+    s factor per axis into T(+1) = f_i (1 - f_j), T(-1) = (1 - f_i) f_j and
+    T(0) = (1 - f_i)(1 - f_j) + f_i f_j, so
 
         G_ij = cells W_i W_j sum_s kern[base_i - base_j + s] prod_a T_a(s_a)
 
@@ -610,7 +599,7 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
     """
     base, frac = _splat_geometry(mesh, spec)
     p, dim = base.shape
-    padded = np.pad(np.fft.ifftn(ws.inv_lap / ws.cell_factor**4).real, 1, mode="wrap").ravel()
+    padded = np.pad(real_space_kernel(ws, -4), 1, mode="wrap").ravel()
     strides = [int(np.prod([n + 2 for n in spec.sizes[a + 1 :]])) for a in range(dim)]
     centre = sum(strides)  # flat offset of the unpadded origin
     # T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f: the 1/2 joins the i factor

@@ -212,12 +212,19 @@ def test_lipschitz_bound_exact_form():
 
 
 def test_multiplier_symmetry_and_positivity():
-    ws = get_workspace(GridSpec((16, 16)))
-    inv = ws.inv_lap
+    # the full-lattice multiplier, from np.fft.fftfreq, is even and
+    # nonnegative; the workspace keeps its first n/2 + 1 columns, the last
+    # one the -n/2 column
+    freqs = np.meshgrid(*[np.fft.fftfreq(16, d=1.0 / 16)] * 2, indexing="ij")
+    lap = sum(4 * np.pi**2 * f**2 for f in freqs)
+    inv = np.where(lap > 0, 1.0 / np.where(lap > 0, lap, 1.0), 0.0)
     flipped = inv[np.ix_(*[(-np.arange(n)) % n for n in (16, 16)])]
     assert np.array_equal(inv, flipped)
     assert inv[0, 0] == 0.0
     assert np.all(inv[1:, :] >= 0)
+    ws = get_workspace(GridSpec((16, 16)))
+    assert np.array_equal(ws.inv_lap, inv[:, :9])
+    assert np.array_equal(ws.lap_symbol, lap[:, :9])
     rng = np.random.default_rng(1)
     u = ScalarField(GridSpec((16, 16)), rng.standard_normal((16, 16)))
     assert nonlocal_energy(u) > 0
@@ -311,3 +318,45 @@ def test_sample_field_reproduces_samples_at_cell_centres(half_sizes, seed):
     centres = np.stack(np.broadcast_arrays(*spec.center_mesh()), -1).reshape(-1, spec.dim)
     got = sample_field(u, centres).reshape(spec.sizes)
     assert np.max(np.abs(got - u.values)) <= 1e-12 * max(1.0, np.max(np.abs(u.values)))
+
+
+def workspace_bytes(ws) -> int:
+    """ndarray bytes of the workspace attributes, lists included."""
+    total = 0
+    for value in vars(ws).values():
+        for arr in value if isinstance(value, list) else [value]:
+            if isinstance(arr, np.ndarray):
+                total += arr.nbytes
+    return total
+
+
+def test_workspace_holds_no_full_grid_array():
+    # two half-spectrum float arrays (about 8.25 B/cell at 64^3) and per-axis
+    # factors; one full-grid float array alone would be 8 B/cell more
+    spec = GridSpec((64, 64, 64))
+    ws = get_workspace(spec)
+    assert workspace_bytes(ws) <= 9 * spec.cells
+    assert all(v.size < spec.cells for v in vars(ws).values() if isinstance(v, np.ndarray))
+
+
+def test_spectral_fft_budget(monkeypatch):
+    # grid operations run on the real-FFT half spectrum; an off-grid sampler
+    # call is one complex transform
+    calls = {}
+    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    spec = GridSpec((16, 24, 20))
+    u = rasterize(Ball((0.4, 0.5, 0.6), 0.3), spec)
+    ws = get_workspace(spec)
+    nonlocal_energy(u, ws)
+    assert calls == {"rfftn": 1}
+    calls.clear()
+    poisson_zero_mean(u, ws)
+    assert calls == {"rfftn": 1, "irfftn": 1}
+    calls.clear()
+    sample_field(u, np.random.default_rng(0).random((50, 3)), ws)
+    assert calls == {"fftn": 1}

@@ -16,11 +16,12 @@ import pytest
 import scipy.linalg
 
 from okpattern.geometry import interface_mesh
-from okpattern.spectral import get_workspace
+from okpattern.spectral import get_workspace, sample_potential
 from okpattern.stability import (
     SurfaceFunction,
     _constraint_reflectors,
     _green_matrix,
+    _normal_potential_slope,
     _restrict,
     _splat_stencil,
     lamella_mode_matrix,
@@ -36,7 +37,7 @@ from okpattern.stability import (
     translation_mode,
     zero_mean_green_kernel,
 )
-from okpattern.torus_field import Ball, Cylinder, GridSpec, Lamella, TiledShape
+from okpattern.torus_field import Ball, Cylinder, GridSpec, Lamella, TiledShape, rasterize
 
 FOUR_PI_SQ = 4 * np.pi**2
 
@@ -167,13 +168,17 @@ def test_green_matrix_pairing_matches_grid_green_term():
         assert 8.0 * gamma * flat @ green @ flat == pytest.approx(expected, rel=1e-12)
 
 
-def green_matrix_corner_pair_reference(mesh, spec, ws):
+def green_matrix_corner_pair_reference(mesh, spec):
     """G_ij = (1/cells) sum_{a,b} w_ia w_jb kern[idx_ia - idx_jb] over every
     pair of splat corners a of node i and b of node j: 4^dim full p x p
-    gathers, the direct form of the matrix."""
+    gathers, the direct form of the matrix.  kern = ifftn(sinc^-4 / (4 pi^2
+    |xi|^2)) over the full lattice, the multiplier built from np.fft.fftfreq."""
     idx, weight = _splat_stencil(mesh, spec)
     pos = np.unravel_index(idx, spec.sizes)
-    kern = np.fft.ifftn(ws.inv_lap / ws.cell_factor**4).real
+    freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in spec.sizes], indexing="ij")
+    lap = sum(4 * np.pi**2 * f**2 for f in freqs)
+    sinc = np.prod([np.sinc(f / n) for f, n in zip(freqs, spec.sizes)], axis=0)
+    kern = np.fft.ifftn(np.where(lap > 0, 1.0 / np.where(lap > 0, lap, 1.0), 0.0) / sinc**4).real
     p, corners = idx.shape
     g = np.zeros((p, p))
     for a in range(corners):
@@ -202,9 +207,8 @@ CYLINDER = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
 )
 def test_green_matrix_matches_corner_pair_reference(shape, spec, res):
     mesh = interface_mesh(shape, res, spec.dim)
-    ws = get_workspace(spec)
-    green = _green_matrix(mesh, spec, ws)
-    ref = green_matrix_corner_pair_reference(mesh, spec, ws)
+    green = _green_matrix(mesh, spec, get_workspace(spec))
+    ref = green_matrix_corner_pair_reference(mesh, spec)
     assert np.max(np.abs(green - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(green, green.T)
 
@@ -237,6 +241,45 @@ def test_green_matrix_memory_stays_within_three_p_squared():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * p * p * 8
+
+
+@pytest.mark.parametrize(
+    "shape, spec, res",
+    [
+        (LAMELLA, GridSpec((64, 64)), 32),
+        (TiledShape(Ball((0.5, 0.5), 0.3), 2), GridSpec((64, 64)), 32),
+        (LAMELLA, CUBE, 16),
+    ],
+    ids=["lamella-2d", "tiled-disk-k2", "lamella-3d"],
+)
+def test_normal_potential_slope_matches_per_chart_sampling(shape, spec, res):
+    # the pencil and the grid route sample d_nu v once over every node; the
+    # oracle samples it chart by chart
+    mesh = interface_mesh(shape, res, spec.dim)
+    u = rasterize(shape, spec)
+    per_chart = [
+        np.sum(
+            sample_potential(u, c.points.reshape(-1, spec.dim), gradient=True)
+            * c.normals.reshape(-1, spec.dim),
+            axis=-1,
+        )
+        for c in mesh.charts
+    ]
+    want = np.concatenate(per_chart)
+    got = _normal_potential_slope(shape, mesh, spec)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rng = np.random.default_rng(5)
+    w = mesh.all_weights()
+    raw = rng.standard_normal(w.size)
+    splits = np.cumsum([d.size for d in per_chart])[:-1]
+    phi = SurfaceFunction(mesh, np.split(raw - (w @ raw) / w.sum(), splits))
+    gamma = 2.5
+    term = sum(
+        4.0 * gamma * np.sum(c.weights.ravel() * d * v.ravel() ** 2)
+        for c, d, v in zip(mesh.charts, per_chart, phi.values)
+    )
+    got_term = quad_form(shape, gamma, phi, spec, method="grid").term_potential
+    assert got_term == pytest.approx(term, rel=1e-13)
 
 
 @pytest.mark.parametrize("full", [False, True])
