@@ -200,7 +200,6 @@ class ConstructConfig:
     flow: FlowConfig
     continuation_steps: int = 3
     mesh_resolution: int = 16
-    stability_gate: bool = True
 
     def __post_init__(self):
         if self.gamma_bar <= 0:
@@ -270,10 +269,9 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
     stage failed.
     """
     spec = config.spec
-    if config.stability_gate:
-        gate = min_eigenvalue(config.seed, 0.0, spec, resolution=16)
-        if gate <= 0:
-            raise StabilityGateError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
+    gate = min_eigenvalue(config.seed, 0.0, spec, resolution=16)
+    if gate <= 0:
+        raise StabilityGateError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
     seed_raster = rasterize(config.seed, spec)
     out = []
     for k in config.k_list:

@@ -84,8 +84,7 @@ class FlowConfig:
 class FlowState:
     """One flow iterate.  uhat carries the normalized half spectrum
     rfftn(u.values)/cells from the step that produced u, so the next step
-    need not transform u again; a state built without it (None) has it
-    recomputed from u."""
+    need not transform u again."""
 
     u: ScalarField
     energy: float
@@ -93,7 +92,7 @@ class FlowState:
     step: int = 0
     rejections: int = 0
     last_update_sup: float = 0.0
-    uhat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    uhat: np.ndarray = field(repr=False, compare=False, kw_only=True)
 
 
 @dataclass
@@ -163,23 +162,21 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
     The explicit force N(u) = -(4/eps) u (u^2 - 1) - 2 gamma v_u is formed in
     Fourier space: the local part is transformed, the potential part is
     uhat / (4 pi^2 |xi|^2) itself.  An accepted step therefore costs two real
-    FFTs (force transform, new iterate) and each rejection one more inverse
-    FFT; a state without its half spectrum pays one forward FFT to recover it.
+    FFTs (force transform, new iterate) and each rejection one more inverse FFT.
     """
     ws = ws or get_workspace(state.u.spec)
     spec = state.u.spec
     values = state.u.values
-    uhat = state.uhat if state.uhat is not None else half_spectrum(values)
     local = -(4.0 / config.eps) * values * (values**2 - 1.0)
-    force_hat = half_spectrum(local) - 2.0 * config.gamma * (uhat * ws.inv_lap)
+    force_hat = half_spectrum(local) - 2.0 * config.gamma * (state.uhat * ws.inv_lap)
     dt = state.dt
     rejections = state.rejections
     while True:
         if dt < DT_STALL_FLOOR:
             raise FlowStallError(f"dt underflow ({dt:.3e}) after {rejections} rejections")
         denom = 1.0 + dt * config.c_s + dt * 2.0 * config.eps * ws.lap_symbol
-        new_hat = ((1.0 + dt * config.c_s) * uhat + dt * force_hat) / denom
-        new_hat.flat[0] = uhat.flat[0]  # frozen zero mode: exact mass conservation
+        new_hat = ((1.0 + dt * config.c_s) * state.uhat + dt * force_hat) / denom
+        new_hat.flat[0] = state.uhat.flat[0]  # frozen zero mode: exact mass conservation
         new_hat.flags.writeable = False
         new_values = from_half_spectrum(new_hat, spec.sizes)
         energy = _ok_energy_from(new_values, new_hat, ws, config.eps, config.gamma)

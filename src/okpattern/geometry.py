@@ -1,10 +1,12 @@
 """Interface meshes, curvature, and the criticality residual H + 4 gamma v - lambda.
 
-Meshes carry analytic points, outward normals, quadrature weights, and a
+Meshes carry analytic points, outward normals, quadrature weights, and one
 tangential-derivative operator per chart.  Periodic chart axes differentiate
-spectrally (FFT); the sphere's polar direction uses Gauss-Legendre collocation
-in cos(theta), so low-degree spherical harmonics differentiate exactly and the
-quadrature weights sum to the analytic area to machine precision.
+spectrally with the full symbol (FFT, the chart Nyquist mode kept, so the
+components are complex); the sphere's polar direction uses Gauss-Legendre
+collocation in cos(theta), so low-degree spherical harmonics differentiate
+exactly and the quadrature weights sum to the analytic area to machine
+precision.
 
 Curvature is analytic for candidates (sum of principal curvatures, positive
 for a convex set).  Flow outputs never get voxel curvature extraction; their
@@ -37,14 +39,14 @@ class Chart:
     """One parametrized piece of an interface.
 
     points/normals have shape (*grid, dim); weights (*grid).  tangent_fn maps
-    chart-sampled values to a list of derivative components whose squares sum
-    to |D_tau phi|^2.  tangent_fn(values, full=True) returns the complex
-    components that keep the chart Nyquist mode (the nodal values of a Nyquist
-    cosine have derivative zero at the nodes, so stiffness assembly must use
-    the full symbol or the alternating vector becomes a spurious kernel
-    direction).  values may carry trailing batch axes after the chart grid;
-    each component then carries them too, so one call on the identity stack
-    differentiates every nodal basis vector.
+    chart-sampled values to a list of complex derivative components whose
+    squared moduli sum to |D_tau phi|^2.  The derivative is the full symbol of
+    the chart trigonometric interpolant, Nyquist mode included: the nodal
+    values of a Nyquist cosine have derivative zero at the nodes, so a
+    Nyquist-zeroed symbol would make the alternating vector a spurious kernel
+    direction of the form.  values may carry trailing batch axes after the
+    chart grid; each component then carries them too, so one call on the
+    identity stack differentiates every nodal basis vector.
     """
 
     points: np.ndarray
@@ -52,7 +54,7 @@ class Chart:
     weights: np.ndarray
     mean_curv: float
     second_fundamental_sq: float
-    tangent_fn: Callable[..., list[np.ndarray]]
+    tangent_fn: Callable[[np.ndarray], list[np.ndarray]]
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -61,7 +63,7 @@ class Chart:
     def tangential_gradient_sq(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values, dtype=float)
         for comp in self.tangent_fn(values):
-            out += comp**2
+            out += comp.real**2 + comp.imag**2
         return out
 
 
@@ -83,18 +85,11 @@ class InterfaceMesh:
         return np.concatenate([c.weights.ravel() for c in self.charts])
 
 
-def _fft_deriv(
-    values: np.ndarray, axis: int, period: float, scale: float = 1.0, full: bool = False
-) -> np.ndarray:
+def _fft_deriv(values: np.ndarray, axis: int, period: float, scale: float = 1.0) -> np.ndarray:
     n = values.shape[axis]
-    shape = [1] * values.ndim
-    shape[axis] = n
-    k = np.fft.fftfreq(n, d=1.0 / n).reshape(shape)
-    if not full:
-        k = k * (np.abs(k) != n // 2)  # Nyquist zeroed, keeps real data real
+    k = np.expand_dims(np.fft.fftfreq(n, d=1.0 / n), [a for a in range(values.ndim) if a != axis])
     omega = 2.0 * np.pi / period
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * omega * k), axis=axis) * scale
-    return out if full else out.real
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * omega * k), axis=axis) * scale
 
 
 def _legendre_diff_matrix(x: np.ndarray) -> np.ndarray:
@@ -128,10 +123,8 @@ def _lamella_charts(shape: Lamella, dim: int, res: int) -> list[Chart]:
         normals[..., shape.axis] = side
         weights = np.full(grid_shape, 1.0 / res ** len(tangential))
 
-        def tangent_fn(values, full=False):
-            return [
-                _fft_deriv(values, ax, period=1.0, full=full) for ax in range(len(grid_shape))
-            ]
+        def tangent_fn(values):
+            return [_fft_deriv(values, ax, period=1.0) for ax in range(len(grid_shape))]
 
         charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn))
     return charts
@@ -143,14 +136,14 @@ def _circle_chart(center, r: float, res: int) -> Chart:
     pts = (np.asarray(center) + r * nx) % 1.0
     weights = np.full(res, 2 * np.pi * r / res)
 
-    def tangent_fn(values, full=False, _r=r):
-        return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r, full=full)]
+    def tangent_fn(values, _r=r):
+        return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r)]
 
     return Chart(pts, nx.copy(), weights, 1.0 / r, 1.0 / r**2, tangent_fn)
 
 
-def _sphere_tangent_components(values, r, mu, dmat, sin_t, full):
-    """Surface-gradient components on the lat-long sphere chart.
+def _sphere_tangent_components(values, r, mu, dmat, sin_t):
+    """Complex surface-gradient components on the lat-long sphere chart.
 
     Azimuthal modes factor as phi_m(mu) = (1-mu^2)^{|m|/2} g(mu) with g smooth,
     so each mode is differentiated through that associated basis (plain
@@ -168,20 +161,15 @@ def _sphere_tangent_components(values, r, mu, dmat, sin_t, full):
     d_azim = np.empty_like(vhat)
     for col, m in enumerate(ms):
         am = abs(int(m))
-        nyquist = not full and am == res // 2
-        d_azim[:, col] = 0.0 if nyquist else 1j * m * vhat[:, col] / sin_t
+        d_azim[:, col] = 1j * m * vhat[:, col] / sin_t
         a = one_minus ** (am / 2.0)
-        if nyquist or am == 0 or a.min() < 1e-10:
+        if am == 0 or a.min() < 1e-10:
             d_polar[:, col] = sin_t * np.tensordot(dmat, vhat[:, col], axes=1)
         else:
             g = vhat[:, col] / a
             dphi_m = a * (np.tensordot(dmat, g, axes=1) - am * mu * g / one_minus)
             d_polar[:, col] = sin_t * dphi_m
-    polar = np.fft.ifft(d_polar, axis=1) / r
-    azim = np.fft.ifft(d_azim, axis=1) / r
-    if full:
-        return [polar, azim]
-    return [polar.real, azim.real]
+    return [np.fft.ifft(d_polar, axis=1) / r, np.fft.ifft(d_azim, axis=1) / r]
 
 
 def _sphere_chart(center, r: float, res: int) -> Chart:
@@ -196,8 +184,8 @@ def _sphere_chart(center, r: float, res: int) -> Chart:
     weights = np.broadcast_to(r**2 * w_gl[:, None] * (2 * np.pi / res), (res, res)).copy()
     dmat = _legendre_diff_matrix(mu)
 
-    def tangent_fn(values, full=False, _r=r, _d=dmat, _sin=sin_t, _mu=mu):
-        return _sphere_tangent_components(values, _r, _mu, _d, _sin, full=full)
+    def tangent_fn(values, _r=r, _d=dmat, _sin=sin_t, _mu=mu):
+        return _sphere_tangent_components(values, _r, _mu, _d, _sin)
 
     return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn)
 
@@ -215,10 +203,10 @@ def _cylinder_chart(shape: Cylinder, res: int) -> Chart:
     normals[..., a2] = np.sin(theta)[None, :]
     weights = np.full((res, res), 2 * np.pi * shape.radius / res**2)
 
-    def tangent_fn(values, full=False, _r=shape.radius):
+    def tangent_fn(values, _r=shape.radius):
         return [
-            _fft_deriv(values, 0, period=1.0, full=full),
-            _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r, full=full),
+            _fft_deriv(values, 0, period=1.0),
+            _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r),
         ]
 
     return Chart(pts, normals, weights, 1.0 / shape.radius, 1.0 / shape.radius**2, tangent_fn)
@@ -264,8 +252,8 @@ def _tile_mesh(parent: InterfaceMesh, k: int) -> InterfaceMesh:
     for offs in np.ndindex(*(k,) * dim):
         origin = np.asarray(offs, dtype=float) / k
         for c in parent.charts:
-            def tangent_fn(values, full=False, _fn=c.tangent_fn, _k=k):
-                return [_k * comp for comp in _fn(values, full)]
+            def tangent_fn(values, _fn=c.tangent_fn, _k=k):
+                return [_k * comp for comp in _fn(values)]
 
             charts.append(
                 Chart(

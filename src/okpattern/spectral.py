@@ -34,10 +34,11 @@ last axis keeps the columns 0..n/2; the last column is the -n/2 one, as
 `fftfreq` labels it.  Every multiplier is even in xi, so on the half
 spectrum it is the full-lattice one cut to those columns, and a Parseval sum
 counts the self-conjugate columns 0 and n/2 once and the others twice.  The
-workspace keeps no full-grid array.  The off-grid samplers alone transform
-the full lattice (one fftn per call): off the grid the Nyquist row of every
-axis enters with one sign only.  `_trig_shift` keeps its one-axis complex
-transform, since its displacement varies across the other axes.
+workspace keeps no full-grid array.  The off-grid samplers alone need the
+full lattice, since off the grid the Nyquist row of every axis enters with
+one sign only; they fill it from the half spectrum by Hermitian symmetry, so
+a sampler call is one real transform.  `_trig_shift` keeps its one-axis
+complex transform, since its displacement varies across the other axes.
 """
 
 from __future__ import annotations
@@ -279,10 +280,14 @@ def _mode_sum(
     return out if gradient else out[:, 0]
 
 
-def _interp_coeffs(values: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
-    """Full-lattice coefficients of the trigonometric interpolant through the
-    samples: the normalized DFT times the per-axis centre phases."""
-    coeffs = np.fft.fftn(values) / ws.spec.cells
+def _interp_coeffs(uhat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+    """Full-lattice coefficients of the trigonometric interpolant of the real
+    grid field whose normalized half spectrum is uhat, times the per-axis
+    centre phases.  The last-axis columns n/2+1..n-1 are the conjugates of
+    columns n/2-1..1 at negated frequencies along the other axes."""
+    n = ws.spec.sizes[-1]
+    mirror = np.ix_(*[-np.arange(m) % m for m in ws.spec.sizes[:-1]], np.arange(n // 2 - 1, 0, -1))
+    coeffs = np.concatenate([uhat, np.conj(uhat[mirror])], axis=-1)
     for phase in ws.phase:
         coeffs *= phase
     return coeffs
@@ -293,7 +298,7 @@ def sample_field(
 ) -> np.ndarray:
     """Trigonometric interpolation of the samples of u at arbitrary points."""
     ws = ws or get_workspace(u.spec)
-    return _mode_sum(_interp_coeffs(u.values, ws), points, ws, gradient=False)
+    return _mode_sum(_interp_coeffs(half_spectrum(u.values), ws), points, ws, gradient=False)
 
 
 def sample_potential(
@@ -312,8 +317,8 @@ def sample_potential(
     cost O(P * cells), chunked over points.
     """
     ws = ws or get_workspace(u.spec)
-    potential = apply_multiplier(u.values, ws.inv_lap * ws.sinc_power(1))
-    return _mode_sum(_interp_coeffs(potential, ws), points, ws, gradient)
+    potential_hat = half_spectrum(u.values) * (ws.inv_lap * ws.sinc_power(1))
+    return _mode_sum(_interp_coeffs(potential_hat, ws), points, ws, gradient)
 
 
 def sample_potential_on_planes(

@@ -16,9 +16,11 @@ Two evaluation routes are kept deliberately distinct:
 * mode route (flat interfaces): expand phi in tangential Fourier modes; each
   wave vector q couples the two interfaces through the periodic screened
   Green function of -d^2/dx^2 + 4 pi^2 |q|^2 on the circle, whose closed form
-  is hyperbolic-cosine (see screened_green_coupling).  Kernels are exact, so
-  the translation null space is reproduced to rounding.
-* grid route: tangential terms from the mesh chart operators, d_nu v sampled
+  is hyperbolic-cosine (see lamella_couplings).  Kernels are exact, so the
+  translation null space is reproduced to rounding.  A block's least
+  eigenvalue a - |b| is linear in gamma, so scans and thresholds are closed form.
+* grid route: tangential terms from the one full-symbol chart derivative the
+  pencil's stiffness also uses (so both evaluate one form), d_nu v sampled
   spectrally from the rasterized set, and the Green term by multilinear
   splatting of phi dH onto the grid, kernel deconvolution, a Poisson solve,
   and the Dirichlet pairing (the pencil's Green matrix applies the same
@@ -63,18 +65,31 @@ def zero_mean_green_kernel(d: float) -> float:
     return d * d / 2.0 - d / 2.0 + 1.0 / 12.0
 
 
-def screened_green_coupling(q_sq: float, d: float) -> float:
+def screened_green_coupling(q_sq, d) -> np.ndarray:
     """sum_{xi in Z} e^{2 pi i xi d} / (4 pi^2 (xi^2 + q_sq)) for q_sq > 0.
 
-    The periodic Green function of -d^2/dt^2 + (2 pi |q|)^2 on the unit
-    circle: cosh(2 pi |q| (1/2 - d_per)) / (4 pi |q| sinh(pi |q|)).
+    The periodic Green function of -d^2/dt^2 + mu^2, mu = 2 pi |q|, on the
+    unit circle: cosh(mu (1/2 - d)) / (2 mu sinh(mu/2)) for d in [0, 1),
+    evaluated as (e^{-mu d} + e^{-mu (1-d)}) / (2 mu (1 - e^{-mu})), which
+    cannot overflow.  q_sq and d broadcast as arrays.
     """
-    if q_sq <= 0:
+    q_sq = np.asarray(q_sq, dtype=float)
+    if np.any(q_sq <= 0):
         raise ValueError("screened coupling requires a nonzero wave vector")
-    mu = 2.0 * math.pi * math.sqrt(q_sq)
-    d_per = abs(float(d) % 1.0)
-    d_per = min(d_per, 1.0 - d_per)
-    return math.cosh(mu * (0.5 - d_per)) / (2.0 * mu * math.sinh(mu / 2.0))
+    mu = 2.0 * math.pi * np.sqrt(q_sq)
+    d = np.asarray(d, dtype=float) % 1.0
+    return (np.exp(-mu * d) + np.exp(-mu * (1.0 - d))) / (-2.0 * mu * np.expm1(-mu))
+
+
+def lamella_couplings(q_sq, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """(K_q(0), K_q(2w)) for every |q|^2 in q_sq: the self and cross couplings
+    of the two lamella interfaces, with the zero-mean circle kernel at q = 0."""
+    wave = np.asarray(q_sq) > 0
+    safe = np.where(wave, q_sq, 1.0)
+    return tuple(
+        np.where(wave, screened_green_coupling(safe, d), zero_mean_green_kernel(d))
+        for d in (0.0, 2.0 * halfwidth)
+    )
 
 
 def lamella_potential_slope(halfwidth: float) -> float:
@@ -248,32 +263,16 @@ def _quad_form_lamella_modes(shape: Lamella, gamma: float, phi: SurfaceFunction)
     if len(phi.mesh.charts) != 2:
         raise ValueError("lamella meshes carry exactly two charts")
     dv = lamella_potential_slope(shape.halfwidth)
-    sep = 2.0 * shape.halfwidth
     hats = [np.fft.fftn(v) / v.size for v in phi.values]
-    grid_shape = phi.values[0].shape
-    q_axes = [np.fft.fftfreq(n, d=1.0 / n) for n in grid_shape]
-    q_sq = np.zeros(grid_shape)
-    for pos, qs in enumerate(q_axes):
-        shape_vec = [1] * len(grid_shape)
-        shape_vec[pos] = len(qs)
-        q_sq = q_sq + qs.reshape(shape_vec) ** 2
+    q_sq = sum(np.ix_(*[np.fft.fftfreq(n, d=1.0 / n) ** 2 for n in hats[0].shape]))
 
     power = np.abs(hats[0]) ** 2 + np.abs(hats[1]) ** 2
     cross = 2.0 * np.real(hats[0] * np.conj(hats[1]))
 
     term_perimeter = float(np.sum(FOUR_PI_SQ * q_sq * power))  # |B|^2 = 0
     term_potential = 4.0 * gamma * dv * float(np.sum(power))
-    green = 0.0
-    for idx in np.ndindex(*grid_shape):
-        qq = q_sq[idx]
-        if qq > 0:
-            k_self = screened_green_coupling(qq, 0.0)
-            k_cross = screened_green_coupling(qq, sep)
-        else:
-            k_self = zero_mean_green_kernel(0.0)
-            k_cross = zero_mean_green_kernel(sep)
-        green += k_self * power[idx] + k_cross * cross[idx]
-    term_green = 8.0 * gamma * float(green)
+    k_self, k_cross = lamella_couplings(q_sq, shape.halfwidth)
+    term_green = 8.0 * gamma * float(np.sum(k_self * power + k_cross * cross))
     return QuadFormReport(term_perimeter, term_potential, term_green)
 
 
@@ -319,14 +318,9 @@ def splat_surface_density(phi: SurfaceFunction, spec: GridSpec) -> np.ndarray:
 
 def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -> QuadFormReport:
     mesh = phi.mesh
-    term_perimeter = 0.0
-    for chart, vals in zip(mesh.charts, phi.values):
-        term_perimeter += float(
-            np.sum(
-                chart.weights
-                * (chart.tangential_gradient_sq(vals) - chart.second_fundamental_sq * vals**2)
-            )
-        )
+    pairs = zip(mesh.charts, phi.values)
+    curvature = sum(c.second_fundamental_sq * np.sum(c.weights * v**2) for c, v in pairs)
+    term_perimeter = phi.tangential_energy() - float(curvature)
 
     term_potential = term_green = 0.0
     if gamma > 0:
@@ -355,7 +349,7 @@ def _normal_potential_slope(shape, mesh: InterfaceMesh, spec: GridSpec) -> np.nd
 
 @dataclass(frozen=True)
 class ModeMatrix:
-    """2x2 quadratic-form block on the interface pair at one wave vector."""
+    """2x2 block [[a, b], [b, a]] of the form on the interface pair at one wave vector."""
 
     q_sq: float
     gamma: float
@@ -363,7 +357,8 @@ class ModeMatrix:
     matrix: np.ndarray
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        """a - |b|, the eigenvalue of the (1, -sign b) direction."""
+        return float(self.matrix[0, 0] - abs(self.matrix[0, 1]))
 
 
 def lamella_mode_matrix(q, gamma: float, halfwidth: float, *, allow_zero_mode=False) -> ModeMatrix:
@@ -378,33 +373,20 @@ def lamella_mode_matrix(q, gamma: float, halfwidth: float, *, allow_zero_mode=Fa
     q_sq = float(np.sum(q_arr**2))
     if q_sq == 0 and not allow_zero_mode:
         raise ValueError("q = 0 is the translation/volume sector; pass allow_zero_mode=True")
-    w = halfwidth
-    dv = lamella_potential_slope(w)
-    if q_sq > 0:
-        k_self = screened_green_coupling(q_sq, 0.0)
-        k_cross = screened_green_coupling(q_sq, 2.0 * w)
-    else:
-        k_self = zero_mean_green_kernel(0.0)
-        k_cross = zero_mean_green_kernel(2.0 * w)
-    local = FOUR_PI_SQ * q_sq
-    m = np.array(
-        [
-            [local + 4 * gamma * dv + 8 * gamma * k_self, 8 * gamma * k_cross],
-            [8 * gamma * k_cross, local + 4 * gamma * dv + 8 * gamma * k_self],
-        ]
-    )
-    return ModeMatrix(q_sq, gamma, w, m)
+    k_self, k_cross = (float(k) for k in lamella_couplings(q_sq, halfwidth))
+    diag = FOUR_PI_SQ * q_sq + 4 * gamma * lamella_potential_slope(halfwidth) + 8 * gamma * k_self
+    off = 8 * gamma * k_cross
+    return ModeMatrix(q_sq, gamma, halfwidth, np.array([[diag, off], [off, diag]]))
 
 
-def _tangential_wave_vectors(q_max: int, tangential_dim: int):
-    if tangential_dim == 1:
-        for q in range(1, q_max + 1):
-            yield (q,)
-    else:
-        for idx in np.ndindex(*(2 * q_max + 1,) * tangential_dim):
-            q = tuple(i - q_max for i in idx)
-            if any(q) and all(abs(c) <= q_max for c in q):
-                yield q
+def _mode_lines(halfwidth: float, q_max: int, tangential_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |q|^2 over nonzero integer wave vectors with components in
+    [-q_max, q_max], and the slope c_q = 4 d_nu v + 8 K_q(0) - 8 |K_q(2w)| of
+    each block's least eigenvalue, which is the line 4 pi^2 |q|^2 + gamma c_q."""
+    squares = np.arange(q_max + 1) ** 2
+    q_sq = np.unique(sum(np.ix_(*[squares] * tangential_dim)))[1:].astype(float)
+    k_self, k_cross = lamella_couplings(q_sq, halfwidth)
+    return q_sq, 4.0 * lamella_potential_slope(halfwidth) + 8.0 * k_self - 8.0 * np.abs(k_cross)
 
 
 def mode_scan_min_eigenvalue(
@@ -415,20 +397,18 @@ def mode_scan_min_eigenvalue(
     tangential_dim: int = 1,
     h1_normalized: bool = False,
 ) -> float:
-    """min over nonzero wave vectors of the least ModeMatrix eigenvalue.
+    """min over nonzero wave vectors of the least ModeMatrix eigenvalue,
+    4 pi^2 |q|^2 + gamma c_q (see _mode_lines).
 
     With h1_normalized=True each block is divided by the H^1 weight
     4 pi^2 |q|^2 + 1 of its mode, matching the generalized pencil
     normalization of min_eigenvalue.
     """
-    best = math.inf
-    for q in _tangential_wave_vectors(q_max, tangential_dim):
-        block = lamella_mode_matrix(q, gamma, halfwidth)
-        val = block.min_eigenvalue()
-        if h1_normalized:
-            val = val / (FOUR_PI_SQ * block.q_sq + 1.0)
-        best = min(best, val)
-    return best
+    q_sq, slope = _mode_lines(halfwidth, q_max, tangential_dim)
+    vals = FOUR_PI_SQ * q_sq + gamma * slope
+    if h1_normalized:
+        vals = vals / (FOUR_PI_SQ * q_sq + 1.0)
+    return float(np.min(vals, initial=math.inf))
 
 
 @dataclass(frozen=True)
@@ -455,17 +435,9 @@ def lamella_threshold(
     so the threshold is min over c_q < 0 of 4 pi^2 |q|^2 / (-c_q); the status
     is open when no crossing exists up to gamma_max.
     """
-    dv = lamella_potential_slope(halfwidth)
-    gamma_star = math.inf
-    for q in _tangential_wave_vectors(q_max, tangential_dim):
-        q_sq = float(sum(c * c for c in q))
-        slope = (
-            4.0 * dv
-            + 8.0 * screened_green_coupling(q_sq, 0.0)
-            - 8.0 * abs(screened_green_coupling(q_sq, 2.0 * halfwidth))
-        )
-        if slope < 0:
-            gamma_star = min(gamma_star, FOUR_PI_SQ * q_sq / -slope)
+    q_sq, slope = _mode_lines(halfwidth, q_max, tangential_dim)
+    crossing = slope < 0
+    gamma_star = float(np.min(FOUR_PI_SQ * q_sq[crossing] / -slope[crossing], initial=math.inf))
     if gamma_star > gamma_max:
         return ThresholdResult(math.inf, "open", q_max)
     return ThresholdResult(gamma_star, "crossed", q_max)
@@ -513,9 +485,9 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
         w = chart.weights.ravel()
         # one batched call on the identity stack: column j of each component
         # is the derivative of nodal basis vector j
-        comps = chart.tangent_fn(np.eye(m).reshape(chart.grid_shape + (m,)), full=True)
-        # full-symbol stiffness: Re(T^H W T) is the exact Dirichlet form of
-        # the chart trigonometric interpolant, Nyquist mode included
+        comps = chart.tangent_fn(np.eye(m).reshape(chart.grid_shape + (m,)))
+        # Re(T^H W T) is the exact Dirichlet form of the chart trigonometric
+        # interpolant, Nyquist mode included
         tangents = (c.reshape(m, m) for c in comps)
         grad_block = sum((t.conj().T @ (w[:, None] * t)).real for t in tangents)
         # exactly symmetric: the restriction reads the whole matrix, eigh one triangle

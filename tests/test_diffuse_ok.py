@@ -91,8 +91,7 @@ def test_flow_rejection_backoff_and_stall():
     spec = GridSpec((32, 32))
     u0 = ScalarField(spec, np.ones(spec.sizes), "phase")
     cfg = FlowConfig(eps=0.08, gamma=0.0, dt=1e-2, max_steps=10, dt_backoff=0.5)
-    state = flow_state(u0, cfg)
-    state = type(state)(u=state.u, energy=-1.0, dt=state.dt, step=0, rejections=0)
+    state = replace(flow_state(u0, cfg), energy=-1.0)
     with pytest.raises(FlowStallError, match="rejections"):
         flow_step(state, cfg)
     trace = minimize(u0, cfg)
@@ -249,10 +248,6 @@ def test_carried_half_spectrum_stays_exact():
     assert state.step == 50
     fresh = np.fft.rfftn(state.u.values) / state.u.spec.cells
     assert np.max(np.abs(state.uhat - fresh)) <= 1e-13
-    # a state without its spectrum recomputes it from u
-    with_hat = flow_step(state, cfg)
-    without = flow_step(replace(state, uhat=None), cfg)
-    assert np.max(np.abs(with_hat.u.values - without.u.values)) <= 1e-13
 
 
 def test_minimize_fft_count(monkeypatch):

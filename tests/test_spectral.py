@@ -341,7 +341,7 @@ def test_workspace_holds_no_full_grid_array():
 
 def test_spectral_fft_budget(monkeypatch):
     # grid operations run on the real-FFT half spectrum; an off-grid sampler
-    # call is one complex transform
+    # fills the full lattice from it, so a call is one real transform
     calls = {}
     for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -358,5 +358,9 @@ def test_spectral_fft_budget(monkeypatch):
     poisson_zero_mean(u, ws)
     assert calls == {"rfftn": 1, "irfftn": 1}
     calls.clear()
-    sample_field(u, np.random.default_rng(0).random((50, 3)), ws)
-    assert calls == {"fftn": 1}
+    pts = np.random.default_rng(0).random((50, 3))
+    sample_field(u, pts, ws)
+    assert calls == {"rfftn": 1}
+    calls.clear()
+    sample_potential(u, pts, ws, gradient=True)
+    assert calls == {"rfftn": 1}

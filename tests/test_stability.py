@@ -5,6 +5,7 @@ the full 27-combination mode-vs-grid equivalence sweep lives in the
 acceptance module.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -59,6 +60,13 @@ def test_screened_kernel_against_lattice_sum():
         assert screened_green_coupling(q_sq, d) == pytest.approx(
             lattice_sum_oracle(q_sq, d), abs=5e-8
         )
+    # array inputs, past |q| = 226 where cosh(2 pi |q| / 2) overflows a float
+    q_sq = np.array([[1.0], [9.0], [230.0**2]])
+    d = np.array([0.0, 0.1, 0.5, 0.9])
+    got = screened_green_coupling(q_sq, d)
+    assert got.shape == (3, 4)
+    for i, j in np.ndindex(*got.shape):
+        assert got[i, j] == pytest.approx(lattice_sum_oracle(q_sq[i, 0], d[j]), abs=5e-8)
 
 
 def test_zero_mean_kernel_against_lattice_sum():
@@ -282,7 +290,6 @@ def test_normal_potential_slope_matches_per_chart_sampling(shape, spec, res):
     assert got_term == pytest.approx(term, rel=1e-13)
 
 
-@pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize(
     "shape, dim, res",
     [
@@ -295,15 +302,15 @@ def test_normal_potential_slope_matches_per_chart_sampling(shape, spec, res):
     ],
     ids=["lamella-2d", "lamella-3d", "circle", "sphere", "cylinder", "tiled-disk"],
 )
-def test_batched_tangent_fn_matches_per_column_calls(shape, dim, res, full):
+def test_batched_tangent_fn_matches_per_column_calls(shape, dim, res):
     # min_eigenvalue assembles each chart stiffness from one call on the
     # identity stack; every column must be the single-vector derivative
     chart = interface_mesh(shape, res, dim).charts[0]
     m = chart.weights.size
     basis = np.eye(m)
-    batch = chart.tangent_fn(basis.reshape(chart.grid_shape + (m,)), full=full)
+    batch = chart.tangent_fn(basis.reshape(chart.grid_shape + (m,)))
     for j in range(m):
-        cols = chart.tangent_fn(basis[j].reshape(chart.grid_shape), full=full)
+        cols = chart.tangent_fn(basis[j].reshape(chart.grid_shape))
         assert len(cols) == len(batch)
         for whole, col in zip(batch, cols):
             assert whole[..., j].shape == col.shape
@@ -556,6 +563,49 @@ def test_sphere_translation_mode_area_functional():
         phi = translation_mode(mesh, axis)
         rep = quad_form(ball, 0.0, phi, spec, method="grid")
         assert abs(rep.total) <= 1e-8 * max(rep.magnitude_scale, 1.0)
+
+
+def test_mode_route_on_a_512_node_mesh():
+    # chart frequencies reach |q| = 256; the mode route sums the closed-form
+    # 2x2 block over the two coefficients (1/2, 1/2) of cos(2 pi t) at q = +-1
+    shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
+    mesh = interface_mesh(shape, 512, dim=2)
+    got = quad_form(shape, 1.0, lamella_wave_mode(mesh, 1)).total
+    coeffs = np.array([0.5, 0.5])
+    want = 2 * coeffs @ lamella_mode_matrix(1, 1.0, 0.25).matrix @ coeffs
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_grid_route_keeps_the_chart_nyquist_mode():
+    # the grid route and the pencil share one full-symbol derivative: the
+    # alternating vector (-1)^j on each 32-node chart has |D phi|^2 = (32 pi)^2
+    shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
+    mesh = interface_mesh(shape, 32, dim=2)
+    alternating = (-1.0) ** np.arange(32)
+    phi = SurfaceFunction(mesh, [alternating, alternating])
+    got = quad_form(shape, 0.0, phi, GridSpec((64, 64)), method="grid").total
+    assert got == pytest.approx(2 * (32 * np.pi) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("tangential_dim", [1, 2])
+@pytest.mark.parametrize("h1_normalized", [False, True])
+def test_mode_scan_matches_eigvalsh_of_every_block(tangential_dim, h1_normalized):
+    q_max = 8
+    box = itertools.product(range(-q_max, q_max + 1), repeat=tangential_dim)
+    wave_vectors = [q for q in box if any(q)]
+    for gamma in (0.0, 1.0, 50.0, 200.0):
+        for w in (0.18, 0.25, 0.3):
+            want = np.inf
+            for q in wave_vectors:
+                block = lamella_mode_matrix(q, gamma, w)
+                val = np.linalg.eigvalsh(block.matrix)[0]
+                if h1_normalized:
+                    val /= FOUR_PI_SQ * block.q_sq + 1.0
+                want = min(want, val)
+            got = mode_scan_min_eigenvalue(
+                w, gamma, q_max, tangential_dim=tangential_dim, h1_normalized=h1_normalized
+            )
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_mode_matrix_vector_wave_number():
