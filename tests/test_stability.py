@@ -290,6 +290,7 @@ def test_normal_potential_slope_matches_per_chart_sampling(shape, spec, res):
     assert got_term == pytest.approx(term, rel=1e-13)
 
 
+@pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize(
     "shape, dim, res",
     [
@@ -302,15 +303,21 @@ def test_normal_potential_slope_matches_per_chart_sampling(shape, spec, res):
     ],
     ids=["lamella-2d", "lamella-3d", "circle", "sphere", "cylinder", "tiled-disk"],
 )
-def test_batched_tangent_fn_matches_per_column_calls(shape, dim, res):
+def test_batched_tangent_fn_matches_per_column_calls(shape, dim, res, strided):
     # min_eigenvalue assembles each chart stiffness from one call on the
-    # identity stack; every column must be the single-vector derivative
+    # identity stack; every column must be the single-vector derivative,
+    # whether the stack is C-contiguous or a strided view with the batch
+    # axis moved last (then each column is a non-contiguous view too)
     chart = interface_mesh(shape, res, dim).charts[0]
     m = chart.weights.size
-    basis = np.eye(m)
-    batch = chart.tangent_fn(basis.reshape(chart.grid_shape + (m,)))
+    if strided:
+        stack = np.moveaxis(np.eye(m).reshape((m,) + chart.grid_shape), 0, -1)
+        assert not stack.flags.c_contiguous
+    else:
+        stack = np.eye(m).reshape(chart.grid_shape + (m,))
+    batch = chart.tangent_fn(stack)
     for j in range(m):
-        cols = chart.tangent_fn(basis[j].reshape(chart.grid_shape))
+        cols = chart.tangent_fn(stack[..., j])
         assert len(cols) == len(batch)
         for whole, col in zip(batch, cols):
             assert whole[..., j].shape == col.shape
