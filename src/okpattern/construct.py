@@ -172,18 +172,27 @@ def zero_level_displacement(
         mesh.all_points()[:, None, :] + ts[None, :, None] * mesh.all_normals()[:, None, :], 1.0
     )
     line_vals = sample_field(phase, lines.reshape(-1, phase.spec.dim)).reshape(len(lines), samples)
-    worst = 0.0
-    for vals in line_vals:
-        sgn = np.sign(vals)
-        crossings = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if len(crossings) == 0:
-            worst = max(worst, window)
-            continue
-        mid = (samples - 1) / 2.0
-        j = crossings[np.argmin(np.abs(crossings + 0.5 - mid))]
-        t_cross = ts[j] + (ts[j + 1] - ts[j]) * vals[j] / (vals[j] - vals[j + 1])
-        worst = max(worst, abs(float(t_cross)))
-    return worst
+    return _max_crossing_offset(line_vals, ts, window)
+
+
+def _max_crossing_offset(line_vals: np.ndarray, ts: np.ndarray, window: float) -> float:
+    """Max over lines of |t| at the sign change nearest the middle sample.
+
+    line_vals: (lines, samples) at offsets ts.  A crossing is a strict sign
+    change between neighbouring samples, located by linear interpolation; of
+    equally near crossings the first wins, and a line with none counts as
+    window.
+    """
+    sgn = np.sign(line_vals)
+    crossing = sgn[:, :-1] * sgn[:, 1:] < 0
+    mid = (len(ts) - 1) / 2.0
+    dist = np.where(crossing, np.abs(np.arange(len(ts) - 1) + 0.5 - mid), np.inf)
+    lines = np.flatnonzero(crossing.any(axis=1))
+    j = np.argmin(dist[lines], axis=1)
+    v0, v1 = line_vals[lines, j], line_vals[lines, j + 1]
+    t_cross = ts[j] + (ts[j + 1] - ts[j]) * v0 / (v0 - v1)
+    worst = float(np.max(np.abs(t_cross), initial=0.0))
+    return max(worst, window) if lines.size < len(line_vals) else worst
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import get_workspace, sample_potential
+from .spectral import _potential_and_gradient, get_workspace
 from .torus_field import (
     Ball,
     Cylinder,
@@ -316,8 +316,8 @@ def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> Cr
     sup |grad_tau H| through the critical-set identity grad_tau H =
     -4 gamma grad_tau v (the curvature of candidates is constant per chart,
     so its direct tangential derivative vanishes identically).  The potential
-    and its gradient are each sampled in one call over the points of every
-    chart.
+    and its gradient are sampled together, in one call over the points of
+    every chart.
     """
     k = shape.k if isinstance(shape, TiledShape) else 1
     mesh = interface_mesh(shape, resolution, spec.dim)
@@ -325,10 +325,10 @@ def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> Cr
     ws = get_workspace(spec)
     pts, normals, weights = mesh.all_points(), mesh.all_normals(), mesh.all_weights()
     curv = np.concatenate([np.full(c.weights.size, c.mean_curv) for c in mesh.charts])
-    g = curv + 4.0 * gamma * sample_potential(u, pts, ws)
+    v, gv = _potential_and_gradient(u, pts, ws)
+    g = curv + 4.0 * gamma * v
     lam = float(np.sum(weights * g)) / float(np.sum(weights))
     residual = float(np.max(np.abs(g - lam)))
-    gv = sample_potential(u, pts, ws, gradient=True)
     tang = gv - np.sum(gv * normals, axis=-1)[:, None] * normals
     grad_sup = 4.0 * gamma * float(np.max(np.linalg.norm(tang, axis=-1)))
     return CriticalityReport(gamma, k, lam, residual, grad_sup)

@@ -43,6 +43,7 @@ complex transform, since its displacement varies across the other axes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -230,67 +231,182 @@ def gradient_energy(u: ScalarField, ws: SpectralWorkspace | None = None) -> floa
 # ---------------------------------------------------------------------------
 
 
-# Byte budget of one chunk of points in the separable mode sum: the per-axis
-# factor blocks plus the first partial contraction, counted per point.
+# Byte budget of one chunk of points in the prefix contraction: every
+# temporary of the chunk (the factor rows, the gathered prefixes and every
+# value and gradient variant of the partial contractions) is counted.
 _PHASE_BLOCK_BYTES = 2 * 2**20
 
 
-def _mode_sum(
-    coeffs: np.ndarray, points: np.ndarray, ws: SpectralWorkspace, gradient: bool
-) -> np.ndarray:
-    """Re sum_xi coeffs(xi) e^{2 pi i xi . x} (or its gradient) at each point.
+@lru_cache(maxsize=None)
+def _axis_split(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The coarse/fine split of one axis's frequencies, and its derivative
+    symbol 2 pi i xi in fftfreq order.
 
-    Separable: e^{2 pi i xi . x} = prod_a E_a[p, xi_a] with per-axis factors
-    E_a = e^{2 pi i xi_a x_a}, so a chunk of points contracts axis 0 with one
-    matrix product and every further axis with one per-point batched product;
-    gradient component a replaces E_a by 2 pi i xi_a E_a.  Each factor row is
-    built in ascending xi = -n/2..n/2-1 (so the coefficients are fftshifted
-    once) from about 2 sqrt(n) exponentials: with b dividing n/2, xi = b q + r
-    and e^{2 pi i xi x} = e^{2 pi i b q x} e^{2 pi i r x}.  Exact to rounding,
-    O(P * cells) multiply-adds and no points x cells phase block.  The chunk
-    keeps the factor blocks and the first partial contraction within
-    _PHASE_BLOCK_BYTES.  Returns (P,) values or (P, dim) components.
+    With b dividing n/2 and m = n/(2b), every xi is b q + r (-m <= q < m,
+    0 <= r < b), so a factor row e^{2 pi i xi x} is the outer product of the
+    coarse row e^{2 pi i b q x} and the fine row e^{2 pi i r x}.  Returns m,
+    the frequencies b q (q = 0..m) and r (r = 0..b-1) whose exponentials
+    give both rows (q < 0 by conjugation), and the symbol.
+    """
+    b = min((d for d in range(1, n // 2 + 1) if (n // 2) % d == 0), key=lambda d: d + n // d)
+    m = n // (2 * b)
+    freqs = np.concatenate([b * np.arange(m + 1), np.arange(b)])
+    deriv = TWO_PI * 1j * np.fft.fftfreq(n, d=1.0 / n)
+    for arr in (freqs, deriv):
+        arr.flags.writeable = False
+    return m, freqs, deriv
+
+
+def _factor_rows(x: np.ndarray, n: int) -> np.ndarray:
+    """(len(x), n) rows e^{2 pi i xi x}, xi in fftfreq order, from about
+    sqrt(2 n) exponentials per row (see _axis_split)."""
+    m, freqs, _ = _axis_split(n)
+    e = np.exp(TWO_PI * 1j * np.outer(x, freqs))
+    # coarse q = 0..m-1, then -m..-1 in fftfreq order
+    coarse = np.concatenate([e[:, :m], np.conj(e[:, m:0:-1])], axis=1)
+    return (coarse[:, :, None] * e[:, None, m + 1 :]).reshape(len(x), n)
+
+
+def _mode_sum(
+    uhat: np.ndarray, points: np.ndarray, ws: SpectralWorkspace, *, value: bool, gradient: bool
+) -> np.ndarray:
+    """Re sum_xi c(xi) e^{2 pi i xi . x} and/or its gradient at each point,
+    c the interpolant coefficients of the half spectrum uhat (_interp_coeffs).
+
+    Separable: e^{2 pi i xi . x} = prod_a E_a[x_a, xi_a] with per-axis factor
+    rows E_a = e^{2 pi i xi_a x_a}, so the sum contracts one axis at a time.
+    Query sets are structured (chart grids, lines along normals), so an axis
+    often carries few distinct coordinates.  Each axis's distinct values are
+    found by exact float equality and get one factor row each; the axes are
+    contracted in ascending order of distinct count, and level l contracts
+    one row per distinct prefix (x_{o_0}, ..., x_{o_l}), not one per point:
+    the cost is the sum over levels of (distinct prefixes x remaining
+    modes), O(P * cells) at worst and far less on grids and lines.
+
+    The points are lexsorted by their coordinates, so every prefix is a
+    run.  Where a level's prefixes fill the product of the previous level's
+    prefixes and the axis's distinct values (a tensor grid), the level is
+    one matrix product of the factor table with each parent row; level 0 is
+    always this case, with the coefficients as the one parent.  Otherwise
+    each prefix contracts its own factor row with its parent's row, gathered
+    only where a parent has more than one continuation: where every prefix
+    of the previous level has one (the generic case), its row is used in
+    place.  Gradient component a replaces E_a by 2 pi i xi_a E_a and shares
+    the prefix before axis a, so level 0 runs two matrix products, not dim.
+    Exact to rounding.  Chunks of sorted points keep every temporary within
+    _PHASE_BLOCK_BYTES.  Returns (P, value + dim * gradient) columns: the
+    value, then the gradient components by axis.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    sizes = ws.spec.sizes
-    head = np.fft.fftshift(coeffs).reshape(sizes[0], -1)
-    xis = [np.arange(-n // 2, n // 2) for n in sizes]
-    splits = []
-    for n in sizes:
-        b = min((d for d in range(1, n // 2 + 1) if (n // 2) % d == 0), key=lambda d: d + n // d)
-        splits.append((b * np.arange(-n // (2 * b), n // (2 * b)), np.arange(b)))
-    ncomp = len(sizes) if gradient else 1
-    out = np.empty((pts.shape[0], ncomp))
-    chunk = max(1, _PHASE_BLOCK_BYTES // (16 * (ws.spec.cells // sizes[0] + sum(sizes))))
-    for lo in range(0, pts.shape[0], chunk):
-        x = pts[lo : lo + chunk]
-        factors = []
-        for a, (coarse, fine) in enumerate(splits):
-            e_coarse = np.exp(TWO_PI * 1j * np.outer(x[:, a], coarse))
-            e_fine = np.exp(TWO_PI * 1j * np.outer(x[:, a], fine))
-            factors.append((e_coarse[:, :, None] * e_fine[:, None, :]).reshape(len(x), -1))
-        for comp in range(ncomp):
-            f = list(factors)
-            if gradient:
-                f[comp] = factors[comp] * (TWO_PI * 1j * xis[comp])
-            t = f[0] @ head
-            for a in range(1, len(sizes)):
-                t = np.matmul(f[a][:, None, :], t.reshape(len(x), sizes[a], -1))[:, 0]
-            out[lo : lo + chunk, comp] = t[:, 0].real
-    return out if gradient else out[:, 0]
+    sizes, dim = ws.spec.sizes, ws.spec.dim
+    # distinct coordinates per axis, by exact float equality
+    by_axis = np.sort(pts, axis=0)
+    distinct = (1 + np.count_nonzero(by_axis[1:] != by_axis[:-1], axis=0)).tolist()
+    del by_axis
+    order = sorted(range(dim), key=lambda a: distinct[a])
+    distinct = [distinct[a] for a in order]
+    # lexsort, first axis of the order as the primary key; with distinct
+    # first coordinates every point is its own prefix in any order
+    if distinct[0] == len(pts):
+        perm = np.arange(len(pts))
+    else:
+        perm = np.lexsort([pts[:, a] for a in order[::-1]])
+    xs = pts[perm[:, None], order]
+    # new[i, l]: sorted point i starts a prefix of level l
+    new = np.ones(xs.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(xs[1:] != xs[:-1], axis=1)
+    counts = [1] + np.count_nonzero(new, axis=0).tolist()
+    n = [sizes[a] for a in order]
+    cells = ws.spec.cells
+    rest = [cells // math.prod(n[: l + 1]) for l in range(dim)]
+    # variants of a level, stacked: the plain sum while it is still needed,
+    # then the derivatives along order[0], ..., order[l]
+    keep = [value or (gradient and l < dim - 1) for l in range(dim)]
+    n_var = [1] + [keep[l] + gradient * (l + 1) for l in range(dim)]
+    grid = [counts[l] * distinct[l] == counts[l + 1] for l in range(dim)]
+    # factor rows are built per distinct value where that saves at least half
+    shared = [
+        distinct[l] < counts[l + 1] if grid[l] else 2 * distinct[l] <= counts[l + 1]
+        for l in range(dim)
+    ]
+    fans_out = [counts[l + 1] > counts[l] for l in range(dim)]
+    # bytes per prefix of each level, counting every temporary: the variant
+    # rows and the factor rows (plain, derivative); a grid level's full
+    # product, before rows a chunk cuts off are dropped, is at most three
+    # times its rows; another level gathers shared factor rows and, where a
+    # parent fans out, the parent's variant rows
+    row_bytes = np.array(
+        [
+            16 * (n_var[l + 1] * rest[l] + (1 + gradient) * n[l])
+            + (48 * n_var[l + 1] * rest[l] if grid[l] and l else 0)
+            + (0 if grid[l] else 16 * (shared[l] * n[l] + fans_out[l] * n_var[l] * rest[l - 1]))
+            for l in range(dim)
+        ]
+    )
+    cost = np.cumsum(new @ row_bytes)
+    take = [0] * value + [value + order.index(a) for a in range(dim)] * gradient
+    out = np.empty((len(pts), len(take)))
+    head = _interp_coeffs(uhat, ws, order).reshape(1, 1, cells)
+    lo = 0
+    while lo < len(pts):
+        # the first point of a chunk may continue a prefix: count it in full
+        hi = cost[lo] + _PHASE_BLOCK_BYTES - row_bytes.sum()
+        hi = max(lo + 1, int(np.searchsorted(cost, hi, "right")))
+        starts_at = new[lo:hi].copy()
+        starts_at[0] = True
+        prev, n_prev = head, 1
+        for l in range(dim):
+            starts = np.flatnonzero(starts_at[:, l])
+            x = xs[lo + starts, l]
+            uniq, inv = np.unique(x, return_inverse=True) if shared[l] else (x, None)
+            e = _factor_rows(uniq, n[l])
+            if inv is not None and not grid[l]:
+                e = e[inv]
+            de = e * _axis_split(n[l])[2] if gradient else None
+            src = prev.reshape(n_var[l], n_prev, n[l], rest[l])
+            parent = None
+            if starts.size != n_prev * (uniq.size if grid[l] else 1):
+                parent = np.cumsum(starts_at[:, l - 1])[starts] - 1
+            if grid[l]:
+                # every parent times every distinct value, then the rows
+                # this chunk holds
+                cur = np.empty((n_var[l + 1], n_prev, uniq.size, rest[l]), dtype=complex)
+                np.matmul(e, src[1 - keep[l] :], out=cur[: n_var[l + 1] - gradient])
+                if gradient:
+                    np.matmul(de, src[0], out=cur[-1])
+                cur = cur.reshape(n_var[l + 1], -1, rest[l])
+                if parent is not None:
+                    cur = cur[:, parent * uniq.size + inv]
+            else:
+                if parent is not None:
+                    src = src[:, parent]
+                cur = np.empty((n_var[l + 1], starts.size, 1, rest[l]), dtype=complex)
+                np.matmul(e[:, None, :], src[1 - keep[l] :], out=cur[: n_var[l + 1] - gradient])
+                if gradient:
+                    np.matmul(de[:, None, :], src[0], out=cur[-1])
+                cur = cur.reshape(n_var[l + 1], -1, rest[l])
+            del src
+            prev, n_prev = cur, starts.size
+        at = slice(None) if n_prev == hi - lo else np.cumsum(starts_at[:, -1]) - 1
+        out[perm[lo:hi]] = prev[take, :, 0].real.T[at]
+        lo = hi
+    return out
 
 
-def _interp_coeffs(uhat: np.ndarray, ws: SpectralWorkspace) -> np.ndarray:
+def _interp_coeffs(uhat: np.ndarray, ws: SpectralWorkspace, order: list[int]) -> np.ndarray:
     """Full-lattice coefficients of the trigonometric interpolant of the real
     grid field whose normalized half spectrum is uhat, times the per-axis
-    centre phases.  The last-axis columns n/2+1..n-1 are the conjugates of
-    columns n/2-1..1 at negated frequencies along the other axes."""
-    n = ws.spec.sizes[-1]
-    mirror = np.ix_(*[-np.arange(m) % m for m in ws.spec.sizes[:-1]], np.arange(n // 2 - 1, 0, -1))
-    coeffs = np.concatenate([uhat, np.conj(uhat[mirror])], axis=-1)
+    centre phases, with the axes in `order` (C-contiguous, fftfreq layout).
+    The last-axis columns n/2+1..n-1 are the conjugates of columns n/2-1..1
+    at negated frequencies along the other axes."""
+    sizes = ws.spec.sizes
+    n = sizes[-1]
+    mirror = np.ix_(*[-np.arange(m) % m for m in sizes[:-1]], np.arange(n // 2 - 1, 0, -1))
+    coeffs = np.empty([sizes[a] for a in order], dtype=complex).transpose(np.argsort(order))
+    np.concatenate([uhat, np.conj(uhat[mirror])], axis=-1, out=coeffs)
     for phase in ws.phase:
         coeffs *= phase
-    return coeffs
+    return coeffs.transpose(order)
 
 
 def sample_field(
@@ -298,7 +414,7 @@ def sample_field(
 ) -> np.ndarray:
     """Trigonometric interpolation of the samples of u at arbitrary points."""
     ws = ws or get_workspace(u.spec)
-    return _mode_sum(_interp_coeffs(half_spectrum(u.values), ws), points, ws, gradient=False)
+    return _mode_sum(half_spectrum(u.values), points, ws, value=True, gradient=False)[:, 0]
 
 
 def sample_potential(
@@ -313,12 +429,25 @@ def sample_potential(
     points: (P, dim).  Returns (P,) values or (P, dim) gradient components.
     The grid potential (one voxel factor over 4 pi^2 |xi|^2, on the half
     spectrum) has the same full-lattice coefficients as the potential, so it
-    is sampled through its interpolant: a separable mode sum (see _mode_sum),
-    cost O(P * cells), chunked over points.
+    is sampled through its interpolant: a separable mode sum over the
+    distinct coordinate prefixes of the points (see _mode_sum).
     """
     ws = ws or get_workspace(u.spec)
-    potential_hat = half_spectrum(u.values) * (ws.inv_lap * ws.sinc_power(1))
-    return _mode_sum(_interp_coeffs(potential_hat, ws), points, ws, gradient)
+    out = _mode_sum(_potential_hat(u, ws), points, ws, value=not gradient, gradient=gradient)
+    return out if gradient else out[:, 0]
+
+
+def _potential_hat(u: ScalarField, ws: SpectralWorkspace) -> np.ndarray:
+    return half_spectrum(u.values) * (ws.inv_lap * ws.sinc_power(1))
+
+
+def _potential_and_gradient(
+    u: ScalarField, points: np.ndarray, ws: SpectralWorkspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """sample_potential(u, points) and its gradient=True form from one
+    transform and one shared prefix contraction: (P,) and (P, dim)."""
+    out = _mode_sum(_potential_hat(u, ws), points, ws, value=True, gradient=True)
+    return out[:, 0], out[:, 1:]
 
 
 def sample_potential_on_planes(
