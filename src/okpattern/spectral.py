@@ -39,6 +39,18 @@ full lattice, since off the grid the Nyquist row of every axis enters with
 one sign only; they fill it from the half spectrum by Hermitian symmetry, so
 a sampler call is one real transform.  `_trig_shift` keeps its one-axis
 complex transform, since its displacement varies across the other axes.
+
+Off-grid evaluation
+-------------------
+`sample_field` and `sample_potential` evaluate the mode sum exactly (to
+rounding) at arbitrary points, one axis at a time.  The query sets the
+program builds are structured: chart nodes are tensor grids and the C0
+proxy's lines run along normals, so some axis carries few distinct
+coordinates.  The contraction runs over distinct coordinate prefixes, axes
+with the fewest distinct values first, so its cost is the sum over levels
+of (distinct prefixes x remaining modes): O(points x cells) for scattered
+points, far less for grids and lines.  Chunks of points keep its temporaries
+within a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -237,7 +249,7 @@ def gradient_energy(u: ScalarField, ws: SpectralWorkspace | None = None) -> floa
 _PHASE_BLOCK_BYTES = 2 * 2**20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _axis_split(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The coarse/fine split of one axis's frequencies, and its derivative
     symbol 2 pi i xi in fftfreq order.
@@ -258,10 +270,10 @@ def _axis_split(n: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _factor_rows(x: np.ndarray, n: int) -> np.ndarray:
-    """(len(x), n) rows e^{2 pi i xi x}, xi in fftfreq order, from about
-    sqrt(2 n) exponentials per row (see _axis_split)."""
+    """(len(x), n) rows e^{2 pi i xi x}, xi in fftfreq order, from fewer
+    than 2 sqrt(n) exponentials per row (see _axis_split)."""
     m, freqs, _ = _axis_split(n)
-    e = np.exp(TWO_PI * 1j * np.outer(x, freqs))
+    e = np.exp(TWO_PI * 1j * (x[:, None] * freqs))
     # coarse q = 0..m-1, then -m..-1 in fftfreq order
     coarse = np.concatenate([e[:, :m], np.conj(e[:, m:0:-1])], axis=1)
     return (coarse[:, :, None] * e[:, None, m + 1 :]).reshape(len(x), n)
@@ -305,19 +317,21 @@ def _mode_sum(
     del by_axis
     order = sorted(range(dim), key=lambda a: distinct[a])
     distinct = [distinct[a] for a in order]
-    # lexsort, first axis of the order as the primary key; with distinct
-    # first coordinates every point is its own prefix in any order
+    # new[i, l]: point perm[i] starts a prefix of level l.  The points are
+    # lexsorted, first axis of the order as the primary key; with distinct
+    # first coordinates every point is its own prefix in any order.
+    new = np.ones((len(pts), dim), dtype=bool)
     if distinct[0] == len(pts):
         perm = np.arange(len(pts))
     else:
         perm = np.lexsort([pts[:, a] for a in order[::-1]])
-    xs = pts[perm[:, None], order]
-    # new[i, l]: sorted point i starts a prefix of level l
-    new = np.ones(xs.shape, dtype=bool)
-    new[1:] = np.logical_or.accumulate(xs[1:] != xs[:-1], axis=1)
+        for l, a in enumerate(order):
+            x = pts[perm, a]
+            new[1:, l] = x[1:] != x[:-1]
+        np.logical_or.accumulate(new, axis=1, out=new)
     counts = [1] + np.count_nonzero(new, axis=0).tolist()
     n = [sizes[a] for a in order]
-    cells = ws.spec.cells
+    cells = math.prod(sizes)
     rest = [cells // math.prod(n[: l + 1]) for l in range(dim)]
     # variants of a level, stacked: the plain sum while it is still needed,
     # then the derivatives along order[0], ..., order[l]
@@ -357,34 +371,29 @@ def _mode_sum(
         prev, n_prev = head, 1
         for l in range(dim):
             starts = np.flatnonzero(starts_at[:, l])
-            x = xs[lo + starts, l]
+            x = pts[perm[lo + starts], order[l]]
             uniq, inv = np.unique(x, return_inverse=True) if shared[l] else (x, None)
             e = _factor_rows(uniq, n[l])
-            if inv is not None and not grid[l]:
-                e = e[inv]
-            de = e * _axis_split(n[l])[2] if gradient else None
             src = prev.reshape(n_var[l], n_prev, n[l], rest[l])
             parent = None
             if starts.size != n_prev * (uniq.size if grid[l] else 1):
                 parent = np.cumsum(starts_at[:, l - 1])[starts] - 1
             if grid[l]:
-                # every parent times every distinct value, then the rows
-                # this chunk holds
-                cur = np.empty((n_var[l + 1], n_prev, uniq.size, rest[l]), dtype=complex)
-                np.matmul(e, src[1 - keep[l] :], out=cur[: n_var[l + 1] - gradient])
-                if gradient:
-                    np.matmul(de, src[0], out=cur[-1])
-                cur = cur.reshape(n_var[l + 1], -1, rest[l])
-                if parent is not None:
-                    cur = cur[:, parent * uniq.size + inv]
+                # every parent times every distinct value
+                shape = (n_prev, uniq.size)
             else:
+                e = e[:, None, :] if inv is None else e[inv, None, :]
+                shape = (starts.size, 1)
                 if parent is not None:
                     src = src[:, parent]
-                cur = np.empty((n_var[l + 1], starts.size, 1, rest[l]), dtype=complex)
-                np.matmul(e[:, None, :], src[1 - keep[l] :], out=cur[: n_var[l + 1] - gradient])
-                if gradient:
-                    np.matmul(de[:, None, :], src[0], out=cur[-1])
-                cur = cur.reshape(n_var[l + 1], -1, rest[l])
+            cur = np.empty((n_var[l + 1], *shape, rest[l]), dtype=complex)
+            np.matmul(e, src[1 - keep[l] :], out=cur[: n_var[l + 1] - gradient])
+            if gradient:
+                np.matmul(e * _axis_split(n[l])[2], src[0], out=cur[-1])
+            cur = cur.reshape(n_var[l + 1], -1, rest[l])
+            if grid[l] and parent is not None:
+                # the rows this chunk holds
+                cur = cur[:, parent * uniq.size + inv]
             del src
             prev, n_prev = cur, starts.size
         at = slice(None) if n_prev == hi - lo else np.cumsum(starts_at[:, -1]) - 1

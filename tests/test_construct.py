@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from okpattern.construct import (
     ConstructConfig,
     StabilityGateError,
+    _max_crossing_offset,
     _swap_gaps,
     _swap_pairs,
     build_periodic,
@@ -215,6 +216,54 @@ def test_zero_level_displacement_on_curved_normals():
     u = tanh_profile(Ball((0.5, 0.5), 0.25 + 2.0 / 128), spec, 0.05)
     d = zero_level_displacement(u, seed, resolution=16)
     assert d == pytest.approx(2.0 / 128, abs=2e-4)
+
+
+def loop_crossing_offset(line_vals, ts, window):
+    """Reference: the per-line crossing search, one line at a time."""
+    worst = 0.0
+    for vals in line_vals:
+        sgn = np.sign(vals)
+        crossings = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+        if len(crossings) == 0:
+            worst = max(worst, window)
+            continue
+        mid = (len(ts) - 1) / 2.0
+        j = crossings[np.argmin(np.abs(crossings + 0.5 - mid))]
+        t_cross = ts[j] + (ts[j + 1] - ts[j]) * vals[j] / (vals[j] - vals[j + 1])
+        worst = max(worst, abs(float(t_cross)))
+    return worst
+
+
+def test_crossing_search_matches_per_line_loop():
+    window, samples = 0.08, 9
+    ts = np.linspace(-window, window, samples)
+    lines = {
+        "none": [1.0, 2.0, 0.5, 3.0, 1.0, 2.0, 4.0, 1.0, 0.25],
+        "zeros only touch": [1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 1.0, 1.0],
+        "one": [-2.0, -1.5, -1.0, -0.5, 0.25, 1.0, 1.5, 2.0, 2.5],
+        "several": [1.0, -1.0, -2.0, 1.0, -1.0, -1.0, 2.0, -3.0, 1.0],
+        # crossings at j = 2 and j = 5 are equally near the middle (3.5 and
+        # 4.5 against mid = 4): the first wins
+        "equidistant": [1.0, 1.0, 1.0, -0.3, -1.0, -1.0, 0.7, 1.0, 1.0],
+        "far left": [1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0],
+    }
+    rng = np.random.default_rng(4)
+    for name, vals in lines.items():
+        vals = np.array([vals])
+        got = _max_crossing_offset(vals, ts, window)
+        assert got == loop_crossing_offset(vals, ts, window), name
+    # the first of the equidistant crossings, not the second (0.02 + 0.02 / 1.7)
+    tie = _max_crossing_offset(np.array([lines["equidistant"]]), ts, window)
+    assert tie == pytest.approx(0.04 - 0.02 / 1.3, rel=1e-12)
+    stacked = np.array(list(lines.values()))
+    assert _max_crossing_offset(stacked, ts, window) == window
+    crossing_only = np.array([lines[k] for k in ("one", "several", "equidistant", "far left")])
+    got = _max_crossing_offset(crossing_only, ts, window)
+    assert got == loop_crossing_offset(crossing_only, ts, window) < window
+    noisy = np.sin(rng.uniform(0, 6, (40, 1)) + np.linspace(0, 3, 81)) + rng.normal(0, 0.3, (40, 81))
+    ts81 = np.linspace(-window, window, 81)
+    assert _max_crossing_offset(noisy, ts81, window) == loop_crossing_offset(noisy, ts81, window)
+    assert _max_crossing_offset(noisy[:, :1] ** 2 + 1.0 + 0 * noisy, ts81, window) == window
 
 
 def test_local_minimality_probe_gaps():

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okpattern import spectral
+from okpattern.geometry import interface_mesh
 from okpattern.spectral import (
     _PHASE_BLOCK_BYTES,
+    _potential_and_gradient,
     cell_average_potential,
     dirichlet_energy,
     get_workspace,
@@ -263,6 +266,27 @@ def test_dense_sampler_memory_stays_within_phase_budget():
     assert peak < 2 * _PHASE_BLOCK_BYTES
 
 
+@pytest.mark.parametrize("query", ["sphere-nodes", "lamella-lines"])
+def test_prefix_sampler_memory_stays_within_phase_budget(query):
+    # the sphere chart and the C0 proxy's 41,472-point lamella-line set at
+    # 32^3: the (points x 3) result and the per-point sort keys count too
+    if query == "sphere-nodes":
+        pts = interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16, 3).all_points()
+    else:
+        pts = normal_lines(Lamella(axis=0, center=0.5, halfwidth=0.25), 3, 16)
+    spec = GridSpec((32, 32, 32))
+    u = rasterize(Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), spec)
+    ws = get_workspace(spec)
+    tracemalloc.start()
+    try:
+        grad = sample_potential(u, pts, ws, gradient=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == (len(pts), 3)
+    assert peak < 2 * _PHASE_BLOCK_BYTES
+
+
 def dense_mode_sum(coeffs: np.ndarray, points: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Oracle: Re sum_xi c(xi) e^{2 pi i xi . x}, or its d/dx_axis, term by term."""
     xi = np.stack(
@@ -304,6 +328,125 @@ def test_samplers_match_dense_mode_sum(sizes):
     assert grad.shape == (300, spec.dim)
     for a in range(spec.dim):
         close(grad[:, a], dense_mode_sum(pot, pts, axis=a))
+
+
+def dense_coeffs(u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle coefficients of the interpolant and of the potential of u, on
+    the full lattice in fftfreq layout."""
+    sizes = u.spec.sizes
+    freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes], indexing="ij")
+    interp = np.fft.fftn(u.values) / u.spec.cells
+    sinc = np.ones(sizes)
+    for f, n in zip(freqs, sizes):
+        interp = interp * np.exp(-1j * np.pi * f / n)
+        sinc = sinc * np.sinc(f / n)
+    lap = sum(4 * np.pi**2 * f**2 for f in freqs)
+    return interp, np.where(lap > 0, interp * sinc / np.where(lap > 0, lap, 1.0), 0.0)
+
+
+def assert_samplers_match_oracle(u: ScalarField, pts: np.ndarray, gradient: bool = True):
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    interp, pot = dense_coeffs(u)
+    close(sample_field(u, pts), dense_mode_sum(interp, pts))
+    value = sample_potential(u, pts)
+    close(value, dense_mode_sum(pot, pts))
+    if gradient:
+        grad = sample_potential(u, pts, gradient=True)
+        assert grad.shape == (len(pts), u.spec.dim)
+        for a in range(u.spec.dim):
+            close(grad[:, a], dense_mode_sum(pot, pts, axis=a))
+        both = _potential_and_gradient(u, pts, get_workspace(u.spec))
+        close(both[0], value)
+        close(both[1], grad)
+
+
+def normal_lines(shape, dim: int, resolution: int, samples: int = 81) -> np.ndarray:
+    """The C0 proxy's query set: samples along every seed-mesh normal."""
+    mesh = interface_mesh(shape, resolution, dim)
+    ts = np.linspace(-0.08, 0.08, samples)
+    lines = mesh.all_points()[:, None, :] + ts[None, :, None] * mesh.all_normals()[:, None, :]
+    return np.mod(lines, 1.0).reshape(-1, dim)
+
+
+def test_prefix_sampler_on_lamella_normal_lines():
+    # 16 distinct x1 times 162 distinct x0: a tensor grid of 2,592 points
+    spec = GridSpec((64, 64))
+    u = ScalarField(spec, np.random.default_rng(2).standard_normal(spec.sizes))
+    pts = normal_lines(Lamella(axis=0, center=0.5, halfwidth=0.25), 2, 16)
+    assert len(pts) == 2592 and len(np.unique(pts[:, 1])) == 16
+    assert_samplers_match_oracle(u, pts, gradient=False)
+    assert_samplers_match_oracle(u, normal_lines(Lamella(axis=1, center=0.3, halfwidth=0.2), 2, 8, 9))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Lamella(axis=0, center=0.5, halfwidth=0.25),
+        Cylinder(axis=2, center=(0.5, 0.5), radius=0.25),
+        Ball((0.45, 0.5, 0.55), 0.3),
+    ],
+    ids=["lamella", "cylinder", "sphere"],
+)
+def test_prefix_sampler_on_3d_chart_nodes(shape):
+    spec = GridSpec((12, 16, 10))
+    u = ScalarField(spec, np.random.default_rng(3).standard_normal(spec.sizes))
+    assert_samplers_match_oracle(u, interface_mesh(shape, 8, 3).all_points())
+
+
+def test_prefix_sampler_on_repeated_coordinates_and_torus_ends():
+    spec = GridSpec((6, 10, 4))
+    rng = np.random.default_rng(6)
+    u = ScalarField(spec, rng.standard_normal(spec.sizes))
+    values = np.array([0.0, 1.0, 0.5, 0.25, 0.7])
+    pts = values[rng.integers(0, len(values), (150, 3))]
+    pts = np.concatenate([pts, pts[:20], rng.random((30, 3))])
+    assert_samplers_match_oracle(u, pts)
+    # 0.0 and 1.0 are the same torus point
+    ends = sample_potential(u, np.array([[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]]), gradient=True)
+    assert np.max(np.abs(ends[0] - ends[1])) <= 1e-12 * np.max(np.abs(ends))
+
+
+def test_prefix_sampler_on_1d_grids():
+    spec = GridSpec((32,))
+    rng = np.random.default_rng(7)
+    u = ScalarField(spec, rng.standard_normal(spec.sizes))
+    pts = np.concatenate([rng.random(40), [0.0, 1.0, 0.5, 0.5, 0.0]])[:, None]
+    assert_samplers_match_oracle(u, pts)
+
+
+def test_prefix_sampler_across_chunk_boundaries(monkeypatch):
+    # a budget of a few points per chunk cuts prefix runs at chunk ends
+    spec = GridSpec((16, 12, 10))
+    u = ScalarField(spec, np.random.default_rng(8).standard_normal(spec.sizes))
+    pts = np.concatenate(
+        [
+            interface_mesh(Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), 8, 3).all_points(),
+            normal_lines(Lamella(axis=1, center=0.5, halfwidth=0.25), 3, 8, 5),
+        ]
+    )
+    calls = []
+    factor_rows = spectral._factor_rows
+    monkeypatch.setattr(spectral, "_factor_rows", lambda x, n: calls.append(n) or factor_rows(x, n))
+    monkeypatch.setattr(spectral, "_PHASE_BLOCK_BYTES", 40_000)
+    assert_samplers_match_oracle(u, pts)
+    assert len(calls) > 100  # three levels per chunk: many chunks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    half_sizes=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    distinct=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_sampler_on_few_distinct_values_per_axis(half_sizes, distinct, seed):
+    spec = GridSpec(tuple(2 * h for h in half_sizes))
+    rng = np.random.default_rng(seed)
+    u = ScalarField(spec, rng.standard_normal(spec.sizes))
+    axes = [rng.choice([0.0, 1.0, *rng.random(4)], size=k, replace=False) for k in distinct]
+    pts = np.stack([axes[a][rng.integers(0, len(axes[a]), 60)] for a in range(spec.dim)], -1)
+    assert_samplers_match_oracle(u, pts)
 
 
 @settings(max_examples=40, deadline=None)
