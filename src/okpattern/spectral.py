@@ -287,24 +287,24 @@ def _mode_sum(
 
     Separable: e^{2 pi i xi . x} = prod_a E_a[x_a, xi_a] with per-axis factor
     rows E_a = e^{2 pi i xi_a x_a}, so the sum contracts one axis at a time.
-    Query sets are structured (chart grids, lines along normals), so an axis
-    often carries few distinct coordinates.  Each axis's distinct values are
-    found by exact float equality and get one factor row each; the axes are
-    contracted in ascending order of distinct count, and level l contracts
-    one row per distinct prefix (x_{o_0}, ..., x_{o_l}), not one per point:
-    the cost is the sum over levels of (distinct prefixes x remaining
-    modes), O(P * cells) at worst and far less on grids and lines.
+    Each axis's distinct coordinates are found by exact float equality; the
+    axes are contracted in ascending order of distinct count, and level l
+    contracts one row per distinct prefix (x_{o_0}, ..., x_{o_l}), not one
+    per point.  The cost is the sum over levels of (distinct prefixes x
+    remaining modes): O(P * cells) for scattered points, far less on chart
+    grids and normal lines.
 
-    The points are lexsorted by their coordinates, so every prefix is a
-    run.  Where a level's prefixes fill the product of the previous level's
-    prefixes and the axis's distinct values (a tensor grid), the level is
-    one matrix product of the factor table with each parent row; level 0 is
-    always this case, with the coefficients as the one parent.  Otherwise
-    each prefix contracts its own factor row with its parent's row, gathered
-    only where a parent has more than one continuation: where every prefix
-    of the previous level has one (the generic case), its row is used in
-    place.  Gradient component a replaces E_a by 2 pi i xi_a E_a and shares
-    the prefix before axis a, so level 0 runs two matrix products, not dim.
+    The points are lexsorted by their coordinates, so every prefix is a run.
+    Level 0 is one matrix product of its factor rows with the coefficients.
+    A later level whose prefixes fill the product of its parents and the
+    axis's distinct values (a tensor grid) is one matrix product of the
+    factor table with each parent row; any other level contracts each
+    prefix's own factor row with its parent's row, gathered only where a
+    parent has more than one continuation.  Where level 1 would share fewer
+    than half of level 0's rows, level 0 takes one row per level-1 prefix
+    instead, so nearly scattered points cost what scattered ones do.
+    Gradient component a replaces E_a by 2 pi i xi_a E_a and shares the
+    prefix before axis a, so level 0 runs two matrix products, not dim.
     Exact to rounding.  Chunks of sorted points keep every temporary within
     _PHASE_BLOCK_BYTES.  Returns (P, value + dim * gradient) columns: the
     value, then the gradient components by axis.
@@ -315,7 +315,9 @@ def _mode_sum(
     by_axis = np.sort(pts, axis=0)
     distinct = (1 + np.count_nonzero(by_axis[1:] != by_axis[:-1], axis=0)).tolist()
     del by_axis
-    order = sorted(range(dim), key=lambda a: distinct[a])
+    # fewest distinct coordinates first; among equals the longest axis, which
+    # leaves the fewest modes to the later levels
+    order = sorted(range(dim), key=lambda a: (distinct[a], -sizes[a]))
     distinct = [distinct[a] for a in order]
     # new[i, l]: point perm[i] starts a prefix of level l.  The points are
     # lexsorted, first axis of the order as the primary key; with distinct
@@ -330,6 +332,11 @@ def _mode_sum(
             new[1:, l] = x[1:] != x[:-1]
         np.logical_or.accumulate(new, axis=1, out=new)
     counts = [1] + np.count_nonzero(new, axis=0).tolist()
+    # level 1 gathers the rows of level 0 it shares; where that sharing
+    # saves less than half of them, level 0 takes one row per level-1 prefix
+    if dim > 1 and counts[2] < 2 * counts[1]:
+        new[:, 0] = new[:, 1]
+        counts[1] = counts[2]
     n = [sizes[a] for a in order]
     cells = math.prod(sizes)
     rest = [cells // math.prod(n[: l + 1]) for l in range(dim)]
@@ -337,41 +344,45 @@ def _mode_sum(
     # then the derivatives along order[0], ..., order[l]
     keep = [value or (gradient and l < dim - 1) for l in range(dim)]
     n_var = [1] + [keep[l] + gradient * (l + 1) for l in range(dim)]
-    grid = [counts[l] * distinct[l] == counts[l + 1] for l in range(dim)]
-    # factor rows are built per distinct value where that saves at least half
+    # level 0 is one matrix product of its factor rows with the coefficients
+    grid = [l == 0 or counts[l] * distinct[l] == counts[l + 1] for l in range(dim)]
+    # later levels build factor rows per distinct value where that saves at
+    # least half of them (a grid level always)
     shared = [
-        distinct[l] < counts[l + 1] if grid[l] else 2 * distinct[l] <= counts[l + 1]
+        l > 0 and (distinct[l] < counts[l + 1] if grid[l] else 2 * distinct[l] <= counts[l + 1])
         for l in range(dim)
     ]
     fans_out = [counts[l + 1] > counts[l] for l in range(dim)]
     # bytes per prefix of each level, counting every temporary: the variant
-    # rows and the factor rows (plain, derivative); a grid level's full
-    # product, before rows a chunk cuts off are dropped, is at most three
-    # times its rows; another level gathers shared factor rows and, where a
-    # parent fans out, the parent's variant rows
+    # rows, the factor rows (with their temporaries and the derivative); a
+    # grid level's full product, before the rows a chunk cuts off are
+    # dropped, is at most three times its rows; another level also holds
+    # the per-row copies of shared factor rows and, where a parent fans out,
+    # the parents' gathered variant rows.  Summed over the levels, this
+    # bounds what any level holds.
     row_bytes = np.array(
         [
-            16 * (n_var[l + 1] * rest[l] + (1 + gradient) * n[l])
-            + (48 * n_var[l + 1] * rest[l] if grid[l] and l else 0)
+            16 * (n_var[l + 1] * rest[l] * (4 if grid[l] and l else 1) + (2 + gradient) * n[l])
             + (0 if grid[l] else 16 * (shared[l] * n[l] + fans_out[l] * n_var[l] * rest[l - 1]))
             for l in range(dim)
         ]
     )
     cost = np.cumsum(new @ row_bytes)
+    # the first point of a chunk starts a prefix at every level
+    slack = _PHASE_BLOCK_BYTES - int(row_bytes.sum())
     take = [0] * value + [value + order.index(a) for a in range(dim)] * gradient
     out = np.empty((len(pts), len(take)))
     head = _interp_coeffs(uhat, ws, order).reshape(1, 1, cells)
     lo = 0
     while lo < len(pts):
-        # the first point of a chunk may continue a prefix: count it in full
-        hi = cost[lo] + _PHASE_BLOCK_BYTES - row_bytes.sum()
-        hi = max(lo + 1, int(np.searchsorted(cost, hi, "right")))
+        hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + slack, "right")))
+        chunk = pts[perm[lo:hi]]
         starts_at = new[lo:hi].copy()
         starts_at[0] = True
         prev, n_prev = head, 1
         for l in range(dim):
             starts = np.flatnonzero(starts_at[:, l])
-            x = pts[perm[lo + starts], order[l]]
+            x = chunk[starts, order[l]]
             uniq, inv = np.unique(x, return_inverse=True) if shared[l] else (x, None)
             e = _factor_rows(uniq, n[l])
             src = prev.reshape(n_var[l], n_prev, n[l], rest[l])
@@ -394,7 +405,7 @@ def _mode_sum(
             if grid[l] and parent is not None:
                 # the rows this chunk holds
                 cur = cur[:, parent * uniq.size + inv]
-            del src
+            del src, e
             prev, n_prev = cur, starts.size
         at = slice(None) if n_prev == hi - lo else np.cumsum(starts_at[:, -1]) - 1
         out[perm[lo:hi]] = prev[take, :, 0].real.T[at]

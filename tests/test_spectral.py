@@ -370,7 +370,7 @@ def normal_lines(shape, dim: int, resolution: int, samples: int = 81) -> np.ndar
     return np.mod(lines, 1.0).reshape(-1, dim)
 
 
-def test_prefix_sampler_on_lamella_normal_lines():
+def test_prefix_sampler_on_normal_lines():
     # 16 distinct x1 times 162 distinct x0: a tensor grid of 2,592 points
     spec = GridSpec((64, 64))
     u = ScalarField(spec, np.random.default_rng(2).standard_normal(spec.sizes))
@@ -378,6 +378,9 @@ def test_prefix_sampler_on_lamella_normal_lines():
     assert len(pts) == 2592 and len(np.unique(pts[:, 1])) == 16
     assert_samplers_match_oracle(u, pts, gradient=False)
     assert_samplers_match_oracle(u, normal_lines(Lamella(axis=1, center=0.3, halfwidth=0.2), 2, 8, 9))
+    # oblique lines: nearly every point is its own prefix, but the lines
+    # along the axes share a coordinate
+    assert_samplers_match_oracle(u, normal_lines(Ball((0.43, 0.52), 0.3), 2, 8, 9))
 
 
 @pytest.mark.parametrize(
