@@ -458,6 +458,8 @@ def sample_potential(
 
 
 def _potential_hat(u: ScalarField, ws: SpectralWorkspace) -> np.ndarray:
+    """Normalized half spectrum of the grid potential of u: one voxel
+    factor over 4 pi^2 |xi|^2."""
     return half_spectrum(u.values) * (ws.inv_lap * ws.sinc_power(1))
 
 
