@@ -300,17 +300,17 @@ def _mode_sum(
     axis's distinct values (a tensor grid) is one matrix product of the
     factor table with each parent row; any other level contracts each
     prefix's own factor row with its parent's row, gathered only where a
-    parent has more than one continuation.  Where level 1 would share fewer
-    than half of level 0's rows, level 0 takes one row per level-1 prefix
-    instead, so nearly scattered points cost what scattered ones do.
-    Gradient component a replaces E_a by 2 pi i xi_a E_a and shares the
-    prefix before axis a, so level 0 runs two matrix products, not dim.
+    parent has more than one continuation.  Gradient component a replaces
+    E_a by 2 pi i xi_a E_a and shares the prefix before axis a, so level 0
+    runs two matrix products, not dim.
     Exact to rounding.  Chunks of sorted points keep every temporary within
     _PHASE_BLOCK_BYTES.  Returns (P, value + dim * gradient) columns: the
     value, then the gradient components by axis.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = np.asarray(points, dtype=np.float64)
     sizes, dim = ws.spec.sizes, ws.spec.dim
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points must have shape (P, {dim}), got {pts.shape}")
     # distinct coordinates per axis, by exact float equality
     by_axis = np.sort(pts, axis=0)
     distinct = (1 + np.count_nonzero(by_axis[1:] != by_axis[:-1], axis=0)).tolist()
@@ -320,23 +320,14 @@ def _mode_sum(
     order = sorted(range(dim), key=lambda a: (distinct[a], -sizes[a]))
     distinct = [distinct[a] for a in order]
     # new[i, l]: point perm[i] starts a prefix of level l.  The points are
-    # lexsorted, first axis of the order as the primary key; with distinct
-    # first coordinates every point is its own prefix in any order.
+    # lexsorted, first axis of the order as the primary key.
+    perm = np.lexsort([pts[:, a] for a in order[::-1]])
     new = np.ones((len(pts), dim), dtype=bool)
-    if distinct[0] == len(pts):
-        perm = np.arange(len(pts))
-    else:
-        perm = np.lexsort([pts[:, a] for a in order[::-1]])
-        for l, a in enumerate(order):
-            x = pts[perm, a]
-            new[1:, l] = x[1:] != x[:-1]
-        np.logical_or.accumulate(new, axis=1, out=new)
+    for l, a in enumerate(order):
+        x = pts[perm, a]
+        new[1:, l] = x[1:] != x[:-1]
+    np.logical_or.accumulate(new, axis=1, out=new)
     counts = [1] + np.count_nonzero(new, axis=0).tolist()
-    # level 1 gathers the rows of level 0 it shares; where that sharing
-    # saves less than half of them, level 0 takes one row per level-1 prefix
-    if dim > 1 and counts[2] < 2 * counts[1]:
-        new[:, 0] = new[:, 1]
-        counts[1] = counts[2]
     n = [sizes[a] for a in order]
     cells = math.prod(sizes)
     rest = [cells // math.prod(n[: l + 1]) for l in range(dim)]
@@ -346,24 +337,17 @@ def _mode_sum(
     n_var = [1] + [keep[l] + gradient * (l + 1) for l in range(dim)]
     # level 0 is one matrix product of its factor rows with the coefficients
     grid = [l == 0 or counts[l] * distinct[l] == counts[l + 1] for l in range(dim)]
-    # later levels build factor rows per distinct value where that saves at
-    # least half of them (a grid level always)
-    shared = [
-        l > 0 and (distinct[l] < counts[l + 1] if grid[l] else 2 * distinct[l] <= counts[l + 1])
-        for l in range(dim)
-    ]
     fans_out = [counts[l + 1] > counts[l] for l in range(dim)]
     # bytes per prefix of each level, counting every temporary: the variant
     # rows, the factor rows (with their temporaries and the derivative); a
     # grid level's full product, before the rows a chunk cuts off are
-    # dropped, is at most three times its rows; another level also holds
-    # the per-row copies of shared factor rows and, where a parent fans out,
-    # the parents' gathered variant rows.  Summed over the levels, this
-    # bounds what any level holds.
+    # dropped, is at most three times its rows; another level also holds,
+    # where a parent fans out, the parents' gathered variant rows.  Summed
+    # over the levels, this bounds what any level holds.
     row_bytes = np.array(
         [
             16 * (n_var[l + 1] * rest[l] * (4 if grid[l] and l else 1) + (2 + gradient) * n[l])
-            + (0 if grid[l] else 16 * (shared[l] * n[l] + fans_out[l] * n_var[l] * rest[l - 1]))
+            + (0 if grid[l] else 16 * fans_out[l] * n_var[l] * rest[l - 1])
             for l in range(dim)
         ]
     )
@@ -383,7 +367,7 @@ def _mode_sum(
         for l in range(dim):
             starts = np.flatnonzero(starts_at[:, l])
             x = chunk[starts, order[l]]
-            uniq, inv = np.unique(x, return_inverse=True) if shared[l] else (x, None)
+            uniq, inv = np.unique(x, return_inverse=True) if grid[l] and l else (x, None)
             e = _factor_rows(uniq, n[l])
             src = prev.reshape(n_var[l], n_prev, n[l], rest[l])
             parent = None
@@ -393,7 +377,7 @@ def _mode_sum(
                 # every parent times every distinct value
                 shape = (n_prev, uniq.size)
             else:
-                e = e[:, None, :] if inv is None else e[inv, None, :]
+                e = e[:, None, :]
                 shape = (starts.size, 1)
                 if parent is not None:
                     src = src[:, parent]

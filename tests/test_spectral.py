@@ -266,14 +266,17 @@ def test_dense_sampler_memory_stays_within_phase_budget():
     assert peak < 2 * _PHASE_BLOCK_BYTES
 
 
-@pytest.mark.parametrize("query", ["sphere-nodes", "lamella-lines"])
+@pytest.mark.parametrize("query", ["sphere-nodes", "lamella-lines", "ball-lines"])
 def test_prefix_sampler_memory_stays_within_phase_budget(query):
-    # the sphere chart and the C0 proxy's 41,472-point lamella-line set at
-    # 32^3: the (points x 3) result and the per-point sort keys count too
+    # the sphere chart and the C0 proxy's 41,472-point lamella-line and
+    # 20,736-point oblique ball-line sets at 32^3: the (points x 3) result
+    # and the per-point sort keys count too
     if query == "sphere-nodes":
         pts = interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16, 3).all_points()
-    else:
+    elif query == "lamella-lines":
         pts = normal_lines(Lamella(axis=0, center=0.5, halfwidth=0.25), 3, 16)
+    else:
+        pts = normal_lines(Ball((0.5, 0.5, 0.5), 0.25), 3, 16)
     spec = GridSpec((32, 32, 32))
     u = rasterize(Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), spec)
     ws = get_workspace(spec)
@@ -435,6 +438,19 @@ def test_prefix_sampler_across_chunk_boundaries(monkeypatch):
     monkeypatch.setattr(spectral, "_PHASE_BLOCK_BYTES", 40_000)
     assert_samplers_match_oracle(u, pts)
     assert len(calls) > 100  # three levels per chunk: many chunks
+
+
+@pytest.mark.parametrize(
+    "sizes, pts",
+    [((32,), np.linspace(0.0, 0.9, 10)), ((8, 8), np.full((4, 3), 0.3)), ((8, 8), np.full((4, 1), 0.3))],
+    ids=["flat-on-1d", "three-coordinates-on-2d", "one-coordinate-on-2d"],
+)
+def test_samplers_reject_points_of_the_wrong_shape(sizes, pts):
+    u = ScalarField(GridSpec(sizes), np.random.default_rng(9).standard_normal(sizes))
+    with pytest.raises(ValueError, match="points must have shape"):
+        sample_field(u, pts)
+    with pytest.raises(ValueError, match="points must have shape"):
+        sample_potential(u, pts, gradient=True)
 
 
 @settings(max_examples=30, deadline=None)
