@@ -1,10 +1,12 @@
 """Command-line surface: config parsing, run directories, CSV reports, pixmaps.
 
-Every run writes a directory holding report.csv, fields/*.okf, and meta.txt.
-meta.txt contains the fully resolved configuration as a valid config file
-(comment lines carry versions), so re-running with --config meta.txt
-reproduces the run byte for byte at a fixed thread count.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure status.
+Every subcommand but render is a function from the resolved RunConfig to
+(report header, report rows, {field name: ScalarField}, exit code); _run_dir
+writes what it returns to the run directory as fields/<name>.okf, report.csv
+and meta.txt.  meta.txt contains the fully resolved configuration as a valid
+config file (comment lines carry versions), so re-running with --config
+meta.txt reproduces the run byte for byte at a fixed thread count.  Exit
+codes: 0 success, 2 configuration error, 3 numerical failure status.
 """
 
 from __future__ import annotations
@@ -19,15 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .construct import (
-    ConstructCertificate,
-    ConstructConfig,
-    build_periodic,
-    local_minimality_probe,
-)
-from .diffuse_ok import FlowConfig, gamma_limit_sweep, minimize, ok_energy
+from .construct import ConstructCertificate, ConstructConfig, build_periodic, local_minimality_probe
+from .diffuse_ok import FlowConfig, GammaLimitRow, gamma_limit_sweep, minimize
 from .sharp_energy import ScalingReport, scaling_check, sharp_energy
-from .spectral import get_workspace, laplacian, poisson_zero_mean
+from .spectral import laplacian, poisson_zero_mean
 from .stability import lamella_threshold, mode_scan_min_eigenvalue
 from .torus_field import (
     Ball,
@@ -46,12 +43,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_floats(raw: str) -> list[float]:
-    return [float(x) for x in str(raw).split(",") if str(x).strip()]
+def _parse_list(cast):
+    def parse(raw) -> list:
+        items = [cast(x) for x in str(raw).split(",") if x.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return items
+
+    return parse
 
 
-def _parse_ints(raw: str) -> list[int]:
-    return [int(x) for x in str(raw).split(",") if str(x).strip()]
+_parse_floats = _parse_list(float)
+_parse_ints = _parse_list(int)
 
 
 # schema: section -> key -> (parser, validator, default)
@@ -149,12 +152,7 @@ class RunConfig:
             raise ConfigError(f"unknown configuration key {section}.{key}")
         parser, validator, _ = SCHEMA[section][key]
         try:
-            if isinstance(raw, list):
-                value = raw
-            else:
-                value = parser(raw)
-        except ConfigError:
-            raise
+            value = parser(raw)
         except Exception as exc:
             raise ConfigError(f"cannot parse {section}.{key}: {exc}") from exc
         if validator is not None:
@@ -205,7 +203,7 @@ class RunConfig:
             if kind == "lamella":
                 return Lamella(
                     axis=self.get("shape", "axis"),
-                    center=center[0] if isinstance(center, list) else float(center),
+                    center=center[0],
                     halfwidth=self.get("shape", "halfwidth"),
                 )
             if kind == "ball":
@@ -237,59 +235,20 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Run directory plumbing
+# Run-directory subcommands: RunConfig -> (header, rows, fields, exit code)
 # ---------------------------------------------------------------------------
 
 
-def _prepare_run_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.get("run", "out_dir"))
-    (out / "fields").mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_meta(cfg: RunConfig, out: Path) -> None:
-    lines = [
-        "# okpattern resolved configuration (feed back via --config to reproduce)",
-        f"# version: okpattern {__version__}, numpy {np.__version__}, python {sys.version.split()[0]}",
-        f"# threads: {cfg.get('run', 'threads')}",
-        "",
-        cfg.serialize(),
-    ]
-    (out / "meta.txt").write_text("\n".join(lines))
-
-
-def _write_report(out: Path, header: str, rows: list[str]) -> None:
-    (out / "report.csv").write_text("\n".join([header] + rows) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-
-def _cmd_energy(cfg: RunConfig) -> int:
-    out = _prepare_run_dir(cfg)
+def _cmd_energy(cfg: RunConfig):
     spec = cfg.grid()
     shape = cfg.shape()
     gamma = cfg.get("energy", "gamma")
-    breakdown = sharp_energy(shape, gamma, spec)
-    _write_report(
-        out,
-        "perimeter,nonlocal,gamma,total",
-        [
-            ",".join(
-                repr(v)
-                for v in (breakdown.perimeter, breakdown.nonlocal_term, gamma, breakdown.total)
-            )
-        ],
-    )
-    write_field(rasterize(shape, spec), out / "fields" / "indicator.okf")
-    _write_meta(cfg, out)
-    return 0
+    b = sharp_energy(shape, gamma, spec)
+    row = ",".join(repr(v) for v in (b.perimeter, b.nonlocal_term, gamma, b.total))
+    return "perimeter,nonlocal,gamma,total", [row], {"indicator": rasterize(shape, spec)}, 0
 
 
-def _cmd_green(cfg: RunConfig) -> int:
-    out = _prepare_run_dir(cfg)
+def _cmd_green(cfg: RunConfig):
     spec = cfg.grid()
     u = rasterize(cfg.shape(), spec)
     v = poisson_zero_mean(u)
@@ -297,31 +256,19 @@ def _cmd_green(cfg: RunConfig) -> int:
     resid = float(
         np.linalg.norm(laplacian(v).values + target) / max(np.linalg.norm(target), 1e-300)
     )
-    _write_report(
-        out,
-        "mean_v,laplacian_residual,v_min,v_max",
-        [",".join(repr(x) for x in (v.mean, resid, float(v.values.min()), float(v.values.max())))],
-    )
-    write_field(u, out / "fields" / "u.okf")
-    write_field(v, out / "fields" / "v.okf")
-    _write_meta(cfg, out)
-    return 0
+    row = ",".join(repr(x) for x in (v.mean, resid, float(v.values.min()), float(v.values.max())))
+    return "mean_v,laplacian_residual,v_min,v_max", [row], {"u": u, "v": v}, 0
 
 
-def _cmd_flow(cfg: RunConfig) -> int:
-    out = _prepare_run_dir(cfg)
+def _cmd_flow(cfg: RunConfig):
     spec = cfg.grid()
     flow = cfg.flow()
-    u0 = tanh_profile(cfg.shape(), spec, flow.eps)
-    trace = minimize(u0, flow)
-    _write_report(out, trace.CSV_HEADER, trace.csv_rows())
-    write_field(trace.final, out / "fields" / "final.okf")
-    _write_meta(cfg, out)
-    return 3 if trace.status == "stalled" else 0
+    trace = minimize(tanh_profile(cfg.shape(), spec, flow.eps), flow)
+    code = 3 if trace.status == "stalled" else 0
+    return trace.CSV_HEADER, trace.csv_rows(), {"final": trace.final}, code
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    out = _prepare_run_dir(cfg)
+def _cmd_construct(cfg: RunConfig):
     spec = cfg.grid()
     ccfg = ConstructConfig(
         seed=cfg.shape(),
@@ -332,16 +279,14 @@ def _cmd_construct(cfg: RunConfig) -> int:
         continuation_steps=cfg.get("construct", "continuation_steps"),
         mesh_resolution=cfg.get("construct", "mesh_resolution"),
     )
-    results = build_periodic(ccfg)
-    rows = []
-    failed = False
-    for cert, tiled in results:
+    n_probes = cfg.get("construct", "probes")
+    rows, fields, failed = [], {}, False
+    for cert, tiled in build_periodic(ccfg):
         rows.append(cert.csv_row())
         if tiled is None:
             failed = True
             continue
-        write_field(tiled, out / "fields" / f"tiled_k{cert.k}.okf")
-        n_probes = cfg.get("construct", "probes")
+        fields[f"tiled_k{cert.k}"] = tiled
         if n_probes > 0:
             rep = local_minimality_probe(
                 tiled,
@@ -351,15 +296,11 @@ def _cmd_construct(cfg: RunConfig) -> int:
                 cfg.get("construct", "probe_amplitude"),
                 seed=cfg.get("construct", "probe_seed"),
             )
-            if rep.min_gap < -1e-12:
-                failed = True
-    _write_report(out, ConstructCertificate.CSV_HEADER, rows)
-    _write_meta(cfg, out)
-    return 3 if failed else 0
+            failed = failed or rep.min_gap < -1e-12
+    return ConstructCertificate.CSV_HEADER, rows, fields, 3 if failed else 0
 
 
-def _cmd_stability(cfg: RunConfig) -> int:
-    out = _prepare_run_dir(cfg)
+def _cmd_stability(cfg: RunConfig):
     rows = []
     q_max = cfg.get("stability", "q_max")
     for w in cfg.get("stability", "w_list"):
@@ -370,39 +311,58 @@ def _cmd_stability(cfg: RunConfig) -> int:
         for gamma in cfg.get("stability", "gamma_list"):
             val = mode_scan_min_eigenvalue(w, gamma, q_max)
             rows.append(f"{repr(w)},{repr(gamma)},{repr(val)}")
-    _write_report(out, "w,gamma,min_eig", rows)
-    _write_meta(cfg, out)
-    return 0
+    return "w,gamma,min_eig", rows, {}, 0
 
 
-def _cmd_scaling(cfg: RunConfig) -> int:
-    out = _prepare_run_dir(cfg)
+def _cmd_scaling(cfg: RunConfig):
     spec = cfg.grid()
     shape = cfg.shape()
     gamma = cfg.get("scaling", "gamma")
-    rows = []
-    for k in cfg.get("scaling", "k_list"):
-        try:
-            rows.append(scaling_check(shape, gamma, k, spec).csv_row())
-        except ValueError as exc:
-            raise ConfigError(f"scaling.k_list: {exc}") from exc
-    _write_report(out, ScalingReport.CSV_HEADER, rows)
-    _write_meta(cfg, out)
-    return 0
+    try:
+        rows = [scaling_check(shape, gamma, k, spec).csv_row() for k in cfg.get("scaling", "k_list")]
+    except ValueError as exc:
+        raise ConfigError(f"scaling.k_list: {exc}") from exc
+    return ScalingReport.CSV_HEADER, rows, {}, 0
 
 
-def _cmd_gamma_limit(cfg: RunConfig) -> int:
-    out = _prepare_run_dir(cfg)
+def _cmd_gamma_limit(cfg: RunConfig):
     spec = cfg.grid()
     gamma = cfg.get("gamma_limit", "gamma")
-    eps_list = cfg.get("gamma_limit", "eps_list")
     try:
-        rows = gamma_limit_sweep(cfg.shape(), gamma, eps_list, spec)
+        rows = gamma_limit_sweep(cfg.shape(), gamma, cfg.get("gamma_limit", "eps_list"), spec)
     except ValueError as exc:
         raise ConfigError(f"gamma_limit: {exc}") from exc
-    _write_report(out, rows[0].CSV_HEADER, [r.csv_row() for r in rows])
-    _write_meta(cfg, out)
-    return 0
+    return GammaLimitRow.CSV_HEADER, [r.csv_row() for r in rows], {}, 0
+
+
+_COMMANDS = {
+    "energy": _cmd_energy,
+    "green": _cmd_green,
+    "flow": _cmd_flow,
+    "construct": _cmd_construct,
+    "stability": _cmd_stability,
+    "scaling": _cmd_scaling,
+    "gamma-limit": _cmd_gamma_limit,
+}
+
+
+def _run_dir(cfg: RunConfig, command) -> int:
+    """Create the run directory, run the subcommand, write what it returned."""
+    out = Path(cfg.get("run", "out_dir"))
+    (out / "fields").mkdir(parents=True, exist_ok=True)
+    header, rows, fields, code = command(cfg)
+    for name, field in fields.items():
+        write_field(field, out / "fields" / f"{name}.okf")
+    (out / "report.csv").write_text("\n".join([header] + rows) + "\n")
+    meta = [
+        "# okpattern resolved configuration (feed back via --config to reproduce)",
+        f"# version: okpattern {__version__}, numpy {np.__version__}, python {sys.version.split()[0]}",
+        f"# threads: {cfg.get('run', 'threads')}",
+        "",
+        cfg.serialize(),
+    ]
+    (out / "meta.txt").write_text("\n".join(meta))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +414,6 @@ def _cmd_render(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_SUBCOMMANDS = (
-    "energy",
-    "green",
-    "flow",
-    "construct",
-    "stability",
-    "scaling",
-    "gamma-limit",
-    "render",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okpattern",
@@ -487,15 +435,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eps", default=None, type=float)
     common.add_argument("--eps-list", default=None, metavar="E1,E2,...")
     common.add_argument("--steps", default=None, type=int, help="flow max steps")
-    for name in _SUBCOMMANDS:
-        if name == "render":
-            p = sub.add_parser(name, parents=[common])
-            p.add_argument("input")
-            p.add_argument("output")
-            p.add_argument("--slice-axis", type=int, default=None)
-            p.add_argument("--slice-index", type=int, default=None)
-        else:
-            sub.add_parser(name, parents=[common])
+    for name in _COMMANDS:
+        sub.add_parser(name, parents=[common])
+    p = sub.add_parser("render", parents=[common])
+    p.add_argument("input")
+    p.add_argument("output")
+    p.add_argument("--slice-axis", type=int, default=None)
+    p.add_argument("--slice-index", type=int, default=None)
     return parser
 
 
@@ -507,38 +453,33 @@ _GAMMA_TARGET = {
     "construct": ("construct", "gamma_bar"),
 }
 
+# flag (argparse dest) -> the config keys it sets, in the order they are set;
+# --gamma sets the one key _GAMMA_TARGET names for the subcommand
+_FLAG_KEYS = {
+    "grid": [("grid", "sizes")],
+    "shape": [("shape", "kind")],
+    "axis": [("shape", "axis")],
+    "center": [("shape", "center")],
+    "w": [("shape", "halfwidth")],
+    "radius": [("shape", "radius")],
+    "gamma": None,
+    "k": [("scaling", "k_list"), ("construct", "k_list")],
+    "eps": [("flow", "eps")],
+    "eps_list": [("gamma_limit", "eps_list")],
+    "steps": [("flow", "max_steps")],
+    "out": [("run", "out_dir")],
+    "slice_axis": [("render", "axis")],
+    "slice_index": [("render", "index")],
+}
+
 
 def _apply_cli_overrides(cfg: RunConfig, args) -> None:
-    if args.grid is not None:
-        cfg.set("grid", "sizes", args.grid)
-    if args.shape is not None:
-        cfg.set("shape", "kind", args.shape)
-    if args.axis is not None:
-        cfg.set("shape", "axis", args.axis)
-    if args.center is not None:
-        cfg.set("shape", "center", args.center)
-    if args.w is not None:
-        cfg.set("shape", "halfwidth", args.w)
-    if args.radius is not None:
-        cfg.set("shape", "radius", args.radius)
-    if args.gamma is not None:
-        section, key = _GAMMA_TARGET.get(args.command, ("energy", "gamma"))
-        cfg.set(section, key, args.gamma)
-    if args.k is not None:
-        cfg.set("scaling", "k_list", args.k)
-        cfg.set("construct", "k_list", args.k)
-    if args.eps is not None:
-        cfg.set("flow", "eps", args.eps)
-    if args.eps_list is not None:
-        cfg.set("gamma_limit", "eps_list", args.eps_list)
-    if args.steps is not None:
-        cfg.set("flow", "max_steps", args.steps)
-    if args.out is not None:
-        cfg.set("run", "out_dir", args.out)
-    if getattr(args, "slice_axis", None) is not None:
-        cfg.set("render", "axis", args.slice_axis)
-    if getattr(args, "slice_index", None) is not None:
-        cfg.set("render", "index", args.slice_index)
+    for flag, keys in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        for section, key in keys or [_GAMMA_TARGET.get(args.command, ("energy", "gamma"))]:
+            cfg.set(section, key, value)
 
 
 def run(argv) -> int:
@@ -554,22 +495,13 @@ def run(argv) -> int:
     try:
         threads = os.environ.get("OKPATTERN_THREADS")
         if threads is not None:
-            cfg.set("run", "threads", int(threads))
+            cfg.set("run", "threads", threads)
         if args.config:
             cfg.update_from_file(args.config)
         _apply_cli_overrides(cfg, args)
-        dispatch = {
-            "energy": _cmd_energy,
-            "green": _cmd_green,
-            "flow": _cmd_flow,
-            "construct": _cmd_construct,
-            "stability": _cmd_stability,
-            "scaling": _cmd_scaling,
-            "gamma-limit": _cmd_gamma_limit,
-        }
         if args.command == "render":
             return _cmd_render(cfg, args)
-        return dispatch[args.command](cfg)
+        return _run_dir(cfg, _COMMANDS[args.command])
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -214,6 +214,8 @@ class ConstructConfig:
         if self.gamma_bar <= 0:
             raise ValueError("gamma_bar must be positive")
         for k in self.k_list:
+            if k < 1:
+                raise ValueError(f"k={k} must be >= 1")
             for n in self.spec.sizes:
                 if n % k != 0:
                     raise ValueError(f"k={k} does not divide grid size {n}")

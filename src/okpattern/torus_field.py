@@ -13,7 +13,6 @@ frozen after construction; all operations return new fields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Union
 
@@ -66,10 +65,6 @@ class GridSpec:
         return int(np.prod(self.sizes))
 
     @property
-    def spacings(self) -> tuple[float, ...]:
-        return tuple(1.0 / n for n in self.sizes)
-
-    @property
     def max_spacing(self) -> float:
         return 1.0 / min(self.sizes)
 
@@ -92,7 +87,9 @@ class GridSpec:
         return out
 
     def coarsen(self, k: int) -> "GridSpec":
-        """The grid with every size divided by k (k must divide all sizes)."""
+        """The grid with every size divided by k (k >= 1 must divide all sizes)."""
+        if k < 1:
+            raise ValueError(f"k={k} must be >= 1")
         for n in self.sizes:
             if n % k != 0:
                 raise ValueError(f"k={k} does not divide grid size {n}")
@@ -156,12 +153,6 @@ class Lamella:
         if not 0 < self.halfwidth < 0.5:
             raise ValueError("lamella halfwidth must lie in (0, 1/2)")
 
-    def min_dim(self) -> int:
-        return self.axis + 1
-
-    def volume(self, dim: int) -> float:
-        return 2.0 * self.halfwidth
-
     def signed_distance(self, coords: list[np.ndarray]) -> np.ndarray:
         t = wrap_half(coords[self.axis] - self.center)
         return self.halfwidth - np.abs(t)
@@ -180,15 +171,6 @@ class Ball:
             raise ValueError("ball center must lie in [0,1)^dim")
         if not 0 < self.radius < 0.5:
             raise ValueError("ball radius must lie in (0, 1/2)")
-
-    def min_dim(self) -> int:
-        return len(self.center)
-
-    def volume(self, dim: int) -> float:
-        if dim != len(self.center):
-            raise ValueError("ball center dimension does not match grid")
-        r = self.radius
-        return {1: 2 * r, 2: math.pi * r * r, 3: 4.0 / 3.0 * math.pi * r**3}[dim]
 
     def signed_distance(self, coords: list[np.ndarray]) -> np.ndarray:
         sq = 0.0
@@ -215,16 +197,8 @@ class Cylinder:
         if not 0 < self.radius < 0.5:
             raise ValueError("cylinder radius must lie in (0, 1/2)")
 
-    def min_dim(self) -> int:
-        return 3
-
     def cross_axes(self) -> tuple[int, int]:
         return tuple(a for a in range(3) if a != self.axis)  # type: ignore[return-value]
-
-    def volume(self, dim: int) -> float:
-        if dim != 3:
-            raise ValueError("cylinders require dim 3")
-        return math.pi * self.radius**2
 
     def signed_distance(self, coords: list[np.ndarray]) -> np.ndarray:
         (a1, a2) = self.cross_axes()
@@ -246,9 +220,6 @@ class TiledShape:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("tiling factor k must be >= 1")
-
-    def min_dim(self) -> int:
-        return self.shape.min_dim()
 
 
 def wrap_half(t: np.ndarray | float) -> np.ndarray:

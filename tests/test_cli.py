@@ -222,3 +222,43 @@ def test_construct_with_probes(tmp_path):
         "[grid]\nsizes = 32,32\n\n[flow]\neps = 0.08\nmax_steps = 150\n"
     )
     assert run(["construct", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["energy", "--grid", "32,32"], {"indicator"}),
+        (["green", "--grid", "32,32"], {"u", "v"}),
+        (["flow", "--grid", "32,32", "--eps", "0.08", "--steps", "5"], {"final"}),
+        (
+            ["construct", "--grid", "32,32", "--k", "1,2", "--eps", "0.08", "--steps", "150"],
+            {"tiled_k1", "tiled_k2"},
+        ),
+        (["stability"], set()),
+        (["scaling", "--grid", "32,32", "--k", "1,2"], set()),
+        (["gamma-limit", "--grid", "64", "--eps-list", "0.08,0.04"], set()),
+    ],
+    ids=["energy", "green", "flow", "construct", "stability", "scaling", "gamma-limit"],
+)
+def test_run_directory_contract(tmp_path, argv, fields):
+    out = tmp_path / "run"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fields", "meta.txt", "report.csv"]
+    assert sorted(p.name for p in (out / "fields").iterdir()) == sorted(f"{f}.okf" for f in fields)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["scaling", "--k", "0"], ""),
+        (["construct", "--k", "0"], ""),
+        (["gamma-limit", "--eps-list", ","], ""),
+        (["stability"], "[stability]\nw_list =\n"),
+    ],
+    ids=["scaling-k0", "construct-k0", "empty-eps-list", "empty-w-list"],
+)
+def test_bad_tiling_factor_or_empty_list_exits_2(tmp_path, capsys, argv, config):
+    ini = tmp_path / "c.ini"
+    ini.write_text(config)
+    assert run(argv + ["--grid", "32,32", "--config", str(ini), "--out", str(tmp_path / "r")]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

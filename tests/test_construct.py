@@ -201,6 +201,15 @@ def test_build_periodic_config_validation():
         ConstructConfig(seed=SEED, gamma_bar=-1.0, k_list=(2,), spec=spec, flow=default_flow())
 
 
+def test_tiling_factor_below_one_rejected():
+    spec = GridSpec((32, 32))
+    for k in (0, -2):
+        with pytest.raises(ValueError, match=">= 1"):
+            spec.coarsen(k)
+        with pytest.raises(ValueError, match=">= 1"):
+            ConstructConfig(seed=SEED, gamma_bar=1.0, k_list=(k,), spec=spec, flow=default_flow())
+
+
 def test_zero_level_displacement_detects_shift():
     spec = GridSpec((128, 128))
     shifted = Lamella(axis=0, center=0.5 + 2.0 / 128, halfwidth=0.25)
