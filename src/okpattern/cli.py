@@ -347,9 +347,14 @@ _COMMANDS = {
 
 
 def _run_dir(cfg: RunConfig, command) -> int:
-    """Create the run directory, run the subcommand, write what it returned."""
+    """Create the run directory, run the subcommand, write what it returned.
+
+    The files a run writes are removed first, so a failed run never leaves
+    an earlier run's report, meta or fields behind as if they were its own."""
     out = Path(cfg.get("run", "out_dir"))
     (out / "fields").mkdir(parents=True, exist_ok=True)
+    for owned in [out / "report.csv", out / "meta.txt", *(out / "fields").glob("*.okf")]:
+        owned.unlink(missing_ok=True)
     header, rows, fields, code = command(cfg)
     for name, field in fields.items():
         write_field(field, out / "fields" / f"{name}.okf")

@@ -45,8 +45,12 @@ class Chart:
     values of a Nyquist cosine have derivative zero at the nodes, so a
     Nyquist-zeroed symbol would make the alternating vector a spurious kernel
     direction of the form.  values may carry trailing batch axes after the
-    chart grid; each component then carries them too, so one call on the
-    identity stack differentiates every nodal basis vector.
+    chart grid; each component then carries them too, so one call
+    differentiates a whole batch of nodal basis vectors.
+
+    The last chart axis is periodic, the weights are constant along it, and
+    tangent_fn commutes with shifts along it; the pencil's chart stiffness
+    relies on this and is block circulant along that axis.
     """
 
     points: np.ndarray

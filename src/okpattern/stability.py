@@ -30,17 +30,17 @@ Two evaluation routes are kept deliberately distinct:
 
 The dense pencil (min_eigenvalue) is assembled in O(p^2) memory, with no
 per-node loop before its final generalized eigensolve: the Green matrix from
-the 3^dim distinct splat cell shifts in cache-sized row blocks of its upper
-triangle, each chart stiffness from one batched tangent_fn call on the
-identity stack, and the exact T-perp restriction (weighted zero mean, no
-normal moment) from at most dim + 1 Householder reflectors in compact-WY
-form, applied by rank updates.  No translation penalty enters, and one
-eigenvalue is solved for, not the whole spectrum.
+the 3^dim distinct splat cell shifts, summed axis by axis in cache-sized row
+blocks of its upper triangle; each chart stiffness, block circulant along the
+chart's last axis, from one tangent_fn call on one block column; and the
+exact T-perp restriction (weighted zero mean, no normal moment) from at most
+dim + 1 Householder reflectors in compact-WY form, applied by rank updates.
+No translation penalty enters, and one eigenvalue is solved for, not the
+whole spectrum.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -447,9 +447,10 @@ def lamella_threshold(
 # Dense generalized eigenvalue pencil on the mesh basis
 # ---------------------------------------------------------------------------
 
-# entries per Green-matrix row block: 256 KiB of float64, so a block's index,
-# term and accumulator arrays stay in cache across the 3^dim shift gathers
-_GREEN_BLOCK = 1 << 15
+# entries per Green-matrix row block: 128 KiB of float64, so a block's index
+# array, its 3 dim tent tables and the partial sums of _shift_sum stay in
+# cache across the 3^dim shift gathers
+_GREEN_BLOCK = 1 << 14
 
 
 def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> float:
@@ -480,23 +481,17 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
         a_mat = np.zeros((p, p))
     b_mat = np.zeros((p, p))
     for ci, chart in enumerate(charts):
-        m = sizes[ci]
-        sl = slice(offsets[ci], offsets[ci] + m)
+        sl = slice(offsets[ci], offsets[ci + 1])
         w = chart.weights.ravel()
-        # one batched call on the identity stack: column j of each component
-        # is the derivative of nodal basis vector j
-        comps = chart.tangent_fn(np.eye(m).reshape(chart.grid_shape + (m,)))
-        # Re(T^H W T) is the exact Dirichlet form of the chart trigonometric
-        # interpolant, Nyquist mode included
-        tangents = (c.reshape(m, m) for c in comps)
-        grad_block = sum((t.conj().T @ (w[:, None] * t)).real for t in tangents)
-        # exactly symmetric: the restriction reads the whole matrix, eigh one triangle
-        grad_block = 0.5 * (grad_block + grad_block.T)
         diag = -chart.second_fundamental_sq * w
         if gamma > 0:
             diag += 4.0 * gamma * w * dnu[sl]
-        a_mat[sl, sl] += grad_block + np.diag(diag)
-        b_mat[sl, sl] += grad_block + np.diag(w)
+        grad_block = _chart_stiffness(chart)
+        a_mat[sl, sl] += grad_block
+        b_mat[sl, sl] += grad_block
+        nodes = np.arange(offsets[ci], offsets[ci + 1])
+        a_mat[nodes, nodes] += diag
+        b_mat[nodes, nodes] += w
 
     v, t = _constraint_reflectors(np.column_stack([weights, weights[:, None] * mesh.all_normals()]))
     # free each full matrix once it is restricted
@@ -506,6 +501,40 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
     del b_mat
     vals = scipy.linalg.eigh(a_r, b_r, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
+
+
+def _chart_stiffness(chart) -> np.ndarray:
+    """Re(T^H W T) for the chart's tangent components T on the nodal basis:
+    the exact Dirichlet form of the chart trigonometric interpolant, Nyquist
+    mode included, exactly symmetric.
+
+    The last chart axis (n2 nodes) is periodic, the weights are constant
+    along it and tangent_fn commutes with shifts along it, so the matrix is
+    block circulant along that axis: entry ((i1, i2), (j1, j2)) is
+    C[(i2 - j2) mod n2][i1, j1].  tangent_fn is applied to the n1 = m / n2
+    basis vectors of one block column only, and the blocks C come from one
+    Fourier block per last-axis mode.
+    """
+    n2 = chart.grid_shape[-1]
+    n1 = chart.weights.size // n2
+    w = chart.weights.reshape(n1, n2)
+    if np.any(w != w[:, :1]):
+        raise ValueError("chart weights must be constant along the last chart axis")
+    column = np.zeros((n1, n2, n1))
+    column[np.arange(n1), 0, np.arange(n1)] = 1.0
+    comps = chart.tangent_fn(column.reshape(chart.grid_shape + (n1,)))
+    # hat[c, x1, q, i1]: component c of basis vector (i1, 0) at x1, mode q
+    hat = np.fft.fft(np.stack([c.reshape(n1, n2, n1) for c in comps]), axis=2)
+    blocks = np.einsum("cxqi,x,cxqj->qij", hat.conj(), w[:, 0], hat, optimize=True)
+    blocks = np.fft.ifft(blocks, axis=0).real
+    # C[d] and C[-d]^T agree in exact arithmetic; their mean makes the filled
+    # matrix exactly symmetric (the restriction reads all of it, eigh one triangle)
+    blocks = 0.5 * (blocks + np.roll(blocks[::-1], 1, axis=0).transpose(0, 2, 1))
+    # ring[i1, j1, k] = C[-k mod n2][i1, j1] over two periods, so row (i1, i2)
+    # is the window ring[i1, :, n2 - i2 : 2 n2 - i2]: one strided copy
+    ring = np.ascontiguousarray(blocks[-np.arange(2 * n2) % n2].transpose(1, 2, 0))
+    runs = np.lib.stride_tricks.sliding_window_view(ring, n2, axis=-1)[:, :, n2:0:-1]
+    return runs.transpose(0, 2, 1, 3).reshape(n1 * n2, n1 * n2)
 
 
 def _constraint_reflectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -565,31 +594,20 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
         G_ij = cells W_i W_j sum_s kern[base_i - base_j + s] prod_a T_a(s_a)
 
     with W the node weights and f the tent fractions: 3^dim gathers from the
-    kernel padded by one wrapped cell.  Each row block of about _GREEN_BLOCK
-    entries is computed from its first row's diagonal on and mirrored into
-    the lower triangle, so the matrix is exactly symmetric.
+    kernel padded by one wrapped cell, summed axis by axis (_shift_sum).
+    Each row block of about _GREEN_BLOCK entries is computed from its first
+    row's diagonal on and mirrored into the lower triangle, so the matrix is
+    exactly symmetric.
     """
     base, frac = _splat_geometry(mesh, spec)
     p, dim = base.shape
     padded = np.pad(real_space_kernel(ws, -4), 1, mode="wrap").ravel()
     strides = [int(np.prod([n + 2 for n in spec.sizes[a + 1 :]])) for a in range(dim)]
     centre = sum(strides)  # flat offset of the unpadded origin
-    # T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f: the 1/2 joins the i factor
-    g_axes = 1.0 - 2.0 * frac
-    i_of = {1: frac, -1: 1.0 - frac, 0: np.full_like(frac, 0.5)}
-    j_of = {1: 1.0 - frac, -1: frac, 0: np.ones_like(frac)}
+    # T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f
+    half_g, g, co = 0.5 - frac, 1.0 - 2.0 * frac, 1.0 - frac
     weights = mesh.all_weights()
-    # per shift: kernel offset, the factors over i and over j, the s_a = 0 axes
-    shifts = []
-    for s in itertools.product((-1, 0, 1), repeat=dim):
-        fac_i = spec.cells * weights
-        fac_j = weights.copy()
-        for a, sa in enumerate(s):
-            fac_i *= i_of[sa][:, a]
-            fac_j *= j_of[sa][:, a]
-        zero_axes = [a for a, sa in enumerate(s) if sa == 0]
-        shifts.append((centre + int(np.dot(s, strides)), fac_i, fac_j, zero_axes))
-
+    row_w = spec.cells * weights
     out = np.empty((p, p))
     r0 = 0
     while r0 < p:
@@ -597,26 +615,35 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
         h = min(m, max(1, _GREEN_BLOCK // m))
         r1 = r0 + h
         flat = np.zeros((h, m), dtype=np.intp)
-        t0 = np.empty((dim, h, m))
+        tents = []
         for a, n in enumerate(spec.sizes):
             flat += (base[r0:r1, a, None] - base[None, r0:, a]) % n * strides[a]
-            # 2 T(0) along axis a, shared by every shift with s_a = 0
-            np.multiply(g_axes[r0:r1, a, None], g_axes[None, r0:, a], out=t0[a])
-            t0[a] += 1.0
-        term = np.empty((h, m))
-        acc = np.zeros((h, m))
-        for offset, fac_i, fac_j, zero_axes in shifts:
-            # indices are in range by construction; "clip" lets take write
-            # straight into term instead of through a buffer
-            np.take(padded[offset:], flat, out=term, mode="clip")
-            term *= fac_i[r0:r1, None]
-            term *= fac_j[r0:]
-            for a in zero_axes:
-                term *= t0[a]
-            acc += term
+            zero = half_g[r0:r1, a, None] * g[None, r0:, a]
+            zero += 0.5
+            minus = co[r0:r1, a, None] * frac[None, r0:, a]
+            plus = frac[r0:r1, a, None] * co[None, r0:, a]
+            tents.append((minus, zero, plus))
+        acc = _shift_sum(padded, flat, tents, strides, centre)
+        acc *= row_w[r0:r1, None]
+        acc *= weights[r0:]
         square = acc[:, :h]
         out[r0:r1, r0:r1] = np.triu(square) + np.triu(square, 1).T
         out[r0:r1, r1:] = acc[:, h:]
         out[r1:, r0:r1] = acc[:, h:].T
         r0 = r1
     return out
+
+
+def _shift_sum(padded, flat, tents, strides, offset) -> np.ndarray:
+    """sum over s in {-1, 0, 1}^len(tents) of padded[flat + offset + s . strides]
+    times prod_a tents[a][s_a + 1], one axis per level: each level scales a
+    partial sum by its axis factor once.  A module-level function, not a
+    closure, so every level's buffers are freed as soon as it returns."""
+    if not tents:
+        return np.take(padded[offset:], flat)
+    total = None
+    for s, tent in zip((-1, 0, 1), tents[0]):
+        part = _shift_sum(padded, flat, tents[1:], strides[1:], offset + s * strides[0])
+        part *= tent
+        total = part if total is None else np.add(total, part, out=total)
+    return total

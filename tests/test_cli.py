@@ -247,6 +247,22 @@ def test_run_directory_contract(tmp_path, argv, fields):
     assert sorted(p.name for p in (out / "fields").iterdir()) == sorted(f"{f}.okf" for f in fields)
 
 
+def test_failed_run_leaves_no_earlier_results(tmp_path):
+    out = str(tmp_path / "d")
+    assert run(["energy", "--grid", "32,32", "--out", out]) == 0
+    assert run(["flow", "--grid", "32,32", "--eps", "0.01", "--out", out]) == 2
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["fields"]
+    assert list((tmp_path / "d" / "fields").iterdir()) == []
+
+
+def test_rerun_with_fewer_k_drops_stale_tiled_fields(tmp_path):
+    out = str(tmp_path / "d")
+    argv = ["construct", "--grid", "32,32", "--eps", "0.08", "--steps", "150", "--out", out]
+    assert run(argv + ["--k", "1,2"]) == 0
+    assert run(argv + ["--k", "1"]) == 0
+    assert [p.name for p in (tmp_path / "d" / "fields").iterdir()] == ["tiled_k1.okf"]
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [

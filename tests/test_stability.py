@@ -5,6 +5,7 @@ the full 27-combination mode-vs-grid equivalence sweep lives in the
 acceptance module.
 """
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -20,6 +21,7 @@ from okpattern.geometry import interface_mesh
 from okpattern.spectral import get_workspace, sample_potential
 from okpattern.stability import (
     SurfaceFunction,
+    _chart_stiffness,
     _constraint_reflectors,
     _green_matrix,
     _normal_potential_slope,
@@ -251,6 +253,82 @@ def test_green_matrix_memory_stays_within_three_p_squared():
     assert peak <= 3 * p * p * 8
 
 
+def chart_stiffness_identity_stack_reference(chart):
+    """Re(T^H W T) from one tangent_fn call on the m x m identity stack:
+    column j of each component is the derivative of nodal basis vector j."""
+    m = chart.weights.size
+    w = chart.weights.ravel()
+    comps = chart.tangent_fn(np.eye(m).reshape(chart.grid_shape + (m,)))
+    block = sum((t.conj().T @ (w[:, None] * t)).real for t in (c.reshape(m, m) for c in comps))
+    return 0.5 * (block + block.T)
+
+
+# (shape, ambient dim, chart resolution): every chart kind and two tilings
+CHART_CASES = [
+    (Lamella(axis=0, center=0.5, halfwidth=0.25), 2, 16),
+    (Lamella(axis=1, center=0.5, halfwidth=0.25), 3, 16),
+    (Ball((0.4, 0.55), 0.3), 2, 24),
+    (Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), 3, 16),
+    (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 3, 24),
+    (Ball((0.5, 0.5, 0.5), 0.25), 3, 16),
+    (TiledShape(Ball((0.5, 0.5), 0.3), 2), 2, 16),
+    (TiledShape(Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), 2), 3, 16),
+]
+CHART_IDS = [
+    "lamella-2d",
+    "lamella-3d",
+    "circle",
+    "cylinder",
+    "cylinder-res24",
+    "sphere",
+    "tiled-disk-k2",
+    "tiled-cylinder-k2",
+]
+
+
+@pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
+def test_chart_stiffness_matches_identity_stack_reference(shape, dim, res):
+    for chart in interface_mesh(shape, res, dim).charts[:2]:
+        got = _chart_stiffness(chart)
+        ref = chart_stiffness_identity_stack_reference(chart)
+        assert got.shape == ref.shape == (chart.weights.size,) * 2
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
+def test_chart_is_shift_invariant_along_its_last_axis(shape, dim, res):
+    # the block-circulant stiffness rests on this contract
+    rng = np.random.default_rng(3)
+    for chart in interface_mesh(shape, res, dim).charts:
+        w = chart.weights
+        assert np.array_equal(w, np.broadcast_to(w[..., :1], w.shape))
+        v = rng.standard_normal(chart.grid_shape)
+        for whole, rolled in zip(chart.tangent_fn(v), chart.tangent_fn(np.roll(v, 1, -1))):
+            assert np.max(np.abs(rolled - np.roll(whole, 1, -1))) <= 1e-13 * np.max(np.abs(whole))
+
+
+def test_chart_stiffness_rejects_weights_varying_along_last_axis():
+    chart = interface_mesh(CYLINDER, 16, 3).charts[0]
+    tilted = chart.weights * (1.0 + 0.1 * np.arange(16) / 16)
+    with pytest.raises(ValueError, match="last chart axis"):
+        _chart_stiffness(dataclasses.replace(chart, weights=tilted))
+
+
+def test_chart_stiffness_memory_stays_within_three_m_squared():
+    # one block column through tangent_fn, not the m x m identity stack
+    chart = interface_mesh(CYLINDER, 32, 3).charts[0]
+    m = chart.weights.size
+    assert m == 1024
+    tracemalloc.start()
+    try:
+        _chart_stiffness(chart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * m * m * 8
+
+
 @pytest.mark.parametrize(
     "shape, spec, res",
     [
@@ -304,10 +382,11 @@ def test_normal_potential_slope_matches_per_chart_sampling(shape, spec, res):
     ids=["lamella-2d", "lamella-3d", "circle", "sphere", "cylinder", "tiled-disk"],
 )
 def test_batched_tangent_fn_matches_per_column_calls(shape, dim, res, strided):
-    # min_eigenvalue assembles each chart stiffness from one call on the
-    # identity stack; every column must be the single-vector derivative,
-    # whether the stack is C-contiguous or a strided view with the batch
-    # axis moved last (then each column is a non-contiguous view too)
+    # _chart_stiffness calls tangent_fn once on a batch of basis vectors, and
+    # its test oracle once on the identity stack; every column must be the
+    # single-vector derivative, whether the stack is C-contiguous or a
+    # strided view with the batch axis moved last (then each column is a
+    # non-contiguous view too)
     chart = interface_mesh(shape, res, dim).charts[0]
     m = chart.weights.size
     if strided:
