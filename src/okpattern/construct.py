@@ -109,13 +109,12 @@ def continue_family(
     spec: GridSpec,
     *,
     perturb_amplitude: float = 0.0,
-    escape_alpha: float = 0.02,
 ) -> FamilyResult:
     """Warm-started flow continuation along increasing sharp gamma values.
 
     Records the translation-minimized L1 step between consecutive sharpened
     members; the family truncates when a flow stalls or a step exceeds
-    escape_alpha (instability escape).  perturb_amplitude > 0 wobbles the
+    0.02 (instability escape).  perturb_amplitude > 0 wobbles the
     interfaces before each stage (dim 2 lamella seeds) so that tangential
     instabilities can express themselves.
     """
@@ -140,7 +139,7 @@ def continue_family(
         if trace.status == "stalled":
             result.status = "stalled"
             break
-        if step > escape_alpha:
+        if step > 0.02:
             result.status = "truncated"
             break
     return result
@@ -156,22 +155,22 @@ def zero_level_displacement(
     seed: ShapeCandidate,
     *,
     resolution: int = 16,
-    window: float = 0.08,
-    samples: int = 81,
 ) -> float:
     """Max displacement of the phase field's zero level along seed normals.
 
     For each mesh point of the seed boundary, the trigonometric interpolant
     of the phase field is sampled along the outward normal and the zero
     crossing nearest the seed interface located by linear interpolation.
-    Returns the window value when a line never changes sign (saturated).
+    The lines span offsets in [-0.08, 0.08] at 81 samples; returns 0.08 when
+    a line never changes sign (saturated).
     """
     mesh = interface_mesh(seed, resolution, phase.spec.dim)
-    ts = np.linspace(-window, window, samples)
+    window = 0.08
+    ts = np.linspace(-window, window, 81)
     lines = np.mod(
         mesh.all_points()[:, None, :] + ts[None, :, None] * mesh.all_normals()[:, None, :], 1.0
     )
-    line_vals = sample_field(phase, lines.reshape(-1, phase.spec.dim)).reshape(len(lines), samples)
+    line_vals = sample_field(phase, lines.reshape(-1, phase.spec.dim)).reshape(len(lines), len(ts))
     return _max_crossing_offset(line_vals, ts, window)
 
 

@@ -282,11 +282,6 @@ def fitted_order(rows: list[GammaLimitRow]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_profile_2d(flat: np.ndarray, displacement: np.ndarray) -> np.ndarray:
-    """Columns of the flat 1d profile shifted by displacement[j] (trig shift)."""
-    return _trig_shift(flat[:, None], 0, displacement[None, :])
-
-
 def _tangential_mode_energy(values: np.ndarray, mode: int = 1) -> float:
     # column -mode of the full spectrum is the conjugate twin of column mode
     return 2.0 * float(np.sum(np.abs(half_spectrum(values)[:, mode]) ** 2))
@@ -302,39 +297,40 @@ def lamella_flow_onset(
     relax_steps: int = 400,
     evolve_steps: int = 500,
     dt: float = 2e-3,
-    perturb_cells: float = 1.5,
     rel_tol: float = 0.02,
-    growth_band: tuple[float, float] = (0.8, 1.25),
 ) -> float:
     """Sharp gamma at which the lamella's first tangential mode starts growing.
 
     For each trial sharp gamma the flow runs at the diffuse parameter
     sigma*gamma: relax the flat 1d profile, displace both interfaces by
-    delta*cos(2 pi x2) (the antiphase branch, i.e. the first unstable one),
-    evolve, and compare the tangential mode-1 energy with its initial value.
-    Bisects until the bracket is rel_tol wide.  The finite-eps bias is O(eps).
+    delta*cos(2 pi x2) with delta 1.5 cells (the antiphase branch, i.e. the
+    first unstable one), evolve, and compare the tangential mode-1 energy with
+    its initial value: a ratio above 1.25 grows, below 0.8 decays, and in
+    between its side of 1 decides.  Bisects until the bracket is rel_tol
+    wide.  The finite-eps bias is O(eps).
     """
     if spec.dim != 2:
         raise ValueError("the onset oracle runs on 2d grids")
     n1, n2 = spec.sizes
     shape = Lamella(axis=0, center=0.5, halfwidth=halfwidth)
     spec1 = GridSpec((n1,))
-    delta = perturb_cells / n1
+    delta = 1.5 / n1
 
     def grows(sharp_gamma: float) -> bool:
         gamma_d = sharp_to_diffuse_gamma(sharp_gamma)
         cfg1 = FlowConfig(eps=eps, gamma=gamma_d, dt=dt, max_steps=relax_steps)
         flat = minimize(tanh_profile(shape, spec1, eps), cfg1).final.values
-        perturbed = _shifted_profile_2d(flat, delta * np.cos(2 * np.pi * np.arange(n2) / n2))
+        shift = delta * np.cos(2 * np.pi * np.arange(n2) / n2)
+        perturbed = _trig_shift(flat[:, None], 0, shift[None, :])
         u0 = ScalarField(spec, perturbed, "phase")
         cfg2 = FlowConfig(eps=eps, gamma=gamma_d, dt=dt, max_steps=evolve_steps)
         start = _tangential_mode_energy(u0.values)
         out = minimize(u0, cfg2)
         end = _tangential_mode_energy(out.final.values)
         ratio = end / start
-        if ratio > growth_band[1]:
+        if ratio > 1.25:
             return True
-        if ratio < growth_band[0]:
+        if ratio < 0.8:
             return False
         return ratio > 1.0
 

@@ -19,13 +19,17 @@ Two evaluation routes are kept deliberately distinct:
   is hyperbolic-cosine (see lamella_couplings).  Kernels are exact, so the
   translation null space is reproduced to rounding.  A block's least
   eigenvalue a - |b| is linear in gamma, so scans and thresholds are closed form.
-* grid route: tangential terms from the one full-symbol chart derivative the
-  pencil's stiffness also uses (so both evaluate one form), d_nu v sampled
-  spectrally from the rasterized set, and the Green term by multilinear
-  splatting of phi dH onto the grid, kernel deconvolution, a Poisson solve,
-  and the Dirichlet pairing (the pencil's Green matrix applies the same
-  splat stencil to one real-space kernel).  Fully generic; agrees with the
-  mode route to about a part in 10^3 at production resolutions, which is
+* grid route: the pencil's own assembly applied to phi.  The curvature and
+  potential node weights (d_nu v sampled spectrally from the rasterized set)
+  and the Green matrix of the multilinear splat come from the one function
+  the pencil also calls, so those terms are phi . weights . phi and
+  phi^T G phi.  The tangential term is the exception: it is summed directly
+  from the chart derivative (tangential_energy()), the same full-symbol
+  derivative the pencil's stiffness K is built from, not as phi^T K phi.  On
+  the sphere chart the ill-conditioned polar derivative makes phi^T K phi
+  miss the direct sum by 2.7e-6 relative on the res-16 z-translation mode,
+  which would break that exact null direction.  Fully generic; agrees with
+  the mode route to about a part in 10^3 at production resolutions, which is
   exactly the oracle-equivalence check the test suite runs.
 
 The dense pencil (min_eigenvalue) is assembled in O(p^2) memory, with no
@@ -48,7 +52,7 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import InterfaceMesh, interface_mesh
-from .spectral import get_workspace, half_spectrum, parseval_sum, real_space_kernel, sample_potential
+from .spectral import get_workspace, real_space_kernel, sample_potential
 from .torus_field import GridSpec, Lamella, ShapeCandidate, TiledShape, rasterize
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -168,17 +172,15 @@ def translation_mode(mesh: InterfaceMesh, axis: int) -> SurfaceFunction:
     return SurfaceFunction(mesh, values, zero_mean=True)
 
 
-def lamella_wave_mode(
-    mesh: InterfaceMesh, q: int, amplitudes=(1.0, 1.0), chart_axis: int = 0
-) -> SurfaceFunction:
-    """cos(2 pi q t) on each lamella interface with per-interface amplitudes."""
+def lamella_wave_mode(mesh: InterfaceMesh, q: int, amplitudes=(1.0, 1.0)) -> SurfaceFunction:
+    """cos(2 pi q t) along the first chart axis of each lamella interface,
+    with per-interface amplitudes."""
     values = []
     for c, amp in zip(mesh.charts, amplitudes):
-        res = c.grid_shape[chart_axis]
+        res = c.grid_shape[0]
         t = np.arange(res) / res
         vec = amp * np.cos(2 * np.pi * q * t)
-        shape_vec = [1] * len(c.grid_shape)
-        shape_vec[chart_axis] = res
+        shape_vec = [res] + [1] * (len(c.grid_shape) - 1)
         values.append(np.broadcast_to(vec.reshape(shape_vec), c.grid_shape).copy())
     return SurfaceFunction(mesh, values, zero_mean=(q != 0 or abs(sum(amplitudes)) < 1e-12))
 
@@ -229,7 +231,7 @@ def quad_form(
     """Evaluate the second-variation quadratic form at a candidate shape.
 
     method="mode" uses the exact flat-interface kernels (lamellae only);
-    method="grid" runs the generic splat/solve route and needs a GridSpec;
+    method="grid" evaluates the pencil's assembled form and needs a GridSpec;
     "auto" picks mode for plain lamellae and grid otherwise.
     """
     if gamma < 0:
@@ -285,53 +287,26 @@ def _splat_geometry(mesh: InterfaceMesh, spec: GridSpec) -> tuple[np.ndarray, np
     return base.astype(np.int64) % sizes, ucoord - base
 
 
-def _splat_stencil(mesh: InterfaceMesh, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Multilinear splat of every mesh node onto its 2^dim surrounding cells.
-
-    Returns the flat cell index and the weight (node weight x cells x tent
-    factor, a density normalization) of each corner, both shaped (p, 2^dim).
-    """
-    base, frac = _splat_geometry(mesh, spec)
-    corners = np.array(list(np.ndindex(*(2,) * spec.dim)))
-    pos = (base[:, None, :] + corners) % spec.sizes
-    idx = np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), spec.sizes)
-    tent = np.prod(np.where(corners == 1, frac[:, None, :], 1.0 - frac[:, None, :]), axis=-1)
-    return idx, (mesh.all_weights() * spec.cells)[:, None] * tent
-
-
-def splat_surface_density(phi: SurfaceFunction, spec: GridSpec) -> np.ndarray:
-    """Deposit the weighted surface measure phi dH onto the grid (multilinear).
-
-    Returns a density (mass per unit volume).  The weighted mean must already
-    vanish to 1e-10 of the surface area; it is subtracted exactly afterwards.
-    """
-    total = phi.weighted_integral()
-    if abs(total) > 1e-10 * phi.mesh.total_weight:
-        raise ValueError(f"surface measure has mean {total:.3e}; zero-mean phi required")
-    idx, weight = _splat_stencil(phi.mesh, spec)
-    vals = np.concatenate([v.ravel() for v in phi.values])
-    s = np.bincount(idx.ravel(), (weight * vals[:, None]).ravel(), minlength=spec.cells)
-    s = s.reshape(spec.sizes)
-    s -= s.mean()
-    return s
-
-
 def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -> QuadFormReport:
-    mesh = phi.mesh
-    pairs = zip(mesh.charts, phi.values)
-    curvature = sum(c.second_fundamental_sq * np.sum(c.weights * v**2) for c, v in pairs)
-    term_perimeter = phi.tangential_energy() - float(curvature)
+    vals = np.concatenate([v.ravel() for v in phi.values])
+    curv, pot, green = _second_variation_parts(shape, phi.mesh, gamma, spec)
+    sq = vals**2
+    term_perimeter = phi.tangential_energy() - float(curv @ sq)
+    term_green = 0.0 if green is None else float(vals @ green @ vals)
+    return QuadFormReport(term_perimeter, float(pot @ sq), term_green)
 
-    term_potential = term_green = 0.0
-    if gamma > 0:
-        vals = np.concatenate([v.ravel() for v in phi.values])
-        dnu = _normal_potential_slope(shape, mesh, spec)
-        term_potential = 4.0 * gamma * float(np.sum(mesh.all_weights() * dnu * vals**2))
-        # Green term: the splatted density with both tent kernels divided out
-        ws = get_workspace(spec)
-        s = half_spectrum(splat_surface_density(phi, spec))
-        term_green = 8.0 * gamma * parseval_sum(s, ws.inv_lap * ws.sinc_power(-4), ws)
-    return QuadFormReport(term_perimeter, term_potential, term_green)
+
+def _second_variation_parts(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec):
+    """The nodal pieces of the form on mesh besides the tangential term: the
+    curvature weight |B|^2 w, the potential weight 4 gamma w d_nu v (zero at
+    gamma = 0) and the Green matrix scaled by 8 gamma (None at gamma = 0)."""
+    curv = np.concatenate([c.second_fundamental_sq * c.weights.ravel() for c in mesh.charts])
+    if gamma <= 0:
+        return curv, np.zeros_like(curv), None
+    green = _green_matrix(mesh, spec, get_workspace(spec))
+    green *= 8.0 * gamma
+    pot = 4.0 * gamma * mesh.all_weights() * _normal_potential_slope(shape, mesh, spec)
+    return curv, pot, green
 
 
 def _normal_potential_slope(shape, mesh: InterfaceMesh, spec: GridSpec) -> np.ndarray:
@@ -422,7 +397,6 @@ def lamella_threshold(
     halfwidth: float,
     *,
     q_max: int = 8,
-    gamma_max: float = 1e4,
     tangential_dim: int = 1,
 ) -> ThresholdResult:
     """Smallest gamma at which the lamella mode spectrum touches zero.
@@ -433,12 +407,12 @@ def lamella_threshold(
     the translation space.  The least eigenvalue of each block is linear in
     gamma, 4 pi^2 |q|^2 + gamma c_q with c_q = 4 d_nu v + 8 K_q(0) - 8 |K_q(2w)|,
     so the threshold is min over c_q < 0 of 4 pi^2 |q|^2 / (-c_q); the status
-    is open when no crossing exists up to gamma_max.
+    is open when no crossing exists up to gamma = 1e4.
     """
     q_sq, slope = _mode_lines(halfwidth, q_max, tangential_dim)
     crossing = slope < 0
     gamma_star = float(np.min(FOUR_PI_SQ * q_sq[crossing] / -slope[crossing], initial=math.inf))
-    if gamma_star > gamma_max:
+    if gamma_star > 1e4:
         return ThresholdResult(math.inf, "open", q_max)
     return ThresholdResult(gamma_star, "crossed", q_max)
 
@@ -466,32 +440,21 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
     if resolution < 16:
         raise ValueError("min_eigenvalue needs resolution >= 16")
     mesh = interface_mesh(shape, resolution, spec.dim)
-    charts = mesh.charts
-    sizes = [int(np.prod(c.grid_shape)) for c in charts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    p = int(offsets[-1])
     weights = mesh.all_weights()
+    p = weights.size
 
-    if gamma > 0:
-        # Green term: one real-space kernel against the splat stencils
-        a_mat = _green_matrix(mesh, spec, get_workspace(spec))
-        a_mat *= 8.0 * gamma
-        dnu = _normal_potential_slope(shape, mesh, spec)
-    else:
+    curv, pot, a_mat = _second_variation_parts(shape, mesh, gamma, spec)
+    if a_mat is None:
         a_mat = np.zeros((p, p))
     b_mat = np.zeros((p, p))
-    for ci, chart in enumerate(charts):
-        sl = slice(offsets[ci], offsets[ci + 1])
-        w = chart.weights.ravel()
-        diag = -chart.second_fundamental_sq * w
-        if gamma > 0:
-            diag += 4.0 * gamma * w * dnu[sl]
+    offsets = np.cumsum([0] + [c.weights.size for c in mesh.charts])
+    for chart, lo, hi in zip(mesh.charts, offsets, offsets[1:]):
         grad_block = _chart_stiffness(chart)
-        a_mat[sl, sl] += grad_block
-        b_mat[sl, sl] += grad_block
-        nodes = np.arange(offsets[ci], offsets[ci + 1])
-        a_mat[nodes, nodes] += diag
-        b_mat[nodes, nodes] += w
+        a_mat[lo:hi, lo:hi] += grad_block
+        b_mat[lo:hi, lo:hi] += grad_block
+    diag = np.diag_indices(p)
+    a_mat[diag] += pot - curv
+    b_mat[diag] += weights
 
     v, t = _constraint_reflectors(np.column_stack([weights, weights[:, None] * mesh.all_normals()]))
     # free each full matrix once it is restricted

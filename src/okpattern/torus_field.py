@@ -117,7 +117,8 @@ class ScalarField:
                 raise ValueError("indicator fields must take values in {-1,+1}")
         elif self.kind == "phase":
             lim = 1.0 + PHASE_OVERSHOOT
-            if vals.min() < -lim or vals.max() > lim:
+            # written so that NaN fails it
+            if not (vals.min() >= -lim and vals.max() <= lim):
                 raise ValueError(
                     f"phase field values escape [-{lim},{lim}]: "
                     f"[{vals.min()}, {vals.max()}]"
@@ -385,7 +386,8 @@ def write_field(u: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
-    """Read an OKF1 file; validates magic, kind byte, sizes, and payload length."""
+    """Read an OKF1 file; validates magic, kind byte, sizes, payload length
+    and the values the kind allows, raising FieldFormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != _MAGIC:
@@ -415,4 +417,7 @@ def read_field(path) -> ScalarField:
             f"file holds {(len(data) - off) // 8}"
         )
     values = np.frombuffer(data[off:], dtype="<f8").reshape(sizes)
-    return ScalarField(GridSpec(sizes), values, _KIND_NAMES[kind_code])
+    try:
+        return ScalarField(GridSpec(sizes), values, _KIND_NAMES[kind_code])
+    except ValueError as exc:  # grid sizes or values the kind does not allow
+        raise FieldFormatError(str(exc)) from exc

@@ -26,7 +26,7 @@ from okpattern.stability import (
     _green_matrix,
     _normal_potential_slope,
     _restrict,
-    _splat_stencil,
+    _splat_geometry,
     lamella_mode_matrix,
     lamella_potential_slope,
     lamella_threshold,
@@ -36,7 +36,6 @@ from okpattern.stability import (
     penalized_quad_form,
     quad_form,
     screened_green_coupling,
-    splat_surface_density,
     translation_mode,
     zero_mean_green_kernel,
 )
@@ -158,24 +157,39 @@ def test_green_term_nonnegative():
         assert quad_form(shape, 3.0, phi, method="mode").term_green >= 0.0
 
 
-def test_green_matrix_pairing_matches_grid_green_term():
-    # 8 gamma phi^T G phi is the grid route's Green term: the real-space
-    # kernel of the matrix and the one-FFT splat/solve are the same operator
-    rng = np.random.default_rng(11)
-    gamma = 2.5
-    for shape, spec, res in (
+@pytest.mark.parametrize(
+    "shape, spec, res",
+    [
         (Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), GridSpec((32, 32, 32)), 16),
         (Ball((0.4, 0.55), 0.3), GridSpec((64, 64)), 48),
-    ):
-        mesh = interface_mesh(shape, res, spec.dim)
-        raw = rng.standard_normal(len(mesh.all_weights()))
-        w = mesh.all_weights()
+    ],
+    ids=["cylinder", "disk"],
+)
+def test_grid_quad_form_is_the_assembled_pencil(shape, spec, res, monkeypatch):
+    # phi^T A phi with A as min_eigenvalue assembles it, caught on its way
+    # into the T-perp restriction; the grid route takes its tangential term
+    # from tangential_energy(), the pencil from the chart stiffness
+    assembled = []
+
+    def spy(mat, v, t):
+        assembled.append(mat.copy())
+        return _restrict(mat, v, t)
+
+    monkeypatch.setattr("okpattern.stability._restrict", spy)
+    mesh = interface_mesh(shape, res, spec.dim)
+    w = mesh.all_weights()
+    sizes = np.cumsum([c.weights.size for c in mesh.charts])[:-1]
+    rng = np.random.default_rng(11)
+    for gamma in (0.0, 2.5):
+        assembled.clear()
+        min_eigenvalue(shape, gamma, spec, resolution=res)
+        a_mat = assembled[0]
+        assert a_mat.shape == (w.size, w.size)
+        raw = rng.standard_normal(w.size)
         flat = raw - (w @ raw) / w.sum()
-        sizes = np.cumsum([c.weights.size for c in mesh.charts])[:-1]
         phi = SurfaceFunction(mesh, np.split(flat, sizes))
-        green = _green_matrix(mesh, spec, get_workspace(spec))
-        expected = quad_form(shape, gamma, phi, spec, method="grid").term_green
-        assert 8.0 * gamma * flat @ green @ flat == pytest.approx(expected, rel=1e-12)
+        got = quad_form(shape, gamma, phi, spec, method="grid").total
+        assert got == pytest.approx(flat @ a_mat @ flat, rel=1e-12)
 
 
 def green_matrix_corner_pair_reference(mesh, spec):
@@ -183,16 +197,19 @@ def green_matrix_corner_pair_reference(mesh, spec):
     pair of splat corners a of node i and b of node j: 4^dim full p x p
     gathers, the direct form of the matrix.  kern = ifftn(sinc^-4 / (4 pi^2
     |xi|^2)) over the full lattice, the multiplier built from np.fft.fftfreq."""
-    idx, weight = _splat_stencil(mesh, spec)
-    pos = np.unravel_index(idx, spec.sizes)
+    base, frac = _splat_geometry(mesh, spec)
+    corners = np.array(list(np.ndindex(*(2,) * spec.dim)))
+    pos = tuple(np.moveaxis((base[:, None, :] + corners) % spec.sizes, -1, 0))
+    tent = np.prod(np.where(corners == 1, frac[:, None, :], 1.0 - frac[:, None, :]), axis=-1)
+    weight = (mesh.all_weights() * spec.cells)[:, None] * tent
     freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in spec.sizes], indexing="ij")
     lap = sum(4 * np.pi**2 * f**2 for f in freqs)
     sinc = np.prod([np.sinc(f / n) for f, n in zip(freqs, spec.sizes)], axis=0)
     kern = np.fft.ifftn(np.where(lap > 0, 1.0 / np.where(lap > 0, lap, 1.0), 0.0) / sinc**4).real
-    p, corners = idx.shape
+    p = len(base)
     g = np.zeros((p, p))
-    for a in range(corners):
-        for b in range(corners):
+    for a in range(len(corners)):
+        for b in range(len(corners)):
             shift = tuple((x[:, a, None] - x[None, :, b]) % n for x, n in zip(pos, spec.sizes))
             g += np.outer(weight[:, a], weight[:, b]) * kern[shift]
     g /= spec.cells
@@ -221,21 +238,6 @@ def test_green_matrix_matches_corner_pair_reference(shape, spec, res):
     ref = green_matrix_corner_pair_reference(mesh, spec)
     assert np.max(np.abs(green - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(green, green.T)
-
-
-def test_green_matrix_memory_stays_within_eight_p_squared():
-    # three reused p x p work arrays, not one p x p factor matrix per shift
-    mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 16, 3)
-    p = len(mesh.all_weights())
-    assert p == 512
-    ws = get_workspace(CUBE)
-    tracemalloc.start()
-    try:
-        _green_matrix(mesh, CUBE, ws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * p * p * 8
 
 
 def test_green_matrix_memory_stays_within_three_p_squared():
@@ -463,13 +465,10 @@ def test_surface_function_zero_mean_validation():
     phi = SurfaceFunction(mesh, [np.ones(16), -np.ones(16)])
     assert phi.weighted_integral() == pytest.approx(0.0, abs=1e-15)
     assert phi.h1_sq() == pytest.approx(phi.l2_sq(), abs=1e-12)
-
-
-def test_splat_mean_guard():
-    mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 16, dim=2)
-    phi = SurfaceFunction(mesh, [np.ones(16), np.ones(16)], zero_mean=False)
-    with pytest.raises(ValueError, match="mean"):
-        splat_surface_density(phi, GridSpec((32, 32)))
+    # the form is defined on zero-mean phi only
+    unflagged = SurfaceFunction(mesh, [np.ones(16), np.ones(16)], zero_mean=False)
+    with pytest.raises(ValueError, match="zero-mean"):
+        quad_form(LAMELLA, 1.0, unflagged, GridSpec((32, 32)), method="grid")
 
 
 def test_mode_vs_grid_oracle_equivalence_sample():

@@ -40,6 +40,10 @@ def test_scalarfield_kind_invariants():
         ScalarField(spec, 0.5 * np.ones(spec.sizes), "indicator")
     with pytest.raises(ValueError):
         ScalarField(spec, 1.2 * np.ones(spec.sizes), "phase")
+    nan = np.zeros(spec.sizes)
+    nan[2, 3] = np.nan
+    with pytest.raises(ValueError):
+        ScalarField(spec, nan, "phase")
     f = ScalarField(spec, np.zeros(spec.sizes))
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0  # frozen
@@ -227,6 +231,23 @@ def test_field_file_validation(tmp_path):
     bad_kind.write_bytes(raw[:4] + bytes([9]) + raw[5:])
     with pytest.raises(FieldFormatError, match="kind"):
         read_field(bad_kind)
+
+    # well-formed headers and payload lengths whose grid or values fail
+    # GridSpec or ScalarField: odd and zero sizes, a non +-1 indicator, NaN phase
+    phase = tmp_path / "phase.okf"
+    write_field(ScalarField(spec, np.zeros(spec.sizes), "phase"), phase)
+    phase_raw = phase.read_bytes()
+    cases = {
+        "odd": raw[:8] + (7).to_bytes(4, "little") + raw[12:16] + bytes(8 * 7 * 8),
+        "zero": raw[:8] + (0).to_bytes(4, "little") + raw[12:16],
+        "indicator": raw[:16] + np.full(64, 0.5).astype("<f8").tobytes(),
+        "nan-phase": phase_raw[:16] + np.full(64, np.nan).astype("<f8").tobytes(),
+    }
+    for name, data in cases.items():
+        bad = tmp_path / f"{name}.okf"
+        bad.write_bytes(data)
+        with pytest.raises(FieldFormatError):
+            read_field(bad)
 
 
 def test_indicator_mean_bounds():
