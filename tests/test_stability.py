@@ -465,10 +465,14 @@ def test_surface_function_zero_mean_validation():
     phi = SurfaceFunction(mesh, [np.ones(16), -np.ones(16)])
     assert phi.weighted_integral() == pytest.approx(0.0, abs=1e-15)
     assert phi.h1_sq() == pytest.approx(phi.l2_sq(), abs=1e-12)
-    # the form is defined on zero-mean phi only
-    unflagged = SurfaceFunction(mesh, [np.ones(16), np.ones(16)], zero_mean=False)
+
+
+def test_splat_mean_guard():
+    # the grid form is defined on zero-mean phi only
+    mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 16, dim=2)
+    phi = SurfaceFunction(mesh, [np.ones(16), np.ones(16)], zero_mean=False)
     with pytest.raises(ValueError, match="zero-mean"):
-        quad_form(LAMELLA, 1.0, unflagged, GridSpec((32, 32)), method="grid")
+        quad_form(LAMELLA, 1.0, phi, GridSpec((32, 32)), method="grid")
 
 
 def test_mode_vs_grid_oracle_equivalence_sample():
