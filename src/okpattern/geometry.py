@@ -51,6 +51,14 @@ class Chart:
     The last chart axis is periodic, the weights are constant along it, and
     tangent_fn commutes with shifts along it; the pencil's chart stiffness
     relies on this and is block circulant along that axis.
+
+    axis, when not None, names the torus axis along which one node step on
+    the last chart axis (n2 nodes) is the translation by 1/n2: the node
+    (..., i2 + 1) is the node (..., i2) plus e_axis / n2 mod 1, with the same
+    normal and weight.  The pencil splits into Bloch blocks along that
+    translation when every chart of a mesh shares it (stability).  Charts
+    whose last axis is a rotation (circle, sphere) or a tiled copy leave it
+    None.
     """
 
     points: np.ndarray
@@ -59,6 +67,7 @@ class Chart:
     mean_curv: float
     second_fundamental_sq: float
     tangent_fn: Callable[[np.ndarray], list[np.ndarray]]
+    axis: int | None = None
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -130,7 +139,7 @@ def _lamella_charts(shape: Lamella, dim: int, res: int) -> list[Chart]:
         def tangent_fn(values):
             return [_fft_deriv(values, ax, period=1.0) for ax in range(len(grid_shape))]
 
-        charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn))
+        charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn, tangential[-1]))
     return charts
 
 
@@ -195,25 +204,27 @@ def _sphere_chart(center, r: float, res: int) -> Chart:
 
 
 def _cylinder_chart(shape: Cylinder, res: int) -> Chart:
+    """Chart axes (theta, z): the last axis runs along the cylinder axis."""
     a1, a2 = shape.cross_axes()
-    z = np.arange(res) / res
     theta = 2 * np.pi * np.arange(res) / res
+    z = np.arange(res) / res
     pts = np.zeros((res, res, 3))
     normals = np.zeros((res, res, 3))
-    pts[..., shape.axis] = z[:, None]
-    pts[..., a1] = (shape.center[0] + shape.radius * np.cos(theta))[None, :] % 1.0
-    pts[..., a2] = (shape.center[1] + shape.radius * np.sin(theta))[None, :] % 1.0
-    normals[..., a1] = np.cos(theta)[None, :]
-    normals[..., a2] = np.sin(theta)[None, :]
+    pts[..., a1] = (shape.center[0] + shape.radius * np.cos(theta))[:, None] % 1.0
+    pts[..., a2] = (shape.center[1] + shape.radius * np.sin(theta))[:, None] % 1.0
+    pts[..., shape.axis] = z[None, :]
+    normals[..., a1] = np.cos(theta)[:, None]
+    normals[..., a2] = np.sin(theta)[:, None]
     weights = np.full((res, res), 2 * np.pi * shape.radius / res**2)
 
     def tangent_fn(values, _r=shape.radius):
         return [
-            _fft_deriv(values, 0, period=1.0),
-            _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r),
+            _fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r),
+            _fft_deriv(values, 1, period=1.0),
         ]
 
-    return Chart(pts, normals, weights, 1.0 / shape.radius, 1.0 / shape.radius**2, tangent_fn)
+    r = shape.radius
+    return Chart(pts, normals, weights, 1.0 / r, 1.0 / r**2, tangent_fn, shape.axis)
 
 
 def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceMesh:

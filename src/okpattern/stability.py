@@ -32,15 +32,20 @@ Two evaluation routes are kept deliberately distinct:
   the mode route to about a part in 10^3 at production resolutions, which is
   exactly the oracle-equivalence check the test suite runs.
 
-The dense pencil (min_eigenvalue) is assembled in O(p^2) memory, with no
-per-node loop before its final generalized eigensolve: the Green matrix from
-the 3^dim distinct splat cell shifts, summed axis by axis in cache-sized row
-blocks of its upper triangle; each chart stiffness, block circulant along the
-chart's last axis, from one tangent_fn call on one block column; and the
-exact T-perp restriction (weighted zero mean, no normal moment) from at most
-dim + 1 Householder reflectors in compact-WY form, applied by rank updates.
-No translation penalty enters, and one eigenvalue is solved for, not the
-whole spectrum.
+The pencil (min_eigenvalue) has no per-node loop before its generalized
+eigensolves: the Green matrix from the 3^dim distinct splat cell shifts,
+summed axis by axis in cache-sized row blocks; each chart stiffness, block
+circulant along the chart's last axis, from one tangent_fn call on one block
+column; and the exact T-perp restriction (weighted zero mean, no normal
+moment) from at most dim + 1 Householder reflectors in compact-WY form,
+applied by rank updates.  No translation penalty enters, and each solve asks
+for one eigenvalue, not the whole spectrum.  When every chart steps along one
+torus translation whose step is whole cells (lamellae, cylinders: Chart.axis),
+the pencil is block circulant with order s = nodes per step axis: only the
+block row (p^2 / s entries) is assembled, and its FFT splits the pencil into
+s / 2 + 1 Hermitian blocks of size p / s (Floquet-Bloch along one axis).
+Otherwise (balls, tilings) it is dense, O(p^2) memory and one p x p solve,
+with its upper-triangle Green fill.
 """
 
 from __future__ import annotations
@@ -296,25 +301,34 @@ def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -
     return QuadFormReport(term_perimeter, float(pot @ sq), term_green)
 
 
-def _second_variation_parts(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec):
+def _second_variation_parts(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, rows=None):
     """The nodal pieces of the form on mesh besides the tangential term: the
     curvature weight |B|^2 w, the potential weight 4 gamma w d_nu v (zero at
-    gamma = 0) and the Green matrix scaled by 8 gamma (None at gamma = 0)."""
+    gamma = 0) and the Green matrix scaled by 8 gamma (None at gamma = 0).
+    With rows (node indices) given, the weights at those nodes and the Green
+    rows G[rows, :] only."""
     curv = np.concatenate([c.second_fundamental_sq * c.weights.ravel() for c in mesh.charts])
+    weights = mesh.all_weights()
+    if rows is not None:
+        curv, weights = curv[rows], weights[rows]
     if gamma <= 0:
         return curv, np.zeros_like(curv), None
-    green = _green_matrix(mesh, spec, get_workspace(spec))
+    green = _green_matrix(mesh, spec, get_workspace(spec), rows)
     green *= 8.0 * gamma
-    pot = 4.0 * gamma * mesh.all_weights() * _normal_potential_slope(shape, mesh, spec)
+    pot = 4.0 * gamma * weights * _normal_potential_slope(shape, mesh, spec, rows)
     return curv, pot, green
 
 
-def _normal_potential_slope(shape, mesh: InterfaceMesh, spec: GridSpec) -> np.ndarray:
-    """d_nu v of the rasterized shape at every mesh node, charts concatenated
-    as in mesh.all_points(), from one sampling call."""
+def _normal_potential_slope(shape, mesh: InterfaceMesh, spec: GridSpec, rows=None) -> np.ndarray:
+    """d_nu v of the rasterized shape at every mesh node (or at the nodes
+    rows), charts concatenated as in mesh.all_points(), from one sampling
+    call."""
+    points, normals = mesh.all_points(), mesh.all_normals()
+    if rows is not None:
+        points, normals = points[rows], normals[rows]
     u = rasterize(shape, spec)
-    grad_v = sample_potential(u, mesh.all_points(), get_workspace(spec), gradient=True)
-    return np.sum(grad_v * mesh.all_normals(), axis=-1)
+    grad_v = sample_potential(u, points, get_workspace(spec), gradient=True)
+    return np.sum(grad_v * normals, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +432,7 @@ def lamella_threshold(
 
 
 # ---------------------------------------------------------------------------
-# Dense generalized eigenvalue pencil on the mesh basis
+# Generalized eigenvalue pencil on the mesh basis, dense or in Bloch blocks
 # ---------------------------------------------------------------------------
 
 # entries per Green-matrix row block: 128 KiB of float64, so a block's index
@@ -430,50 +444,125 @@ _GREEN_BLOCK = 1 << 14
 def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> float:
     """Discrete inf of the form over T-perp with ||phi||_{H^1} = 1.
 
-    Assembles the dense symmetric pencil A (the grid-route quadratic form)
-    against B (the H^1 inner product) on the nodal basis, restricts both
-    exactly to T-perp, the null space of C = [w, W nu_1, ..., W nu_d]
-    (weighted zero mean and no normal moment, so translations are excluded
-    rather than penalized), and returns the smallest generalized eigenvalue
-    from a one-eigenvalue solve.
+    Assembles the symmetric pencil A (the grid-route quadratic form) against
+    B (the H^1 inner product) on the nodal basis, restricts both exactly to
+    T-perp, the null space of C = [w, W nu_1, ..., W nu_d] (weighted zero
+    mean and no normal moment, so translations are excluded rather than
+    penalized), and returns the smallest generalized eigenvalue.  When the
+    mesh is invariant under a translation of order s > 1 (_symmetry_order),
+    the pencil is block circulant and splits into s Bloch blocks; each block
+    gets a one-eigenvalue solve and the least value is returned.
     """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     if resolution < 16:
         raise ValueError("min_eigenvalue needs resolution >= 16")
     mesh = interface_mesh(shape, resolution, spec.dim)
+    return _pencil_min(shape, mesh, gamma, spec, _symmetry_order(mesh, spec))
+
+
+def _symmetry_order(mesh: InterfaceMesh, spec: GridSpec) -> int:
+    """n2 when every chart steps 1/n2 per last-axis node along one torus axis
+    a (Chart.axis) and n2 divides the grid size along a, so that the step is
+    a whole number of cells and the splat stencils shift exactly; else 1."""
+    axes = {c.axis for c in mesh.charts}
+    n2s = {c.grid_shape[-1] for c in mesh.charts}
+    if len(axes) == len(n2s) == 1 and None not in axes:
+        (axis,), (n2,) = axes, n2s
+        if spec.sizes[axis] % n2 == 0:
+            return n2
+    return 1
+
+
+def _pencil_min(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order: int) -> float:
+    """Least eigenvalue of the T-perp restricted pencil, solved block by block.
+
+    The constraint columns are constant along the translation, so they live
+    in the q = 0 block alone, which is restricted there; a block the
+    restriction leaves empty is skipped.  Blocks q and order - q are complex
+    conjugates with the same eigenvalues, so q runs over 0 .. order // 2.
+    """
+    a_blocks, b_blocks, rows = _pencil_blocks(shape, mesh, gamma, spec, order)
+    weights = mesh.all_weights()[rows]
+    v, t = _constraint_reflectors(
+        np.column_stack([weights, weights[:, None] * mesh.all_normals()[rows]])
+    )
+    # free each full block once it is restricted
+    a_blocks[0] = _restrict(a_blocks[0], v, t)
+    b_blocks[0] = _restrict(b_blocks[0], v, t)
+    least = math.inf
+    for a_q, b_q in zip(a_blocks, b_blocks):
+        if a_q.size:
+            vals = scipy.linalg.eigh(a_q, b_q, eigvals_only=True, subset_by_index=[0, 0])
+            least = min(least, float(vals[0]))
+    return least
+
+
+def _pencil_blocks(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order: int):
+    """Bloch blocks (A_q, B_q), q = 0 .. order // 2, and the row nodes.
+
+    Nodes are numbered chart by chart in C order, so with every chart
+    sharing n2 = order last-axis nodes, node r * order + i2 is row node r
+    (the node with i2 = 0) shifted i2 steps.  A and B are block circulant:
+    A[(r, i2), (r', j2)] = R[r, r', (j2 - i2) mod order] for the block row R
+    of the m = p / order row nodes, so only R is assembled (Green rows,
+    curvature and potential weights at the row nodes, the chart stiffness
+    blocks) and its real FFT along the last axis gives the Hermitian blocks
+    (the conjugates of the blocks of the plane waves e^{2 pi i q j2 / order},
+    with the same eigenvalues); the q = 0 block is real.  The stiffness
+    enters in real space because it is the real part of T^H W T with complex
+    components T (the chart Nyquist mode is kept), and the Fourier blocks of
+    T^H W T are not those of its real part.  With order 1 the one block is
+    the dense real pencil on the full basis (rows = slice(None)).
+    """
     weights = mesh.all_weights()
     p = weights.size
+    if order == 1:
+        curv, pot, a_mat = _second_variation_parts(shape, mesh, gamma, spec)
+        if a_mat is None:
+            a_mat = np.zeros((p, p))
+        b_mat = np.zeros((p, p))
+        offsets = np.cumsum([0] + [c.weights.size for c in mesh.charts])
+        for chart, lo, hi in zip(mesh.charts, offsets, offsets[1:]):
+            grad_block = _chart_stiffness(chart)
+            a_mat[lo:hi, lo:hi] += grad_block
+            b_mat[lo:hi, lo:hi] += grad_block
+        diag = np.diag_indices(p)
+        a_mat[diag] += pot - curv
+        b_mat[diag] += weights
+        return [a_mat], [b_mat], slice(None)
 
-    curv, pot, a_mat = _second_variation_parts(shape, mesh, gamma, spec)
-    if a_mat is None:
-        a_mat = np.zeros((p, p))
-    b_mat = np.zeros((p, p))
-    offsets = np.cumsum([0] + [c.weights.size for c in mesh.charts])
+    rows = np.arange(0, p, order)
+    m = rows.size
+    curv, pot, green = _second_variation_parts(shape, mesh, gamma, spec, rows)
+    a_row = np.zeros((m, m, order)) if green is None else green.reshape(m, m, order)
+    b_row = np.zeros((m, m, order))
+    offsets = np.cumsum([0] + [c.weights.size // order for c in mesh.charts])
     for chart, lo, hi in zip(mesh.charts, offsets, offsets[1:]):
-        grad_block = _chart_stiffness(chart)
-        a_mat[lo:hi, lo:hi] += grad_block
-        b_mat[lo:hi, lo:hi] += grad_block
-    diag = np.diag_indices(p)
-    a_mat[diag] += pot - curv
-    b_mat[diag] += weights
+        # the stiffness entry ((i1, 0), (j1, d)) is C[-d mod n2][i1, j1]
+        grad_row = _stiffness_blocks(chart)[-np.arange(order) % order].transpose(1, 2, 0)
+        a_row[lo:hi, lo:hi] += grad_row
+        b_row[lo:hi, lo:hi] += grad_row
+    diag = np.arange(m)
+    a_row[diag, diag, 0] += pot - curv
+    b_row[diag, diag, 0] += weights[rows]
+    blocks = []
+    for row in (a_row, b_row):
+        hat = list(np.fft.rfft(row, axis=-1).transpose(2, 0, 1))
+        # R[., ., d] and R[., ., -d]^T agree in exact arithmetic: make the
+        # real q = 0 block exactly symmetric, since the restriction reads all of it
+        hat[0] = 0.5 * (hat[0].real + hat[0].real.T)
+        blocks.append(hat)
+    return blocks[0], blocks[1], rows
 
-    v, t = _constraint_reflectors(np.column_stack([weights, weights[:, None] * mesh.all_normals()]))
-    # free each full matrix once it is restricted
-    a_r = _restrict(a_mat, v, t)
-    del a_mat
-    b_r = _restrict(b_mat, v, t)
-    del b_mat
-    vals = scipy.linalg.eigh(a_r, b_r, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
 
-
-def _chart_stiffness(chart) -> np.ndarray:
-    """Re(T^H W T) for the chart's tangent components T on the nodal basis:
-    the exact Dirichlet form of the chart trigonometric interpolant, Nyquist
-    mode included, exactly symmetric.
+def _stiffness_blocks(chart) -> np.ndarray:
+    """The blocks C[d], d = 0 .. n2 - 1, of the chart stiffness Re(T^H W T)
+    (see _chart_stiffness), each n1 x n1, with C[d] = C[-d]^T exactly.
 
     The last chart axis (n2 nodes) is periodic, the weights are constant
-    along it and tangent_fn commutes with shifts along it, so the matrix is
-    block circulant along that axis: entry ((i1, i2), (j1, j2)) is
+    along it and tangent_fn commutes with shifts along it, so the stiffness
+    is block circulant along that axis: entry ((i1, i2), (j1, j2)) is
     C[(i2 - j2) mod n2][i1, j1].  tangent_fn is applied to the n1 = m / n2
     basis vectors of one block column only, and the blocks C come from one
     Fourier block per last-axis mode.
@@ -492,7 +581,15 @@ def _chart_stiffness(chart) -> np.ndarray:
     blocks = np.fft.ifft(blocks, axis=0).real
     # C[d] and C[-d]^T agree in exact arithmetic; their mean makes the filled
     # matrix exactly symmetric (the restriction reads all of it, eigh one triangle)
-    blocks = 0.5 * (blocks + np.roll(blocks[::-1], 1, axis=0).transpose(0, 2, 1))
+    return 0.5 * (blocks + np.roll(blocks[::-1], 1, axis=0).transpose(0, 2, 1))
+
+
+def _chart_stiffness(chart) -> np.ndarray:
+    """Re(T^H W T) for the chart's tangent components T on the nodal basis:
+    the exact Dirichlet form of the chart trigonometric interpolant, Nyquist
+    mode included, exactly symmetric; filled from _stiffness_blocks."""
+    blocks = _stiffness_blocks(chart)
+    n2, n1 = blocks.shape[:2]
     # ring[i1, j1, k] = C[-k mod n2][i1, j1] over two periods, so row (i1, i2)
     # is the window ring[i1, :, n2 - i2 : 2 n2 - i2]: one strided copy
     ring = np.ascontiguousarray(blocks[-np.arange(2 * n2) % n2].transpose(1, 2, 0))
@@ -544,7 +641,7 @@ def _restrict(mat: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
+def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws, rows=None) -> np.ndarray:
     """G_ij = int int G b_i b_j over the splatted nodal surface measures.
 
     Splat, solve (both tent kernels divided out) and pairing are circular
@@ -560,41 +657,55 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws) -> np.ndarray:
     kernel padded by one wrapped cell, summed axis by axis (_shift_sum).
     Each row block of about _GREEN_BLOCK entries is computed from its first
     row's diagonal on and mirrored into the lower triangle, so the matrix is
-    exactly symmetric.
+    exactly symmetric.  With rows (node indices) given, only G[rows, :] is
+    computed, in row blocks against every column.
     """
     base, frac = _splat_geometry(mesh, spec)
     p, dim = base.shape
     padded = np.pad(real_space_kernel(ws, -4), 1, mode="wrap").ravel()
     strides = [int(np.prod([n + 2 for n in spec.sizes[a + 1 :]])) for a in range(dim)]
-    centre = sum(strides)  # flat offset of the unpadded origin
-    # T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f
-    half_g, g, co = 0.5 - frac, 1.0 - 2.0 * frac, 1.0 - frac
     weights = mesh.all_weights()
-    row_w = spec.cells * weights
+    # per node: corner, f, and for T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f
+    # the factors 1/2 - f and g, then 1 - f and the row and column weights
+    nodes = (base, frac, 0.5 - frac, 1.0 - 2.0 * frac, 1.0 - frac, spec.cells * weights, weights)
+    args = (padded, strides, spec.sizes, nodes)
+    if rows is not None:
+        h = max(1, _GREEN_BLOCK // p)
+        blocks = [_green_entries(*args, rows[i : i + h], slice(None)) for i in range(0, len(rows), h)]
+        return np.concatenate(blocks)
     out = np.empty((p, p))
     r0 = 0
     while r0 < p:
         m = p - r0
         h = min(m, max(1, _GREEN_BLOCK // m))
         r1 = r0 + h
-        flat = np.zeros((h, m), dtype=np.intp)
-        tents = []
-        for a, n in enumerate(spec.sizes):
-            flat += (base[r0:r1, a, None] - base[None, r0:, a]) % n * strides[a]
-            zero = half_g[r0:r1, a, None] * g[None, r0:, a]
-            zero += 0.5
-            minus = co[r0:r1, a, None] * frac[None, r0:, a]
-            plus = frac[r0:r1, a, None] * co[None, r0:, a]
-            tents.append((minus, zero, plus))
-        acc = _shift_sum(padded, flat, tents, strides, centre)
-        acc *= row_w[r0:r1, None]
-        acc *= weights[r0:]
+        acc = _green_entries(*args, slice(r0, r1), slice(r0, None))
         square = acc[:, :h]
         out[r0:r1, r0:r1] = np.triu(square) + np.triu(square, 1).T
         out[r0:r1, r1:] = acc[:, h:]
         out[r1:, r0:r1] = acc[:, h:].T
         r0 = r1
     return out
+
+
+def _green_entries(padded, strides, sizes, nodes, r, c) -> np.ndarray:
+    """G[r, c] for the row nodes r against the column nodes c (slices or
+    index arrays), from the per-node tables of _green_matrix."""
+    base, frac, half_g, g, co, row_w, weights = nodes
+    flat = 0
+    tents = []
+    for a, n in enumerate(sizes):
+        flat = flat + (base[r, a, None] - base[None, c, a]) % n * strides[a]
+        zero = half_g[r, a, None] * g[None, c, a]
+        zero += 0.5
+        minus = co[r, a, None] * frac[None, c, a]
+        plus = frac[r, a, None] * co[None, c, a]
+        tents.append((minus, zero, plus))
+    # sum(strides) is the flat offset of the unpadded origin
+    acc = _shift_sum(padded, flat, tents, strides, sum(strides))
+    acc *= row_w[r, None]
+    acc *= weights[c]
+    return acc
 
 
 def _shift_sum(padded, flat, tents, strides, offset) -> np.ndarray:

@@ -25,8 +25,11 @@ from okpattern.stability import (
     _constraint_reflectors,
     _green_matrix,
     _normal_potential_slope,
+    _pencil_blocks,
+    _pencil_min,
     _restrict,
     _splat_geometry,
+    _symmetry_order,
     lamella_mode_matrix,
     lamella_potential_slope,
     lamella_threshold,
@@ -166,30 +169,47 @@ def test_green_term_nonnegative():
     ids=["cylinder", "disk"],
 )
 def test_grid_quad_form_is_the_assembled_pencil(shape, spec, res, monkeypatch):
-    # phi^T A phi with A as min_eigenvalue assembles it, caught on its way
-    # into the T-perp restriction; the grid route takes its tangential term
-    # from tangential_energy(), the pencil from the chart stiffness
+    # phi^T A phi with A as min_eigenvalue assembles it: its Bloch blocks are
+    # caught on their way out of _pencil_blocks and expanded back to the
+    # dense A (the cylinder takes the Bloch route, the disk the dense one);
+    # the grid route takes its tangential term from tangential_energy(), the
+    # pencil from the chart stiffness
     assembled = []
 
-    def spy(mat, v, t):
-        assembled.append(mat.copy())
-        return _restrict(mat, v, t)
+    def spy(*args):
+        a_blocks, b_blocks, rows = _pencil_blocks(*args)
+        assembled.append([a.copy() for a in a_blocks])
+        return a_blocks, b_blocks, rows
 
-    monkeypatch.setattr("okpattern.stability._restrict", spy)
+    monkeypatch.setattr("okpattern.stability._pencil_blocks", spy)
     mesh = interface_mesh(shape, res, spec.dim)
+    order = _symmetry_order(mesh, spec)
+    assert order == (16 if isinstance(shape, Cylinder) else 1)
     w = mesh.all_weights()
     sizes = np.cumsum([c.weights.size for c in mesh.charts])[:-1]
     rng = np.random.default_rng(11)
     for gamma in (0.0, 2.5):
         assembled.clear()
         min_eigenvalue(shape, gamma, spec, resolution=res)
-        a_mat = assembled[0]
+        a_mat = dense_from_bloch_blocks(assembled[0], order)
         assert a_mat.shape == (w.size, w.size)
         raw = rng.standard_normal(w.size)
         flat = raw - (w @ raw) / w.sum()
         phi = SurfaceFunction(mesh, np.split(flat, sizes))
         got = quad_form(shape, gamma, phi, spec, method="grid").total
         assert got == pytest.approx(flat @ a_mat @ flat, rel=1e-12)
+
+
+def dense_from_bloch_blocks(blocks, order):
+    """The dense matrix of the Bloch blocks q = 0 .. order // 2 that
+    _pencil_blocks returns: their inverse real FFT is the block row
+    R[d][r, r'], and entry (r * order + i2, r' * order + j2) is
+    R[(j2 - i2) mod order][r, r']."""
+    row = np.fft.irfft(np.stack(blocks), n=order, axis=0)
+    m = row.shape[1]
+    i2 = np.arange(order)
+    dense = row[(i2[None, :] - i2[:, None]) % order]  # [i2, j2, r, r']
+    return dense.transpose(2, 0, 3, 1).reshape(m * order, m * order)
 
 
 def green_matrix_corner_pair_reference(mesh, spec):
@@ -308,6 +328,30 @@ def test_chart_is_shift_invariant_along_its_last_axis(shape, dim, res):
         v = rng.standard_normal(chart.grid_shape)
         for whole, rolled in zip(chart.tangent_fn(v), chart.tangent_fn(np.roll(v, 1, -1))):
             assert np.max(np.abs(rolled - np.roll(whole, 1, -1))) <= 1e-13 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
+def test_chart_axis_is_a_translation_of_the_last_axis(shape, dim, res):
+    # with Chart.axis set, one node step along the last chart axis is the
+    # torus translation by 1 / n2 along axis, normals and weights unchanged
+    if isinstance(shape, Cylinder):
+        expected = shape.axis
+    elif isinstance(shape, Lamella):
+        expected = [a for a in range(dim) if a != shape.axis][-1]
+    else:
+        expected = None  # rotations and tiled copies
+    for chart in interface_mesh(shape, res, dim).charts:
+        assert chart.axis == expected
+        if expected is None:
+            continue
+        n2 = chart.grid_shape[-1]
+        step = np.zeros(dim)
+        step[chart.axis] = 1.0 / n2
+        moved = np.roll(chart.points, -1, axis=-2)
+        gap = (moved - (chart.points + step)) % 1.0
+        assert np.max(np.minimum(gap, 1.0 - gap)) <= 1e-15
+        assert np.array_equal(np.roll(chart.normals, -1, axis=-2), chart.normals)
+        assert np.array_equal(np.roll(chart.weights, -1, axis=-1), chart.weights)
 
 
 def test_chart_stiffness_rejects_weights_varying_along_last_axis():
@@ -594,6 +638,8 @@ def test_min_eigenvalue_same_with_one_and_two_blas_threads():
     ids=["lamella", "cylinder"],
 )
 def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, monkeypatch):
+    # every Bloch block solve asks for one eigenvalue, and their minimum is
+    # the least eigenvalue of a full eigh of the dense (order 1) pencil
     full = []
     eigh = scipy.linalg.eigh
 
@@ -604,8 +650,60 @@ def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
     value = min_eigenvalue(shape, gamma, CUBE, resolution=16)
+    assert len(full) == 16 // 2 + 1  # blocks q = 0 .. 8
+    assert value == pytest.approx(min(full), rel=1e-12)
+    full.clear()
+    dense = _pencil_min(shape, interface_mesh(shape, 16, 3), gamma, CUBE, 1)
     assert len(full) == 1
+    assert dense == pytest.approx(full[0], rel=1e-12)
     assert value == pytest.approx(full[0], rel=1e-12)
+
+
+GAMMA_STAR_3D = lamella_threshold(0.25, tangential_dim=2).gamma_star
+GAMMA_STAR_2D = lamella_threshold(0.25).gamma_star
+
+
+@pytest.mark.parametrize(
+    "shape, gamma, spec, res, order, solves",
+    [
+        (LAMELLA, 0.9 * GAMMA_STAR_3D, CUBE, 16, 16, 9),
+        (LAMELLA, 1.2 * GAMMA_STAR_3D, CUBE, 16, 16, 9),
+        # two one-node rows, both constrained away: q = 0 is empty
+        (LAMELLA, 0.9 * GAMMA_STAR_2D, GridSpec((128, 128)), 32, 32, 16),
+        (CYLINDER, 0.1, CUBE, 16, 16, 9),
+        (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 16, 16, 9),
+        # 24 nodes along the axis do not divide 32 cells: the dense pencil
+        (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 24, 1, 1),
+    ],
+    ids=[
+        "lamella-3d-0.9",
+        "lamella-3d-1.2",
+        "lamella-2d",
+        "cylinder",
+        "cylinder-axis1",
+        "cylinder-axis1-res24",
+    ],
+)
+def test_bloch_pencil_matches_dense_pencil(shape, gamma, spec, res, order, solves, monkeypatch):
+    mesh = interface_mesh(shape, res, spec.dim)
+    assert _symmetry_order(mesh, spec) == order
+    dense = _pencil_min(shape, mesh, gamma, spec, 1)
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, b, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    value = min_eigenvalue(shape, gamma, spec, resolution=res)
+    assert len(calls) == solves
+    assert value == pytest.approx(dense, rel=1e-12)
+
+
+def test_min_eigenvalue_rejects_negative_gamma():
+    with pytest.raises(ValueError, match="gamma"):
+        min_eigenvalue(Lamella(0, 0.5, 0.25), -5.0, GridSpec((64, 64)), resolution=16)
 
 
 def test_min_eigenvalue_3d_lamella_sign_tracks_threshold():
