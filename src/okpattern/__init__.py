@@ -36,7 +36,6 @@ from .geometry import (
     InterfaceMesh,
     el_residual,
     interface_mesh,
-    mean_curvature,
 )
 from .sharp_energy import (
     EnergyBreakdown,
@@ -47,7 +46,6 @@ from .sharp_energy import (
 )
 from .spectral import (
     SpectralWorkspace,
-    dirichlet_energy,
     get_workspace,
     gradient,
     laplacian,
@@ -63,7 +61,6 @@ from .stability import (
     lamella_mode_matrix,
     lamella_threshold,
     min_eigenvalue,
-    penalized_quad_form,
     quad_form,
     translation_mode,
 )
@@ -112,7 +109,6 @@ __all__ = [
     "alpha_distance",
     "build_periodic",
     "continue_family",
-    "dirichlet_energy",
     "el_residual",
     "flow_step",
     "gamma_limit_sweep",
@@ -123,12 +119,10 @@ __all__ = [
     "lamella_threshold",
     "laplacian",
     "local_minimality_probe",
-    "mean_curvature",
     "min_eigenvalue",
     "minimize",
     "nonlocal_energy",
     "ok_energy",
-    "penalized_quad_form",
     "perimeter",
     "periodize",
     "poisson_zero_mean",

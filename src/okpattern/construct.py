@@ -46,7 +46,6 @@ from .torus_field import (
     TiledShape,
     alpha_distance,
     rasterize,
-    subsample,
     tanh_profile,
     tile,
 )
@@ -316,14 +315,6 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
     return out
 
 
-def nl_tiling_identity_error(e_field: ScalarField, k: int) -> float:
-    """Relative error of NL(tile(E,k)) = k^-2 NL(E) with the parent measured
-    on the n/k grid (exact frequency bookkeeping; rounding-level)."""
-    lhs = nonlocal_energy(tile(e_field, k))
-    rhs = nonlocal_energy(subsample(e_field, k)) / k**2
-    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
-
 # ---------------------------------------------------------------------------
 # Minimality probes
 # ---------------------------------------------------------------------------
@@ -398,13 +389,6 @@ def _swap_pairs(f_field: ScalarField, k: int, amplitude: int) -> tuple[np.ndarra
     return inside[ia], (inside[ia] + deltas[jd]) % sizes
 
 
-def enumerate_swap_pairs(f_field: ScalarField, k: int, amplitude: int = 1):
-    """Every (inside, outside) cell pair of the fundamental cell within the
-    given sup-distance; the exhaustive companion of the random probe."""
-    for a, b in zip(*_swap_pairs(f_field, k, amplitude)):
-        yield tuple(int(x) for x in a), tuple(int(x) for x in b)
-
-
 def _swap_gaps(
     f_field: ScalarField, gamma_bar: float, k: int, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -440,17 +424,6 @@ def _swap_gaps(
         w[tuple(b.T)] - w[tuple(a.T)] + 2 * (kern_b.flat[0] - kern_b[tuple(((b - a) % block).T)])
     )
     return reps * d_perim + gamma_bar * d_nl
-
-
-def probe_energy_gap(f_field: ScalarField, gamma_bar: float, k: int, pair) -> float:
-    """Energy change of one replicated cell-pair swap (a, b): the closed form
-
-        dF = R dP_B + gamma_bar (4R/M) [(w_b - w_a) + 2 (K_B(0) - K_B(b - a))]
-
-    of local_minimality_probe, evaluated for this one pair."""
-    _check_probe_field(f_field, k)
-    a, b = pair
-    return float(_swap_gaps(f_field, gamma_bar, k, np.array([a]), np.array([b]))[0])
 
 
 # ---------------------------------------------------------------------------

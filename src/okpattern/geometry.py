@@ -283,29 +283,6 @@ def _tile_mesh(parent: InterfaceMesh, k: int) -> InterfaceMesh:
     return InterfaceMesh(charts)
 
 
-def mean_curvature(shape, point, dim: int | None = None) -> float:
-    """Sum of principal curvatures at a boundary point; positive for convex sets.
-
-    The point must lie on the boundary to within 1e-9 (analytic signed
-    distance).
-    """
-    pt = [np.asarray(x, dtype=float) for x in np.atleast_1d(point)]
-    if isinstance(shape, TiledShape):
-        inner = [np.mod(x * shape.k, 1.0) for x in pt]
-        return shape.k * mean_curvature(shape.shape, [float(x) for x in inner], dim)
-    d = float(shape.signed_distance(pt))
-    if abs(d) > 1e-9:
-        raise ValueError(f"point is off the boundary by {abs(d):.2e}")
-    if isinstance(shape, Lamella):
-        return 0.0
-    if isinstance(shape, Ball):
-        bdim = len(shape.center)
-        return (bdim - 1) / shape.radius
-    if isinstance(shape, Cylinder):
-        return 1.0 / shape.radius
-    raise TypeError(f"unsupported shape {shape!r}")
-
-
 @dataclass(frozen=True)
 class CriticalityReport:
     gamma: float

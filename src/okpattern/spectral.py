@@ -207,35 +207,13 @@ def _trig_shift(values: np.ndarray, axis: int, disp: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def nonlocal_energy(
-    u: ScalarField, ws: SpectralWorkspace | None = None, *, cell_average: bool = True
-) -> float:
-    """The Green-function energy sum_{xi != 0} |u_hat(xi)|^2 / (4 pi^2 |xi|^2).
-
-    With cell_average=True (default) u_hat is the exact coefficient of the
-    voxel density, the right reading for indicator fields.  With
-    cell_average=False the samples are treated as trigonometric collocation
-    values (the convention the diffuse flow differentiates).
-    """
+def nonlocal_energy(u: ScalarField, ws: SpectralWorkspace | None = None) -> float:
+    """The Green-function energy sum_{xi != 0} |u_hat(xi)|^2 / (4 pi^2 |xi|^2),
+    u_hat the exact coefficient of the voxel density, the right reading for
+    indicator fields.  The diffuse flow's term in ok_energy reads the samples
+    as trigonometric collocation values instead."""
     ws = ws or get_workspace(u.spec)
-    mult = ws.inv_lap * ws.sinc_power(2) if cell_average else ws.inv_lap
-    return parseval_sum(half_spectrum(u.values), mult, ws)
-
-
-def dirichlet_energy(
-    v: ScalarField, ws: SpectralWorkspace | None = None, *, cell_average: bool = True
-) -> float:
-    """int |grad v|^2 evaluated spectrally, in the same weighting as above."""
-    ws = ws or get_workspace(v.spec)
-    mult = ws.lap_symbol * ws.sinc_power(2) if cell_average else ws.lap_symbol
-    return parseval_sum(half_spectrum(v.values), mult, ws)
-
-
-def gradient_energy(u: ScalarField, ws: SpectralWorkspace | None = None) -> float:
-    """(1/M) sum_j |grad u|^2 of the Nyquist-zeroed spectral gradient fields."""
-    ws = ws or get_workspace(u.spec)
-    mult = sum(np.abs(d) ** 2 for d in _derivative_symbols(ws))
-    return parseval_sum(half_spectrum(u.values), mult, ws)
+    return parseval_sum(half_spectrum(u.values), ws.inv_lap * ws.sinc_power(2), ws)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Second-variation quadratic forms, penalization, mode analysis, thresholds.
+"""Second-variation quadratic forms, mode analysis, thresholds, pencils.
 
 The quadratic form on zero-mean surface functions phi is
 
@@ -8,8 +8,7 @@ The quadratic form on zero-mean surface functions phi is
 
 with the Green term nonnegative (it is the Dirichlet energy of the potential
 of the surface measure phi dH).  Translations phi = nu . e_i are exact null
-directions.  penalized_quad_form adds 2 |int phi nu|^2 (the same device the
-penalized functional uses); the pencil instead restricts to T-perp exactly.
+directions; the pencil restricts to T-perp, their complement, exactly.
 
 Two evaluation routes are kept deliberately distinct:
 
@@ -144,11 +143,6 @@ class SurfaceFunction:
             sum(np.sum(c.weights * v) for c, v in zip(self.mesh.charts, self.values))
         )
 
-    def l2_sq(self) -> float:
-        return float(
-            sum(np.sum(c.weights * v**2) for c, v in zip(self.mesh.charts, self.values))
-        )
-
     def tangential_energy(self) -> float:
         return float(
             sum(
@@ -156,19 +150,6 @@ class SurfaceFunction:
                 for c, v in zip(self.mesh.charts, self.values)
             )
         )
-
-    def h1_sq(self) -> float:
-        """Full H^1 norm squared (gradient plus L^2); the gradient-only
-        seminorm is tangential_energy()."""
-        return self.tangential_energy() + self.l2_sq()
-
-    def normal_moment(self) -> np.ndarray:
-        """int phi nu dH, the vector whose vanishing defines T-perp."""
-        dim = self.mesh.charts[0].points.shape[-1]
-        out = np.zeros(dim)
-        for c, v in zip(self.mesh.charts, self.values):
-            out += np.sum((c.weights * v)[..., None] * c.normals, axis=tuple(range(v.ndim)))
-        return out
 
 
 def translation_mode(mesh: InterfaceMesh, axis: int) -> SurfaceFunction:
@@ -200,11 +181,10 @@ class QuadFormReport:
     term_perimeter: float
     term_potential: float
     term_green: float
-    penalty: float = 0.0
 
     @property
     def total(self) -> float:
-        return self.term_perimeter + self.term_potential + self.term_green + self.penalty
+        return self.term_perimeter + self.term_potential + self.term_green
 
     @property
     def magnitude_scale(self) -> float:
@@ -212,7 +192,6 @@ class QuadFormReport:
             abs(self.term_perimeter)
             + abs(self.term_potential)
             + abs(self.term_green)
-            + abs(self.penalty)
             + 1e-300
         )
 
@@ -255,15 +234,6 @@ def quad_form(
             raise ValueError("the grid route needs a GridSpec")
         return _quad_form_grid(shape, gamma, phi, spec)
     raise ValueError(f"unknown method {method!r}")
-
-
-def penalized_quad_form(shape, gamma, phi, spec=None, *, method="auto") -> QuadFormReport:
-    """quad_form plus the translation penalty 2 |int phi nu|^2."""
-    base = quad_form(shape, gamma, phi, spec, method=method)
-    moment = phi.normal_moment()
-    return QuadFormReport(
-        base.term_perimeter, base.term_potential, base.term_green, 2.0 * float(moment @ moment)
-    )
 
 
 def _quad_form_lamella_modes(shape: Lamella, gamma: float, phi: SurfaceFunction) -> QuadFormReport:
@@ -372,6 +342,8 @@ def _mode_lines(halfwidth: float, q_max: int, tangential_dim: int) -> tuple[np.n
     """The distinct |q|^2 over nonzero integer wave vectors with components in
     [-q_max, q_max], and the slope c_q = 4 d_nu v + 8 K_q(0) - 8 |K_q(2w)| of
     each block's least eigenvalue, which is the line 4 pi^2 |q|^2 + gamma c_q."""
+    if not 0.0 < halfwidth < 0.5:
+        raise ValueError("lamella halfwidth must lie in (0, 1/2)")
     squares = np.arange(q_max + 1) ** 2
     q_sq = np.unique(sum(np.ix_(*[squares] * tangential_dim)))[1:].astype(float)
     k_self, k_cross = lamella_couplings(q_sq, halfwidth)
@@ -393,6 +365,8 @@ def mode_scan_min_eigenvalue(
     4 pi^2 |q|^2 + 1 of its mode, matching the generalized pencil
     normalization of min_eigenvalue.
     """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
     q_sq, slope = _mode_lines(halfwidth, q_max, tangential_dim)
     vals = FOUR_PI_SQ * q_sq + gamma * slope
     if h1_normalized:
@@ -512,40 +486,27 @@ def _pencil_blocks(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, ord
     with the same eigenvalues); the q = 0 block is real.  The stiffness
     enters in real space because it is the real part of T^H W T with complex
     components T (the chart Nyquist mode is kept), and the Fourier blocks of
-    T^H W T are not those of its real part.  With order 1 the one block is
-    the dense real pencil on the full basis (rows = slice(None)).
+    T^H W T are not those of its real part.  With order 1 every node is a
+    row node and the one block is the dense real pencil, with no FFT.
     """
     weights = mesh.all_weights()
-    p = weights.size
-    if order == 1:
-        curv, pot, a_mat = _second_variation_parts(shape, mesh, gamma, spec)
-        if a_mat is None:
-            a_mat = np.zeros((p, p))
-        b_mat = np.zeros((p, p))
-        offsets = np.cumsum([0] + [c.weights.size for c in mesh.charts])
-        for chart, lo, hi in zip(mesh.charts, offsets, offsets[1:]):
-            grad_block = _chart_stiffness(chart)
-            a_mat[lo:hi, lo:hi] += grad_block
-            b_mat[lo:hi, lo:hi] += grad_block
-        diag = np.diag_indices(p)
-        a_mat[diag] += pot - curv
-        b_mat[diag] += weights
-        return [a_mat], [b_mat], slice(None)
-
-    rows = np.arange(0, p, order)
+    rows = np.arange(0, weights.size, order)
     m = rows.size
-    curv, pot, green = _second_variation_parts(shape, mesh, gamma, spec, rows)
+    # at order 1 the full Green matrix, from its exactly symmetric
+    # upper-triangle fill
+    curv, pot, green = _second_variation_parts(shape, mesh, gamma, spec, rows if order > 1 else None)
     a_row = np.zeros((m, m, order)) if green is None else green.reshape(m, m, order)
     b_row = np.zeros((m, m, order))
     offsets = np.cumsum([0] + [c.weights.size // order for c in mesh.charts])
     for chart, lo, hi in zip(mesh.charts, offsets, offsets[1:]):
-        # the stiffness entry ((i1, 0), (j1, d)) is C[-d mod n2][i1, j1]
-        grad_row = _stiffness_blocks(chart)[-np.arange(order) % order].transpose(1, 2, 0)
+        grad_row = _chart_stiffness(chart, order).reshape(hi - lo, hi - lo, order)
         a_row[lo:hi, lo:hi] += grad_row
         b_row[lo:hi, lo:hi] += grad_row
     diag = np.arange(m)
     a_row[diag, diag, 0] += pot - curv
     b_row[diag, diag, 0] += weights[rows]
+    if order == 1:
+        return [a_row[..., 0]], [b_row[..., 0]], rows
     blocks = []
     for row in (a_row, b_row):
         hat = list(np.fft.rfft(row, axis=-1).transpose(2, 0, 1))
@@ -584,17 +545,18 @@ def _stiffness_blocks(chart) -> np.ndarray:
     return 0.5 * (blocks + np.roll(blocks[::-1], 1, axis=0).transpose(0, 2, 1))
 
 
-def _chart_stiffness(chart) -> np.ndarray:
-    """Re(T^H W T) for the chart's tangent components T on the nodal basis:
-    the exact Dirichlet form of the chart trigonometric interpolant, Nyquist
-    mode included, exactly symmetric; filled from _stiffness_blocks."""
+def _chart_stiffness(chart, order: int) -> np.ndarray:
+    """Rows i2 = 0, order, 2 order, ... of Re(T^H W T) for the chart's tangent
+    components T on the nodal basis: the exact Dirichlet form of the chart
+    trigonometric interpolant, Nyquist mode included, exactly symmetric.
+    Row (i1, i2) against column (j1, j2) is C[(i2 - j2) mod n2][i1, j1] from
+    _stiffness_blocks, in one gather; with order 1 the whole matrix."""
     blocks = _stiffness_blocks(chart)
     n2, n1 = blocks.shape[:2]
-    # ring[i1, j1, k] = C[-k mod n2][i1, j1] over two periods, so row (i1, i2)
-    # is the window ring[i1, :, n2 - i2 : 2 n2 - i2]: one strided copy
-    ring = np.ascontiguousarray(blocks[-np.arange(2 * n2) % n2].transpose(1, 2, 0))
-    runs = np.lib.stride_tricks.sliding_window_view(ring, n2, axis=-1)[:, :, n2:0:-1]
-    return runs.transpose(0, 2, 1, 3).reshape(n1 * n2, n1 * n2)
+    shift = (np.arange(0, n2, order)[:, None] - np.arange(n2)) % n2
+    i1 = np.arange(n1)
+    out = blocks[shift[None, :, None, :], i1[:, None, None, None], i1[None, None, :, None]]
+    return out.reshape(n1 * n2 // order, n1 * n2)
 
 
 def _constraint_reflectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -214,6 +214,24 @@ def test_stability_thresholds_mode(tmp_path):
     assert abs(float(lines[1].split(",")[2]) - 94.872) < 0.01
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        "[stability]\nw_list = 0.7,-0.1\n",
+        "[stability]\ngamma_list = -5\n",
+        "[stability]\nw_list = 0.6\nthresholds = 1\n",
+    ],
+    ids=["halfwidth-outside-range", "negative-gamma", "threshold-halfwidth-outside-range"],
+)
+def test_stability_rejects_lamellae_that_cannot_exist(tmp_path, capsys, config):
+    ini = tmp_path / "c.ini"
+    ini.write_text(config)
+    out = tmp_path / "r"
+    assert run(["stability", "--config", str(ini), "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (out / "report.csv").exists()
+
+
 def test_construct_with_probes(tmp_path):
     out = tmp_path / "cp"
     cfg = tmp_path / "c.ini"

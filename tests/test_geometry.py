@@ -9,7 +9,6 @@ from okpattern.geometry import (
     fit_cylinder,
     fit_lamella,
     interface_mesh,
-    mean_curvature,
 )
 from okpattern.torus_field import (
     Ball,
@@ -57,13 +56,16 @@ def test_mesh_resolution_and_variant_errors():
         interface_mesh(Ball((0.5,), 0.2), 16)
 
 
+def chart_mean_curvatures(shape, dim):
+    """The distinct Chart.mean_curv values, the curvature el_residual reads."""
+    return sorted({c.mean_curv for c in interface_mesh(shape, 16, dim).charts})
+
+
 def test_mean_curvature_values():
-    assert mean_curvature(Lamella(axis=0, center=0.5, halfwidth=0.25), (0.75, 0.3)) == 0.0
-    assert mean_curvature(Ball((0.5, 0.5, 0.5), 0.25), (0.75, 0.5, 0.5)) == pytest.approx(8.0)
-    assert mean_curvature(Ball((0.5, 0.5), 0.25), (0.75, 0.5)) == pytest.approx(4.0)
-    assert mean_curvature(Cylinder(axis=2, center=(0.5, 0.5), radius=0.2), (0.7, 0.5, 0.1)) == pytest.approx(5.0)
-    with pytest.raises(ValueError, match="off the boundary"):
-        mean_curvature(Ball((0.5, 0.5), 0.25), (0.6, 0.5))
+    assert chart_mean_curvatures(Lamella(axis=0, center=0.5, halfwidth=0.25), 2) == [0.0]
+    assert chart_mean_curvatures(Ball((0.5, 0.5), 0.25), 2) == pytest.approx([4.0])
+    assert chart_mean_curvatures(Ball((0.5, 0.5, 0.5), 0.25), 3) == pytest.approx([8.0])
+    assert chart_mean_curvatures(Cylinder(axis=2, center=(0.5, 0.5), radius=0.2), 3) == pytest.approx([5.0])
 
 
 def test_sphere_tangential_derivative_exact_for_harmonics():
@@ -207,6 +209,5 @@ def test_lamella_mesh_dim3():
 
 
 def test_mean_curvature_tiled_shape():
-    tiled = TiledShape(Ball((0.5, 0.5), 0.25), 2)
-    # the point (0.375, 0.25) maps to (0.75, 0.5) on the parent boundary
-    assert mean_curvature(tiled, (0.375, 0.25)) == pytest.approx(8.0)
+    # every copy of the radius-1/8 disk carries twice the parent's curvature
+    assert chart_mean_curvatures(TiledShape(Ball((0.5, 0.5), 0.25), 2), 2) == pytest.approx([8.0])

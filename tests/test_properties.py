@@ -1,0 +1,125 @@
+"""Property tests of the exact identities the pipeline rests on.
+
+Each law holds to rounding (or exactly) for every input, so hypothesis draws
+the grids, sets and parameters: the 1/k tiling laws, mass conservation and
+energy descent of one flow step, the alpha pseudometric, and the OKF byte
+round trip.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from okpattern.diffuse_ok import FlowConfig, flow_state, flow_step
+from okpattern.sharp_energy import total_variation_perimeter
+from okpattern.spectral import nonlocal_energy
+from okpattern.torus_field import (
+    FIELD_KINDS,
+    GridSpec,
+    ScalarField,
+    alpha_distance,
+    periodize,
+    read_field,
+    subsample,
+    tile,
+    write_field,
+)
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_set(spec: GridSpec, rng) -> ScalarField:
+    """A two-phase indicator on spec with both phases present."""
+    values = np.where(rng.random(spec.sizes) < 0.5, 1.0, -1.0)
+    values.flat[0], values.flat[-1] = 1.0, -1.0
+    return ScalarField(spec, values, "indicator")
+
+
+def assert_rel_close(got: float, want: float, rel: float = 1e-12) -> None:
+    assert abs(got - want) <= rel * abs(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=st.lists(st.integers(2, 4), min_size=1, max_size=3), k=st.integers(1, 3), seed=SEEDS)
+def test_tiling_laws(half, k, seed):
+    # tile(E, k) is the parent E' = subsample(E, k) repeated k times per axis:
+    # its TV perimeter is k P(E') and its nonlocal energy k^-2 NL(E')
+    spec = GridSpec(tuple(2 * h * k for h in half))
+    e = random_set(spec, np.random.default_rng(seed))
+    tiled, parent = tile(e, k), subsample(e, k)
+    assert np.array_equal(tiled.values, periodize(parent, k, spec).values)
+    assert_rel_close(total_variation_perimeter(tiled), k * total_variation_perimeter(parent))
+    assert_rel_close(nonlocal_energy(tiled), nonlocal_energy(parent) / k**2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([16, 24, 32]), min_size=1, max_size=2),
+    eps_cells=st.floats(2.0, 4.0),
+    gamma=st.floats(0.0, 50.0),
+    dt=st.floats(1e-4, 0.1),
+    seed=SEEDS,
+)
+def test_flow_step_conserves_mass_and_never_raises_the_energy(sizes, eps_cells, gamma, dt, seed):
+    spec = GridSpec(tuple(sizes))
+    rng = np.random.default_rng(seed)
+    u0 = ScalarField(spec, rng.uniform(-1.0, 1.0, spec.sizes), "phase")
+    config = FlowConfig(eps=eps_cells * spec.max_spacing, gamma=gamma, dt=dt)
+    state = flow_state(u0, config)
+    for _ in range(3):
+        new = flow_step(state, config)
+        assert abs(new.u.mean - u0.mean) <= 1e-12
+        assert new.energy <= state.energy
+        state = new
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    shift=st.lists(st.integers(-10, 10), min_size=3, max_size=3),
+    seed=SEEDS,
+)
+def test_alpha_distance_is_a_translation_invariant_pseudometric(half, shift, seed):
+    spec = GridSpec(tuple(2 * h for h in half))
+    rng = np.random.default_rng(seed)
+    e, f, g = (random_set(spec, rng) for _ in range(3))
+
+    def cells(a, b):
+        # the distance counts mismatched cells: compare the counts exactly
+        return round(alpha_distance(a, b) / spec.cell_volume)
+
+    moved = ScalarField(spec, np.roll(e.values, shift[: spec.dim], range(spec.dim)), "indicator")
+    assert cells(e, f) == cells(f, e)
+    assert cells(e, g) <= cells(e, f) + cells(f, g)
+    assert cells(moved, f) == cells(e, f)
+    assert cells(moved, e) == 0
+
+
+KIND_VALUES = {
+    "generic": st.floats(allow_nan=False, width=64),
+    "indicator": st.sampled_from([-1.0, 1.0]),
+    "phase": st.floats(-1.1, 1.1),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_field_file_write_read_write_is_byte_identical(kind, dim, data):
+    sizes = tuple(data.draw(st.lists(st.sampled_from([4, 6]), min_size=dim, max_size=dim)))
+    count = int(np.prod(sizes))
+    values = data.draw(st.lists(KIND_VALUES[kind], min_size=count, max_size=count))
+    u = ScalarField(GridSpec(sizes), np.reshape(values, sizes), kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.okf", Path(tmp) / "b.okf"
+        write_field(u, first)
+        back = read_field(first)
+        write_field(back, second)
+        assert back.kind == kind and back.spec == u.spec
+        assert back.values.tobytes() == u.values.tobytes()
+        assert first.read_bytes() == second.read_bytes()

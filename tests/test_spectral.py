@@ -13,15 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okpattern import spectral
+from okpattern.diffuse_ok import ok_energy
 from okpattern.geometry import interface_mesh
 from okpattern.spectral import (
     _PHASE_BLOCK_BYTES,
     _potential_and_gradient,
     cell_average_potential,
-    dirichlet_energy,
     get_workspace,
     gradient,
-    gradient_energy,
     laplacian,
     nonlocal_energy,
     poisson_zero_mean,
@@ -114,9 +113,9 @@ def test_nonlocal_energy_single_mode():
     u = ScalarField(spec, np.broadcast_to(np.cos(2 * np.pi * x), spec.sizes).copy())
     # voxel weighting multiplies the mode by sinc(1/n): an O(h^2) reweighting
     assert nonlocal_energy(u) == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-4)
-    assert nonlocal_energy(u, cell_average=False) == pytest.approx(
-        1.0 / (8 * np.pi**2), rel=1e-12
-    )
+    # the diffuse energy's term reads the samples as collocation values: exact
+    nl_plain = ok_energy(u, 1.0, 1.0) - ok_energy(u, 1.0, 0.0)
+    assert nl_plain == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-12)
 
 
 def test_nonlocal_energy_lamella_closed_form():
@@ -160,12 +159,14 @@ def test_parseval_cross_check_dirichlet_vs_nonlocal():
             u = ScalarField(spec, np.broadcast_to(vals, spec.sizes).copy())
         else:
             u = rasterize(Lamella(axis=0, center=0.5, halfwidth=0.25), spec)
-        v = poisson_zero_mean(u)
-        nl = nonlocal_energy(u)
-        assert dirichlet_energy(v) == pytest.approx(nl, rel=1e-10)
-        # collocation weighting closes the same loop with the gradient fields
-        nl_plain = nonlocal_energy(u, cell_average=False)
-        assert gradient_energy(v) == pytest.approx(nl_plain, rel=1e-6)
+        # the voxel Green pairing (1/M) <u, w(u)> is the same Parseval sum
+        pairing = np.mean(u.values * cell_average_potential(u).values)
+        assert pairing == pytest.approx(nonlocal_energy(u), rel=1e-10)
+        # collocation weighting: the Dirichlet energy of the potential, from
+        # its gradient fields, is the diffuse energy's nonlocal term
+        grad_sq = sum(np.mean(g.values**2) for g in gradient(poisson_zero_mean(u)))
+        nl_plain = ok_energy(u, 1.0, 1.0) - ok_energy(u, 1.0, 0.0)
+        assert grad_sq == pytest.approx(nl_plain, rel=1e-6)
 
 
 def test_tiling_law_exact_for_any_field():

@@ -1,4 +1,4 @@
-"""Quadratic form, mode matrix, penalization, pencil, restriction and threshold tests.
+"""Quadratic form, mode matrix, pencil, restriction and threshold tests.
 
 Kernel closed forms are validated against direct lattice-sum oracles here;
 the full 27-combination mode-vs-grid equivalence sweep lives in the
@@ -36,7 +36,6 @@ from okpattern.stability import (
     lamella_wave_mode,
     min_eigenvalue,
     mode_scan_min_eigenvalue,
-    penalized_quad_form,
     quad_form,
     screened_green_coupling,
     translation_mode,
@@ -108,6 +107,9 @@ def test_translation_degeneracy_mode_route():
     for gamma in (0.0, 1.0, 10.0):
         rep = quad_form(shape, gamma, phi)
         assert abs(rep.total) <= 1e-6 * max(rep.magnitude_scale, 1e-12)
+    # and in absolute terms on the coarser mesh
+    phi = translation_mode(interface_mesh(shape, 32, dim=2), 0)
+    assert abs(quad_form(shape, 1.0, phi).total) <= 1e-9
 
 
 def test_translation_degeneracy_ball_area_functional():
@@ -123,28 +125,6 @@ def test_flat_interface_dirichlet_value():
     mesh = interface_mesh(shape, 32, dim=2)
     rep = quad_form(shape, 0.0, lamella_wave_mode(mesh, 1))
     assert rep.total == pytest.approx(FOUR_PI_SQ, rel=1e-12)
-
-
-def test_penalization_exactness_and_translation_value():
-    shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
-    mesh = interface_mesh(shape, 32, dim=2)
-    spec = GridSpec((64, 64))
-    rng = np.random.default_rng(8)
-    for gamma in (0.0, 2.0):
-        raw = [rng.standard_normal(c.grid_shape) for c in mesh.charts]
-        shift = sum(np.sum(c.weights * v) for c, v in zip(mesh.charts, raw)) / mesh.total_weight
-        phi = SurfaceFunction(mesh, [v - shift for v in raw])
-        plain = quad_form(shape, gamma, phi, spec, method="grid")
-        pen = penalized_quad_form(shape, gamma, phi, spec, method="grid")
-        moment = phi.normal_moment()
-        assert pen.penalty == pytest.approx(2 * float(moment @ moment), rel=1e-12)
-        assert pen.total - plain.total == pytest.approx(pen.penalty, rel=1e-12)
-        assert pen.total >= plain.total
-    # translation mode: each interface has unit area, so int phi nu = 2 e_1
-    phi_t = translation_mode(mesh, 0)
-    pen_t = penalized_quad_form(shape, 1.0, phi_t)
-    assert pen_t.penalty == pytest.approx(8.0, abs=1e-12)
-    assert pen_t.total == pytest.approx(8.0, abs=1e-9)
 
 
 def test_green_term_nonnegative():
@@ -311,7 +291,7 @@ CHART_IDS = [
 @pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
 def test_chart_stiffness_matches_identity_stack_reference(shape, dim, res):
     for chart in interface_mesh(shape, res, dim).charts[:2]:
-        got = _chart_stiffness(chart)
+        got = _chart_stiffness(chart, 1)
         ref = chart_stiffness_identity_stack_reference(chart)
         assert got.shape == ref.shape == (chart.weights.size,) * 2
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -358,7 +338,7 @@ def test_chart_stiffness_rejects_weights_varying_along_last_axis():
     chart = interface_mesh(CYLINDER, 16, 3).charts[0]
     tilted = chart.weights * (1.0 + 0.1 * np.arange(16) / 16)
     with pytest.raises(ValueError, match="last chart axis"):
-        _chart_stiffness(dataclasses.replace(chart, weights=tilted))
+        _chart_stiffness(dataclasses.replace(chart, weights=tilted), 1)
 
 
 def test_chart_stiffness_memory_stays_within_three_m_squared():
@@ -368,7 +348,7 @@ def test_chart_stiffness_memory_stays_within_three_m_squared():
     assert m == 1024
     tracemalloc.start()
     try:
-        _chart_stiffness(chart)
+        _chart_stiffness(chart, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,7 +488,7 @@ def test_surface_function_zero_mean_validation():
         SurfaceFunction(mesh, [np.ones(c.grid_shape) for c in mesh.charts])
     phi = SurfaceFunction(mesh, [np.ones(16), -np.ones(16)])
     assert phi.weighted_integral() == pytest.approx(0.0, abs=1e-15)
-    assert phi.h1_sq() == pytest.approx(phi.l2_sq(), abs=1e-12)
+    assert phi.tangential_energy() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_splat_mean_guard():
@@ -706,6 +686,16 @@ def test_min_eigenvalue_rejects_negative_gamma():
         min_eigenvalue(Lamella(0, 0.5, 0.25), -5.0, GridSpec((64, 64)), resolution=16)
 
 
+def test_mode_scan_and_threshold_reject_impossible_lamellae():
+    with pytest.raises(ValueError, match="gamma"):
+        mode_scan_min_eigenvalue(0.25, -5.0)
+    for w in (0.0, 0.5, 0.7, -0.1):
+        with pytest.raises(ValueError, match="halfwidth"):
+            mode_scan_min_eigenvalue(w, 1.0)
+        with pytest.raises(ValueError, match="halfwidth"):
+            lamella_threshold(w)
+
+
 def test_min_eigenvalue_3d_lamella_sign_tracks_threshold():
     shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
     gamma_star = lamella_threshold(0.25, tangential_dim=2).gamma_star
@@ -805,13 +795,9 @@ def test_mode_matrix_vector_wave_number():
 
 
 def test_penalty_vanishes_on_t_perp():
-    # wave modes with q >= 1 have zero normal moment on the lamella, so the
-    # penalized and plain forms agree exactly there
-    shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
-    mesh = interface_mesh(shape, 32, dim=2)
+    # wave modes with q >= 1 have zero normal moment int phi nu on the
+    # lamella: they lie in T-perp, where a translation penalty vanishes
+    mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 32, dim=2)
     phi = lamella_wave_mode(mesh, 2, (1.0, -0.5))
-    assert np.max(np.abs(phi.normal_moment())) <= 1e-13
-    plain = quad_form(shape, 2.0, phi)
-    pen = penalized_quad_form(shape, 2.0, phi)
-    assert pen.penalty <= 1e-25
-    assert pen.total == pytest.approx(plain.total, rel=1e-14)
+    flat = np.concatenate([v.ravel() for v in phi.values])
+    assert np.max(np.abs((mesh.all_weights() * flat) @ mesh.all_normals())) <= 1e-13
