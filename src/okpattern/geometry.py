@@ -3,10 +3,10 @@
 Meshes carry analytic points, outward normals, quadrature weights, and one
 tangential-derivative operator per chart.  Periodic chart axes differentiate
 spectrally with the full symbol (FFT, the chart Nyquist mode kept, so the
-components are complex); the sphere's polar direction uses Gauss-Legendre
-collocation in cos(theta), so low-degree spherical harmonics differentiate
-exactly and the quadrature weights sum to the analytic area to machine
-precision.
+components are complex).  The sphere is one of them: on the double Fourier
+sphere its polar angle runs over a full period, so low-degree spherical
+harmonics differentiate exactly, and Fejer quadrature in cos(theta) sums the
+weights to the analytic area to machine precision.
 
 Curvature is analytic for candidates (sum of principal curvatures, positive
 for a convex set).  Flow outputs never get voxel curvature extraction; their
@@ -105,20 +105,6 @@ def _fft_deriv(values: np.ndarray, axis: int, period: float, scale: float = 1.0)
     return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * omega * k), axis=axis) * scale
 
 
-def _legendre_diff_matrix(x: np.ndarray) -> np.ndarray:
-    """Barycentric collocation differentiation at arbitrary distinct nodes."""
-    n = x.size
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    logs = np.sum(np.log(np.abs(diff)), axis=1)
-    signs = np.prod(np.sign(diff), axis=1)
-    w = signs * np.exp(-(logs - logs.mean()))
-    d = (w[None, :] / w[:, None]) / diff
-    np.fill_diagonal(d, 0.0)
-    np.fill_diagonal(d, -np.sum(d, axis=1))
-    return d
-
-
 def _lamella_charts(shape: Lamella, dim: int, res: int) -> list[Chart]:
     """Two flat charts covering the unit tangential cross-section each."""
     tangential = [a for a in range(dim) if a != shape.axis]
@@ -155,50 +141,33 @@ def _circle_chart(center, r: float, res: int) -> Chart:
     return Chart(pts, nx.copy(), weights, 1.0 / r, 1.0 / r**2, tangent_fn)
 
 
-def _sphere_tangent_components(values, r, mu, dmat, sin_t):
-    """Complex surface-gradient components on the lat-long sphere chart.
-
-    Azimuthal modes factor as phi_m(mu) = (1-mu^2)^{|m|/2} g(mu) with g smooth,
-    so each mode is differentiated through that associated basis (plain
-    collocation of the square-root factor would lose several digits).  Modes
-    whose basis factor underflows fall back to the value interpolant.
-    values may carry trailing batch axes after the (polar, azimuth) grid.
-    """
-    res = values.shape[1]
-    column = (values.shape[0],) + (1,) * (values.ndim - 2)
-    mu, sin_t = mu.reshape(column), sin_t.reshape(column)
-    vhat = np.fft.fft(values, axis=1)
-    ms = np.fft.fftfreq(res, d=1.0 / res).astype(int)
-    one_minus = 1.0 - mu**2
-    d_polar = np.empty_like(vhat)
-    d_azim = np.empty_like(vhat)
-    for col, m in enumerate(ms):
-        am = abs(int(m))
-        d_azim[:, col] = 1j * m * vhat[:, col] / sin_t
-        a = one_minus ** (am / 2.0)
-        if am == 0 or a.min() < 1e-10:
-            d_polar[:, col] = sin_t * np.tensordot(dmat, vhat[:, col], axes=1)
-        else:
-            g = vhat[:, col] / a
-            dphi_m = a * (np.tensordot(dmat, g, axes=1) - am * mu * g / one_minus)
-            d_polar[:, col] = sin_t * dphi_m
-    return [np.fft.ifft(d_polar, axis=1) / r, np.fft.ifft(d_azim, axis=1) / r]
-
-
 def _sphere_chart(center, r: float, res: int) -> Chart:
-    mu, w_gl = np.polynomial.legendre.leggauss(res)
+    """Chart axes (theta, phi) on the double Fourier sphere.
+
+    Polar nodes theta_j = (j + 1/2) pi / res carry Fejer's first-rule
+    weights in cos(theta).  A function on the sphere extends to a 2 pi
+    periodic function of theta by f(2 pi - theta, phi + pi), so the polar
+    derivative is the FFT derivative of that doubled array (res even puts
+    phi + pi on a node), and both chart axes are periodic.
+    """
+    theta = (np.arange(res) + 0.5) * np.pi / res
     phi = 2 * np.pi * np.arange(res) / res
-    sin_t = np.sqrt(1.0 - mu**2)
+    k = np.arange(1, res // 2 + 1)
+    cos_sum = np.cos(2.0 * np.outer(theta, k)) @ (1.0 / (4.0 * k**2 - 1.0))
+    fejer = (2.0 / res) * (1.0 - 2.0 * cos_sum)
+    sin_t = np.sin(theta)
     nx = np.empty((res, res, 3))
     nx[..., 0] = sin_t[:, None] * np.cos(phi)[None, :]
     nx[..., 1] = sin_t[:, None] * np.sin(phi)[None, :]
-    nx[..., 2] = mu[:, None]
+    nx[..., 2] = np.cos(theta)[:, None]
     pts = (np.asarray(center) + r * nx) % 1.0
-    weights = np.broadcast_to(r**2 * w_gl[:, None] * (2 * np.pi / res), (res, res)).copy()
-    dmat = _legendre_diff_matrix(mu)
+    weights = np.broadcast_to(r**2 * fejer[:, None] * (2 * np.pi / res), (res, res)).copy()
 
-    def tangent_fn(values, _r=r, _d=dmat, _sin=sin_t, _mu=mu):
-        return _sphere_tangent_components(values, _r, _mu, _d, _sin)
+    def tangent_fn(values, _r=r, _sin=sin_t):
+        doubled = np.concatenate([values, np.roll(values[::-1], res // 2, axis=1)])
+        d_polar = _fft_deriv(doubled, 0, period=2 * np.pi, scale=1.0 / _r)[:res]
+        d_azim = _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r)
+        return [d_polar, d_azim / _sin.reshape((res,) + (1,) * (values.ndim - 1))]
 
     return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn)
 
@@ -230,7 +199,8 @@ def _cylinder_chart(shape: Cylinder, res: int) -> Chart:
 def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceMesh:
     """Quadrature mesh of the boundary of a candidate (or its 1/k tiling).
 
-    resolution is the sample count per chart axis and must be at least 8.
+    resolution is the sample count per chart axis and must be at least 8,
+    and even for a sphere.
     """
     if resolution < 8:
         raise ValueError("mesh resolution must be at least 8 per chart axis")
@@ -250,6 +220,8 @@ def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceM
         if bdim == 2:
             return InterfaceMesh([_circle_chart(shape.center, shape.radius, resolution)])
         if bdim == 3:
+            if resolution % 2:
+                raise ValueError("sphere meshes need an even resolution")
             return InterfaceMesh([_sphere_chart(shape.center, shape.radius, resolution)])
         raise ValueError("ball meshes exist for dim 2 and 3 only")
     if isinstance(shape, Cylinder):

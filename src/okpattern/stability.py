@@ -22,12 +22,9 @@ Two evaluation routes are kept deliberately distinct:
   potential node weights (d_nu v sampled spectrally from the rasterized set)
   and the Green matrix of the multilinear splat come from the one function
   the pencil also calls, so those terms are phi . weights . phi and
-  phi^T G phi.  The tangential term is the exception: it is summed directly
-  from the chart derivative (tangential_energy()), the same full-symbol
-  derivative the pencil's stiffness K is built from, not as phi^T K phi.  On
-  the sphere chart the ill-conditioned polar derivative makes phi^T K phi
-  miss the direct sum by 2.7e-6 relative on the res-16 z-translation mode,
-  which would break that exact null direction.  Fully generic; agrees with
+  phi^T G phi.  The tangential term is summed directly from the chart
+  derivative (tangential_energy()), the same full-symbol derivative the
+  pencil's stiffness K is built from.  Fully generic; agrees with
   the mode route to about a part in 10^3 at production resolutions, which is
   exactly the oracle-equivalence check the test suite runs.
 

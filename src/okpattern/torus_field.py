@@ -326,19 +326,9 @@ def alpha_distance(e: ScalarField, f: ScalarField) -> float:
 def tile(u: ScalarField, k: int) -> ScalarField:
     """Sample the 1/k-rescaled set on the same grid: out[i] = in[(k*i) mod n].
 
-    Equals periodize(subsample(u, k), k); the output is 1/k-periodic by
-    construction.  k must divide every grid size.
+    The output is 1/k-periodic by construction.  k must divide every grid size.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return u
-    spec = u.spec
-    for n in spec.sizes:
-        if n % k != 0:
-            raise ValueError(f"k={k} does not divide grid size {n}")
-    idx = np.ix_(*[(k * np.arange(n)) % n for n in spec.sizes])
-    return ScalarField(spec, np.ascontiguousarray(u.values[idx]), u.kind)
+    return periodize(subsample(u, k), k, u.spec)
 
 
 def subsample(u: ScalarField, k: int) -> ScalarField:

@@ -54,6 +54,9 @@ def test_mesh_resolution_and_variant_errors():
         interface_mesh(Cylinder(), 16, dim=2)
     with pytest.raises(ValueError):
         interface_mesh(Ball((0.5,), 0.2), 16)
+    # the sphere's polar extension f(2 pi - theta, phi + pi) needs phi + pi on a node
+    with pytest.raises(ValueError):
+        interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 17)
 
 
 def chart_mean_curvatures(shape, dim):

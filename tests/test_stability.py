@@ -581,13 +581,24 @@ def test_min_eigenvalue_3d_ball_area_form(center):
     assert min_eigenvalue(ball, 0.1, CUBE, resolution=16) > 0
 
 
+def test_sphere_pencil_converges_to_the_l2_closed_form():
+    # the gamma = 0 ball pencil against 4 / (6 + r^2) (see above), refined
+    r = 0.25
+    ball = Ball((0.5, 0.5, 0.5), r)
+    exact = 4.0 / (6.0 + r * r)
+    errors = [abs(min_eigenvalue(ball, 0.0, CUBE, resolution=res) - exact) for res in (16, 24, 32)]
+    assert max(errors) <= 1e-4
+    assert errors[0] > errors[1] > errors[2]
+
+
 PENCIL_SCRIPT = """
-from okpattern import Cylinder, GridSpec, Lamella, lamella_threshold, min_eigenvalue
+from okpattern import Ball, Cylinder, GridSpec, Lamella, lamella_threshold, min_eigenvalue
 cube = GridSpec((32, 32, 32))
 lam = Lamella(axis=0, center=0.5, halfwidth=0.25)
 cyl = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
+ball = Ball((0.5, 0.5, 0.5), 0.25)
 g_star = lamella_threshold(0.25, tangential_dim=2).gamma_star
-for shape, gamma in ((lam, 0.9 * g_star), (lam, 1.2 * g_star), (cyl, 0.1)):
+for shape, gamma in ((lam, 0.9 * g_star), (lam, 1.2 * g_star), (cyl, 0.1), (ball, 0.0), (ball, 0.1)):
     print(repr(min_eigenvalue(shape, gamma, cube, resolution=16)))
 """
 
@@ -608,7 +619,7 @@ def test_min_eigenvalue_same_with_one_and_two_blas_threads():
         assert run.returncode == 0, run.stderr
         values.append([float(line) for line in run.stdout.split()])
     one, two = np.array(values)
-    assert one.shape == (3,)
+    assert one.shape == (5,)
     assert np.all(np.abs(one - two) <= 1e-12 * np.abs(one))
 
 
@@ -740,6 +751,12 @@ def test_sphere_translation_mode_area_functional():
         phi = translation_mode(mesh, axis)
         rep = quad_form(ball, 0.0, phi, spec, method="grid")
         assert abs(rep.total) <= 1e-8 * max(rep.magnitude_scale, 1.0)
+    # the pencil's chart stiffness carries the same tangential energy
+    stiffness = _chart_stiffness(mesh.charts[0], 1)
+    for axis in range(3):
+        phi = translation_mode(mesh, axis)
+        x = phi.values[0].ravel()
+        assert x @ stiffness @ x == pytest.approx(phi.tangential_energy(), rel=1e-12)
 
 
 def test_mode_route_on_a_512_node_mesh():
