@@ -456,16 +456,18 @@ _GAMMA_TARGET = {
     "scaling": ("scaling", "gamma"),
     "gamma-limit": ("gamma_limit", "gamma"),
     "construct": ("construct", "gamma_bar"),
+    "stability": ("stability", "gamma_list"),
 }
 
 # flag (argparse dest) -> the config keys it sets, in the order they are set;
-# --gamma sets the one key _GAMMA_TARGET names for the subcommand
+# --gamma sets the one key _GAMMA_TARGET names for the subcommand, and is an
+# error for a subcommand that reads no gamma (green, render)
 _FLAG_KEYS = {
     "grid": [("grid", "sizes")],
     "shape": [("shape", "kind")],
     "axis": [("shape", "axis")],
     "center": [("shape", "center")],
-    "w": [("shape", "halfwidth")],
+    "w": [("shape", "halfwidth"), ("stability", "w_list")],
     "radius": [("shape", "radius")],
     "gamma": None,
     "k": [("scaling", "k_list"), ("construct", "k_list")],
@@ -483,7 +485,11 @@ def _apply_cli_overrides(cfg: RunConfig, args) -> None:
         value = getattr(args, flag, None)
         if value is None:
             continue
-        for section, key in keys or [_GAMMA_TARGET.get(args.command, ("energy", "gamma"))]:
+        if keys is None:
+            if args.command not in _GAMMA_TARGET:
+                raise ConfigError(f"--gamma does not apply to {args.command}")
+            keys = [_GAMMA_TARGET[args.command]]
+        for section, key in keys:
             cfg.set(section, key, value)
 
 

@@ -57,8 +57,7 @@ class Chart:
     (..., i2 + 1) is the node (..., i2) plus e_axis / n2 mod 1, with the same
     normal and weight.  The pencil splits into Bloch blocks along that
     translation when every chart of a mesh shares it (stability).  Charts
-    whose last axis is a rotation (circle, sphere) or a tiled copy leave it
-    None.
+    whose last axis is a rotation (circle, sphere) leave it None.
     """
 
     points: np.ndarray
@@ -172,19 +171,20 @@ def _sphere_chart(center, r: float, res: int) -> Chart:
     return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn)
 
 
-def _cylinder_chart(shape: Cylinder, res: int) -> Chart:
-    """Chart axes (theta, z): the last axis runs along the cylinder axis."""
+def _cylinder_chart(shape: Cylinder, res: int, axial_res: int) -> Chart:
+    """Chart axes (theta, z), res by axial_res nodes: the last axis runs
+    along the cylinder axis."""
     a1, a2 = shape.cross_axes()
     theta = 2 * np.pi * np.arange(res) / res
-    z = np.arange(res) / res
-    pts = np.zeros((res, res, 3))
-    normals = np.zeros((res, res, 3))
+    z = np.arange(axial_res) / axial_res
+    pts = np.zeros((res, axial_res, 3))
+    normals = np.zeros((res, axial_res, 3))
     pts[..., a1] = (shape.center[0] + shape.radius * np.cos(theta))[:, None] % 1.0
     pts[..., a2] = (shape.center[1] + shape.radius * np.sin(theta))[:, None] % 1.0
     pts[..., shape.axis] = z[None, :]
     normals[..., a1] = np.cos(theta)[:, None]
     normals[..., a2] = np.sin(theta)[:, None]
-    weights = np.full((res, res), 2 * np.pi * shape.radius / res**2)
+    weights = np.full((res, axial_res), 2 * np.pi * shape.radius / (res * axial_res))
 
     def tangent_fn(values, _r=shape.radius):
         return [
@@ -200,59 +200,54 @@ def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceM
     """Quadrature mesh of the boundary of a candidate (or its 1/k tiling).
 
     resolution is the sample count per chart axis and must be at least 8,
-    and even for a sphere.
+    and even for a sphere.  A tiling TiledShape(shape, k) is meshed as its
+    connected pieces, each a candidate in its own right: k lamellae of
+    halfwidth w / k, k^2 cylinders or k^dim balls of radius r / k.  A chart
+    axis that wraps the torus (a lamella's tangential axes, a cylinder's
+    axis) runs through k copies and carries k * resolution nodes.
     """
     if resolution < 8:
         raise ValueError("mesh resolution must be at least 8 per chart axis")
+    k = 1
     if isinstance(shape, TiledShape):
-        base = interface_mesh(shape.shape, resolution, dim)
-        return _tile_mesh(base, shape.k)
+        shape, k = shape.shape, shape.k
     if isinstance(shape, Lamella):
         if dim is None:
             raise ValueError("lamella meshes need the ambient dimension")
         if shape.axis >= dim:
             raise ValueError("lamella axis exceeds ambient dimension")
-        return InterfaceMesh(_lamella_charts(shape, dim, resolution))
+        centers = _copy_centers((shape.center,), k)
+        pieces = [Lamella(shape.axis, c, shape.halfwidth / k) for (c,) in centers]
+        charts = [c for piece in pieces for c in _lamella_charts(piece, dim, k * resolution)]
+        return InterfaceMesh(charts)
     if isinstance(shape, Ball):
         bdim = len(shape.center)
         if dim is not None and dim != bdim:
             raise ValueError("ball center dimension disagrees with ambient dimension")
         if bdim == 2:
-            return InterfaceMesh([_circle_chart(shape.center, shape.radius, resolution)])
-        if bdim == 3:
+            chart_fn = _circle_chart
+        elif bdim == 3:
             if resolution % 2:
                 raise ValueError("sphere meshes need an even resolution")
-            return InterfaceMesh([_sphere_chart(shape.center, shape.radius, resolution)])
-        raise ValueError("ball meshes exist for dim 2 and 3 only")
+            chart_fn = _sphere_chart
+        else:
+            raise ValueError("ball meshes exist for dim 2 and 3 only")
+        centers = _copy_centers(shape.center, k)
+        return InterfaceMesh([chart_fn(c, shape.radius / k, resolution) for c in centers])
     if isinstance(shape, Cylinder):
         if dim is not None and dim != 3:
             raise ValueError("cylinder meshes require dim 3")
-        return InterfaceMesh([_cylinder_chart(shape, resolution)])
+        centers = _copy_centers(shape.center, k)
+        pieces = [Cylinder(shape.axis, c, shape.radius / k) for c in centers]
+        return InterfaceMesh([_cylinder_chart(p, resolution, k * resolution) for p in pieces])
     raise TypeError(f"unsupported mesh shape {shape!r}")
 
 
-def _tile_mesh(parent: InterfaceMesh, k: int) -> InterfaceMesh:
-    if k == 1:
-        return parent
-    dim = parent.charts[0].points.shape[-1]
-    charts: list[Chart] = []
-    for offs in np.ndindex(*(k,) * dim):
-        origin = np.asarray(offs, dtype=float) / k
-        for c in parent.charts:
-            def tangent_fn(values, _fn=c.tangent_fn, _k=k):
-                return [_k * comp for comp in _fn(values)]
-
-            charts.append(
-                Chart(
-                    points=c.points / k + origin,
-                    normals=c.normals.copy(),
-                    weights=c.weights * (1.0 / k) ** (dim - 1),
-                    mean_curv=c.mean_curv * k,
-                    second_fundamental_sq=c.second_fundamental_sq * k**2,
-                    tangent_fn=tangent_fn,
-                )
-            )
-    return InterfaceMesh(charts)
+def _copy_centers(center, k: int) -> list[tuple[float, ...]]:
+    """The centres (c + offs) / k of the k^len(center) copies of a 1/k
+    tiling, copy offsets in C order (mod 1: c just below 1 may round up)."""
+    offsets = np.ndindex((k,) * len(center))
+    return [tuple((c + o) / k % 1.0 for c, o in zip(center, offs)) for offs in offsets]
 
 
 @dataclass(frozen=True)
@@ -262,14 +257,6 @@ class CriticalityReport:
     lambda_: float
     residual_sup: float
     grad_h_sup: float
-
-    CSV_HEADER = "gamma,k,lambda,residual_sup,grad_h_sup"
-
-    def csv_row(self) -> str:
-        return (
-            f"{repr(self.gamma)},{self.k},{repr(self.lambda_)},"
-            f"{repr(self.residual_sup)},{repr(self.grad_h_sup)}"
-        )
 
 
 def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> CriticalityReport:

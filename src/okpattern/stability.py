@@ -39,9 +39,10 @@ for one eigenvalue, not the whole spectrum.  When every chart steps along one
 torus translation whose step is whole cells (lamellae, cylinders: Chart.axis),
 the pencil is block circulant with order s = nodes per step axis: only the
 block row (p^2 / s entries) is assembled, and its FFT splits the pencil into
-s / 2 + 1 Hermitian blocks of size p / s (Floquet-Bloch along one axis).
-Otherwise (balls, tilings) it is dense, O(p^2) memory and one p x p solve,
-with its upper-triangle Green fill.
+s / 2 + 1 Hermitian blocks of size p / s (Floquet-Bloch along one axis);
+tiled lamellae and cylinders are meshed as their pieces and split too.
+Otherwise (balls, tiled or not) it is dense, O(p^2) memory and one p x p
+solve, with its upper-triangle Green fill.
 """
 
 from __future__ import annotations

@@ -214,6 +214,21 @@ def test_stability_thresholds_mode(tmp_path):
     assert abs(float(lines[1].split(",")[2]) - 94.872) < 0.01
 
 
+def test_stability_flags_set_the_scanned_lists(tmp_path):
+    out = tmp_path / "s"
+    assert run(["stability", "--gamma", "5", "--w", "0.3", "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 1
+    assert rows[0].startswith("0.3,5.0,")
+
+
+@pytest.mark.parametrize("command", ["green", "render"])
+def test_gamma_flag_is_an_error_where_no_gamma_is_read(tmp_path, capsys, command):
+    files = [str(tmp_path / "in.okf"), str(tmp_path / "out.ppm")] if command == "render" else []
+    assert run([command, *files, "--gamma", "5", "--out", str(tmp_path / "r")]) == 2
+    assert "--gamma" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config",
     [

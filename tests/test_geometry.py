@@ -132,6 +132,19 @@ def test_mesh_weight_total_for_tiled_shape():
     assert mesh.total_weight == pytest.approx(4.0, abs=1e-12)
 
 
+def test_tiled_mesh_of_a_centre_just_below_one():
+    # (c + 2) / 3 rounds to 1 for the largest c below 1: the last copy's
+    # centre wraps to 0 instead of leaving [0, 1)
+    c = float(np.nextafter(1.0, 0.0))
+    for shape, dim, area in (
+        (TiledShape(Lamella(axis=0, center=c, halfwidth=0.2), 3), 2, 6.0),
+        (TiledShape(Ball((c, 0.5), 0.2), 3), 2, 9 * 2 * np.pi * 0.2 / 3),
+        (TiledShape(Cylinder(axis=2, center=(0.5, c), radius=0.2), 3), 3, 9 * 2 * np.pi * 0.2 / 3),
+    ):
+        mesh = interface_mesh(shape, 8, dim)
+        assert mesh.total_weight == pytest.approx(area, rel=1e-12)
+
+
 def test_fit_lamella_and_ball_round_trip():
     spec = GridSpec((64, 64))
     shape = Lamella(axis=0, center=0.375, halfwidth=0.25)
@@ -197,12 +210,6 @@ def test_batched_el_residual_matches_per_chart_sampling(shape, sizes, gamma):
     assert residual > 1e-6
     for got, want in ((rep.lambda_, lam), (rep.residual_sup, residual), (rep.grad_h_sup, grad_sup)):
         assert abs(got - want) <= 1e-13 * abs(want)
-
-
-def test_criticality_report_csv():
-    spec = GridSpec((32, 32))
-    rep = el_residual(Lamella(axis=0, center=0.5, halfwidth=0.25), 1.0, spec, resolution=8)
-    assert len(rep.csv_row().split(",")) == len(rep.CSV_HEADER.split(","))
 
 
 def test_lamella_mesh_dim3():

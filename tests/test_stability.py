@@ -275,6 +275,7 @@ CHART_CASES = [
     (Ball((0.5, 0.5, 0.5), 0.25), 3, 16),
     (TiledShape(Ball((0.5, 0.5), 0.3), 2), 2, 16),
     (TiledShape(Cylinder(axis=2, center=(0.5, 0.5), radius=0.25), 2), 3, 16),
+    (TiledShape(Lamella(axis=1, center=0.3, halfwidth=0.2), 2), 3, 8),
 ]
 CHART_IDS = [
     "lamella-2d",
@@ -285,6 +286,7 @@ CHART_IDS = [
     "sphere",
     "tiled-disk-k2",
     "tiled-cylinder-k2",
+    "tiled-lamella-3d-k2",
 ]
 
 
@@ -313,13 +315,15 @@ def test_chart_is_shift_invariant_along_its_last_axis(shape, dim, res):
 @pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
 def test_chart_axis_is_a_translation_of_the_last_axis(shape, dim, res):
     # with Chart.axis set, one node step along the last chart axis is the
-    # torus translation by 1 / n2 along axis, normals and weights unchanged
-    if isinstance(shape, Cylinder):
-        expected = shape.axis
-    elif isinstance(shape, Lamella):
-        expected = [a for a in range(dim) if a != shape.axis][-1]
+    # torus translation by 1 / n2 along axis, normals and weights unchanged;
+    # a tiled lamella or cylinder is meshed as its pieces, which keep the axis
+    piece = shape.shape if isinstance(shape, TiledShape) else shape
+    if isinstance(piece, Cylinder):
+        expected = piece.axis
+    elif isinstance(piece, Lamella):
+        expected = [a for a in range(dim) if a != piece.axis][-1]
     else:
-        expected = None  # rotations and tiled copies
+        expected = None  # rotations: circles and spheres, tiled or not
     for chart in interface_mesh(shape, res, dim).charts:
         assert chart.axis == expected
         if expected is None:
@@ -527,6 +531,45 @@ def test_min_eigenvalue_matches_mode_scan_at_gamma_zero():
         min_eigenvalue(shape, 0.0, spec, resolution=8)
 
 
+def tiled_lamella_closed_form(halfwidth, gamma, k, center=0.5, q_max=8):
+    """Least H^1-normalized eigenvalue of the form on k parallel lamellae,
+    the 1/k tiling of Lamella(center, halfwidth) in 2D, over T-perp.
+
+    At tangential wave number q the 2k interfaces at (center + j) / k +- w / k
+    couple through the circle kernel K_q of their distances d_ij:
+    A_q = delta_ij (4 pi^2 q^2 + 4 gamma d_nu v / k) + 8 gamma K_q(d_ij) against
+    B_q = (4 pi^2 q^2 + 1) I.  At q = 0 the form is restricted to the
+    complement of the constant and the normal moment [1, nu]."""
+    pos = np.array([(center + j + side * halfwidth) / k for j in range(k) for side in (1.0, -1.0)])
+    nu = np.tile([1.0, -1.0], k)
+    dist = pos[:, None] - pos[None, :]
+    slope = lamella_potential_slope(halfwidth) / k
+    least = np.inf
+    for q in range(q_max + 1):
+        if q:
+            kern = screened_green_coupling(q * q, dist)
+        else:
+            kern = np.vectorize(zero_mean_green_kernel)(dist)
+        a = (FOUR_PI_SQ * q * q + 4 * gamma * slope) * np.eye(2 * k) + 8 * gamma * kern
+        if q == 0:
+            z = scipy.linalg.null_space(np.vstack([np.ones(2 * k), nu]))
+            a = z.T @ a @ z
+        least = min(least, np.linalg.eigvalsh(a)[0] / (FOUR_PI_SQ * q * q + 1))
+    return least
+
+
+@pytest.mark.parametrize("gamma", [1.0, 10.0])
+def test_tiled_lamella_pencil_matches_parallel_lamellae_closed_form(gamma):
+    # one chart per connected interface: each of the 2k interfaces wraps the
+    # torus with k * 32 nodes, so the pencil sees k parallel lamellae
+    shape = TiledShape(LAMELLA, 2)
+    pencil = min_eigenvalue(shape, gamma, GridSpec((128, 128)), resolution=32)
+    closed = tiled_lamella_closed_form(LAMELLA.halfwidth, gamma, 2, LAMELLA.center)
+    assert closed > 0
+    assert pencil > 0
+    assert pencil == pytest.approx(closed, rel=2e-2)
+
+
 def test_min_eigenvalue_sign_tracks_threshold():
     shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
     spec = GridSpec((128, 128))
@@ -665,6 +708,10 @@ GAMMA_STAR_2D = lamella_threshold(0.25).gamma_star
         (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 16, 16, 9),
         # 24 nodes along the axis do not divide 32 cells: the dense pencil
         (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 24, 1, 1),
+        # tilings: each wrapping chart axis carries k * res nodes
+        (TiledShape(LAMELLA, 2), 10.0, GridSpec((128, 128)), 32, 64, 33),
+        (TiledShape(LAMELLA, 2), 0.9 * GAMMA_STAR_3D, CUBE, 16, 32, 17),
+        (TiledShape(CYLINDER, 2), 1.0, CUBE, 16, 32, 17),
     ],
     ids=[
         "lamella-3d-0.9",
@@ -673,6 +720,9 @@ GAMMA_STAR_2D = lamella_threshold(0.25).gamma_star
         "cylinder",
         "cylinder-axis1",
         "cylinder-axis1-res24",
+        "tiled-lamella-2d-k2",
+        "tiled-lamella-3d-k2",
+        "tiled-cylinder-k2",
     ],
 )
 def test_bloch_pencil_matches_dense_pencil(shape, gamma, spec, res, order, solves, monkeypatch):
