@@ -1,11 +1,13 @@
 """Command-line surface: config parsing, run directories, CSV reports, pixmaps.
 
 Every subcommand but render is a function from the resolved RunConfig to
-(report header, report rows, {field name: ScalarField}, exit code); _run_dir
-writes what it returns to the run directory as fields/<name>.okf, report.csv
-and meta.txt.  meta.txt contains the fully resolved configuration as a valid
-config file (comment lines carry versions), so re-running with --config
-meta.txt reproduces the run byte for byte at a fixed thread count.  Exit
+(report header, report rows of plain values, {field name: ScalarField},
+exit code); _run_dir writes what it returns to the run directory as
+fields/<name>.okf, report.csv and meta.txt, and _text alone turns a report
+cell or a meta.txt value into text.  meta.txt contains the fully resolved
+configuration as a valid config file (comment lines carry versions), so
+re-running with --config meta.txt reproduces the run byte for byte at a
+fixed thread count.  Exit
 codes: 0 success, 2 configuration error, 3 numerical failure status.
 """
 
@@ -16,14 +18,16 @@ import configparser
 import io
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .construct import ConstructCertificate, ConstructConfig, build_periodic, local_minimality_probe
-from .diffuse_ok import FlowConfig, GammaLimitRow, gamma_limit_sweep, minimize
-from .sharp_energy import ScalingReport, scaling_check, sharp_energy
+from .construct import MAX_PROBE_AMPLITUDE, ConstructConfig, build_periodic, local_minimality_probe
+from .diffuse_ok import FlowConfig, gamma_limit_sweep, minimize
+from .geometry import MIN_MESH_RESOLUTION
+from .sharp_energy import scaling_check, sharp_energy
 from .spectral import laplacian, poisson_zero_mean
 from .stability import lamella_threshold, mode_scan_min_eigenvalue
 from .torus_field import (
@@ -102,10 +106,20 @@ SCHEMA = {
         "gamma_bar": (float, _positive("construct.gamma_bar"), 1.0),
         "k_list": (_parse_ints, None, [1, 2, 4]),
         "continuation_steps": (int, _positive("construct.continuation_steps"), 3),
-        "mesh_resolution": (int, None, 16),
+        "mesh_resolution": (
+            int,
+            lambda v: v >= MIN_MESH_RESOLUTION
+            or _fail(f"construct.mesh_resolution must be at least {MIN_MESH_RESOLUTION}"),
+            16,
+        ),
         "probes": (int, _nonnegative("construct.probes"), 0),
-        "probe_amplitude": (int, None, 2),
-        "probe_seed": (int, None, 0),
+        "probe_amplitude": (
+            int,
+            lambda v: 0 <= v <= MAX_PROBE_AMPLITUDE
+            or _fail(f"construct.probe_amplitude must be 0 to {MAX_PROBE_AMPLITUDE}"),
+            2,
+        ),
+        "probe_seed": (int, _nonnegative("construct.probe_seed"), 0),
     },
     "stability": {
         "w_list": (_parse_floats, None, [0.2, 0.25, 0.3]),
@@ -130,6 +144,14 @@ SCHEMA = {
         "threads": (int, _positive("run.threads"), 1),
     },
 }
+
+
+def _text(value) -> str:
+    """The text of a report cell or meta.txt value: a float by repr (which
+    round-trips), a list or report row joined by commas, anything else by str."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class RunConfig:
@@ -179,12 +201,7 @@ class RunConfig:
         for section in sorted(self.values):
             out.write(f"[{section}]\n")
             for key in sorted(self.values[section]):
-                value = self.values[section][key]
-                if isinstance(value, list):
-                    text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-                else:
-                    text = repr(value) if isinstance(value, float) else str(value)
-                out.write(f"{key} = {text}\n")
+                out.write(f"{key} = {_text(self.values[section][key])}\n")
             out.write("\n")
         return out.getvalue()
 
@@ -201,6 +218,8 @@ class RunConfig:
         center = self.get("shape", "center")
         try:
             if kind == "lamella":
+                if len(center) != 1:
+                    raise ValueError(f"a lamella center is one coordinate, got {len(center)}")
                 return Lamella(
                     axis=self.get("shape", "axis"),
                     center=center[0],
@@ -236,6 +255,7 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # Run-directory subcommands: RunConfig -> (header, rows, fields, exit code)
+# Each row is a tuple of plain values, one per header name.
 # ---------------------------------------------------------------------------
 
 
@@ -244,7 +264,7 @@ def _cmd_energy(cfg: RunConfig):
     shape = cfg.shape()
     gamma = cfg.get("energy", "gamma")
     b = sharp_energy(shape, gamma, spec)
-    row = ",".join(repr(v) for v in (b.perimeter, b.nonlocal_term, gamma, b.total))
+    row = (*astuple(b), b.total)
     return "perimeter,nonlocal,gamma,total", [row], {"indicator": rasterize(shape, spec)}, 0
 
 
@@ -256,7 +276,7 @@ def _cmd_green(cfg: RunConfig):
     resid = float(
         np.linalg.norm(laplacian(v).values + target) / max(np.linalg.norm(target), 1e-300)
     )
-    row = ",".join(repr(x) for x in (v.mean, resid, float(v.values.min()), float(v.values.max())))
+    row = (v.mean, resid, float(v.values.min()), float(v.values.max()))
     return "mean_v,laplacian_residual,v_min,v_max", [row], {"u": u, "v": v}, 0
 
 
@@ -265,7 +285,7 @@ def _cmd_flow(cfg: RunConfig):
     flow = cfg.flow()
     trace = minimize(tanh_profile(cfg.shape(), spec, flow.eps), flow)
     code = 3 if trace.status == "stalled" else 0
-    return trace.CSV_HEADER, trace.csv_rows(), {"final": trace.final}, code
+    return "step,dt,energy,mass,sup_update", trace.records, {"final": trace.final}, code
 
 
 def _cmd_construct(cfg: RunConfig):
@@ -282,7 +302,7 @@ def _cmd_construct(cfg: RunConfig):
     n_probes = cfg.get("construct", "probes")
     rows, fields, failed = [], {}, False
     for cert, tiled in build_periodic(ccfg):
-        rows.append(cert.csv_row())
+        rows.append((*astuple(cert)[:-1], cert.energy_rel_err, cert.status))
         if tiled is None:
             failed = True
             continue
@@ -297,7 +317,8 @@ def _cmd_construct(cfg: RunConfig):
                 seed=cfg.get("construct", "probe_seed"),
             )
             failed = failed or rep.min_gap < -1e-12
-    return ConstructCertificate.CSV_HEADER, rows, fields, 3 if failed else 0
+    header = "k,gamma_k,alpha,c0_proxy,residual_sup,grad_h_sup,energy_lhs,energy_rhs,rel_err,status"
+    return header, rows, fields, 3 if failed else 0
 
 
 def _cmd_stability(cfg: RunConfig):
@@ -306,11 +327,11 @@ def _cmd_stability(cfg: RunConfig):
     for w in cfg.get("stability", "w_list"):
         if cfg.get("stability", "thresholds"):
             res = lamella_threshold(w, q_max=q_max)
-            rows.append(f"{repr(w)},threshold,{repr(res.gamma_star)}")
+            rows.append((w, "threshold", res.gamma_star))
             continue
         for gamma in cfg.get("stability", "gamma_list"):
             val = mode_scan_min_eigenvalue(w, gamma, q_max)
-            rows.append(f"{repr(w)},{repr(gamma)},{repr(val)}")
+            rows.append((w, gamma, val))
     return "w,gamma,min_eig", rows, {}, 0
 
 
@@ -319,10 +340,15 @@ def _cmd_scaling(cfg: RunConfig):
     shape = cfg.shape()
     gamma = cfg.get("scaling", "gamma")
     try:
-        rows = [scaling_check(shape, gamma, k, spec).csv_row() for k in cfg.get("scaling", "k_list")]
+        reports = [scaling_check(shape, gamma, k, spec) for k in cfg.get("scaling", "k_list")]
     except ValueError as exc:
         raise ConfigError(f"scaling.k_list: {exc}") from exc
-    return ScalingReport.CSV_HEADER, rows, {}, 0
+    header = (
+        "k,perimeter_lhs,nonlocal_lhs,total_lhs,perimeter_rhs,nonlocal_rhs,total_rhs,"
+        "perimeter_err,nonlocal_err,total_err"
+    )
+    rows = [(*astuple(r), r.perimeter_error, r.nonlocal_error, r.total_error) for r in reports]
+    return header, rows, {}, 0
 
 
 def _cmd_gamma_limit(cfg: RunConfig):
@@ -332,7 +358,8 @@ def _cmd_gamma_limit(cfg: RunConfig):
         rows = gamma_limit_sweep(cfg.shape(), gamma, cfg.get("gamma_limit", "eps_list"), spec)
     except ValueError as exc:
         raise ConfigError(f"gamma_limit: {exc}") from exc
-    return GammaLimitRow.CSV_HEADER, [r.csv_row() for r in rows], {}, 0
+    rows = [(*astuple(r), r.difference) for r in rows]
+    return "eps,ok_energy,sharp_reference,difference", rows, {}, 0
 
 
 _COMMANDS = {
@@ -358,7 +385,7 @@ def _run_dir(cfg: RunConfig, command) -> int:
     header, rows, fields, code = command(cfg)
     for name, field in fields.items():
         write_field(field, out / "fields" / f"{name}.okf")
-    (out / "report.csv").write_text("\n".join([header] + rows) + "\n")
+    (out / "report.csv").write_text("\n".join([header, *map(_text, rows)]) + "\n")
     meta = [
         "# okpattern resolved configuration (feed back via --config to reproduce)",
         f"# version: okpattern {__version__}, numpy {np.__version__}, python {sys.version.split()[0]}",

@@ -50,6 +50,9 @@ from .torus_field import (
     tile,
 )
 
+# Largest swap displacement, in cells per axis, of local_minimality_probe.
+MAX_PROBE_AMPLITUDE = 3
+
 
 # ---------------------------------------------------------------------------
 # Sharpening
@@ -231,26 +234,6 @@ class ConstructCertificate:
     def energy_rel_err(self) -> float:
         return abs(self.energy_lhs - self.energy_rhs) / max(abs(self.energy_rhs), 1e-300)
 
-    CSV_HEADER = (
-        "k,gamma_k,alpha,c0_proxy,residual_sup,grad_h_sup,energy_lhs,energy_rhs,rel_err,status"
-    )
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.k),
-                repr(self.gamma_k),
-                repr(self.alpha_to_seed),
-                repr(self.c0_proxy),
-                repr(self.residual_sup),
-                repr(self.grad_h_sup),
-                repr(self.energy_lhs),
-                repr(self.energy_rhs),
-                repr(self.energy_rel_err),
-                self.status,
-            ]
-        )
-
 
 class StabilityGateError(RuntimeError):
     """The seed's least pencil eigenvalue is not positive (a numerical
@@ -358,8 +341,8 @@ def local_minimality_probe(
     pair exists; amplitude 0 or an empty set gives all-zero gaps.
     """
     _check_probe_field(f_field, k)
-    if amplitude < 0 or amplitude > 3:
-        raise ValueError("probe amplitude is limited to 3 cells")
+    if not 0 <= amplitude <= MAX_PROBE_AMPLITUDE:
+        raise ValueError(f"probe amplitude is limited to {MAX_PROBE_AMPLITUDE} cells")
     if amplitude == 0 or not np.any(f_field.values > 0):
         return ProbeReport(np.zeros(n_probes), 0, n_probes)
     a, b = _swap_pairs(f_field, k, amplitude)

@@ -104,8 +104,6 @@ class FlowTrace:
     status: str = "running"
     rejections: int = 0
 
-    CSV_HEADER = "step,dt,energy,mass,sup_update"
-
     def append(self, state: FlowState) -> None:
         self.records.append(
             (state.step, state.dt, state.energy, state.u.mean, state.last_update_sup)
@@ -116,12 +114,6 @@ class FlowTrace:
 
     def masses(self) -> np.ndarray:
         return np.array([r[3] for r in self.records])
-
-    def csv_rows(self) -> list[str]:
-        return [
-            f"{s},{repr(dt)},{repr(e)},{repr(m)},{repr(du)}"
-            for s, dt, e, m, du in self.records
-        ]
 
 
 def ok_energy(
@@ -246,11 +238,6 @@ class GammaLimitRow:
     @property
     def difference(self) -> float:
         return self.diffuse - self.reference
-
-    CSV_HEADER = "eps,ok_energy,sharp_reference,difference"
-
-    def csv_row(self) -> str:
-        return f"{repr(self.eps)},{repr(self.diffuse)},{repr(self.reference)},{repr(self.difference)}"
 
 
 def gamma_limit_sweep(shape, gamma: float, eps_list, spec: GridSpec) -> list[GammaLimitRow]:

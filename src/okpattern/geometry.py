@@ -33,6 +33,9 @@ from .torus_field import (
     rasterize,
 )
 
+# Fewest nodes per chart axis that interface_mesh accepts.
+MIN_MESH_RESOLUTION = 8
+
 
 @dataclass
 class Chart:
@@ -206,8 +209,8 @@ def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceM
     axis that wraps the torus (a lamella's tangential axes, a cylinder's
     axis) runs through k copies and carries k * resolution nodes.
     """
-    if resolution < 8:
-        raise ValueError("mesh resolution must be at least 8 per chart axis")
+    if resolution < MIN_MESH_RESOLUTION:
+        raise ValueError(f"mesh resolution must be at least {MIN_MESH_RESOLUTION} per chart axis")
     k = 1
     if isinstance(shape, TiledShape):
         shape, k = shape.shape, shape.k

@@ -31,7 +31,7 @@ from .torus_field import (
 )
 
 
-def perimeter(shape_or_field, spec: GridSpec | None = None) -> float:
+def perimeter(shape_or_field) -> float:
     """Perimeter of a candidate shape (analytic) or indicator field (TV estimate).
 
     Candidates: lamella 2 (two unit flat interfaces), ball 2*pi*r (dim 2) or
@@ -45,7 +45,7 @@ def perimeter(shape_or_field, spec: GridSpec | None = None) -> float:
     analytic branch.
     """
     if isinstance(shape_or_field, TiledShape):
-        return shape_or_field.k * perimeter(shape_or_field.shape, spec)
+        return shape_or_field.k * perimeter(shape_or_field.shape)
     if isinstance(shape_or_field, Lamella):
         return 2.0
     if isinstance(shape_or_field, Ball):
@@ -131,26 +131,6 @@ class ScalingReport:
     def total_error(self) -> float:
         return self._rel(self.total_lhs, self.total_rhs)
 
-    CSV_HEADER = (
-        "k,perimeter_lhs,nonlocal_lhs,total_lhs,"
-        "perimeter_rhs,nonlocal_rhs,total_rhs,"
-        "perimeter_err,nonlocal_err,total_err"
-    )
-
-    def csv_row(self) -> str:
-        vals = [
-            self.perimeter_lhs,
-            self.nonlocal_lhs,
-            self.total_lhs,
-            self.perimeter_rhs,
-            self.nonlocal_rhs,
-            self.total_rhs,
-            self.perimeter_error,
-            self.nonlocal_error,
-            self.total_error,
-        ]
-        return ",".join([str(self.k)] + [repr(v) for v in vals])
-
 
 def scaling_check(shape: ShapeCandidate, gamma: float, k: int, spec: GridSpec) -> ScalingReport:
     """Measure F^gamma on tile(E,k) and compare with k [P(E) + gamma k^-3 NL(E)].
@@ -165,7 +145,7 @@ def scaling_check(shape: ShapeCandidate, gamma: float, k: int, spec: GridSpec) -
         raise ValueError("gamma must be nonnegative")
     coarse_spec = spec.coarsen(k)
     parent = rasterize(shape, coarse_spec)
-    tiled = periodize(parent, k, spec)
+    tiled = periodize(parent, k)
 
     p_lhs = total_variation_perimeter(tiled)
     nl_lhs = nonlocal_energy(tiled)

@@ -259,7 +259,7 @@ def rasterize(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> ScalarField
     """
     if isinstance(shape, TiledShape):
         coarse = rasterize(shape.shape, spec.coarsen(shape.k))
-        return periodize(coarse, shape.k, spec)
+        return periodize(coarse, shape.k)
     _check_shape_dim(shape, spec)
     d = shape.signed_distance(spec.center_mesh())
     values = np.where(d >= 0.0, 1.0, -1.0)
@@ -328,7 +328,7 @@ def tile(u: ScalarField, k: int) -> ScalarField:
 
     The output is 1/k-periodic by construction.  k must divide every grid size.
     """
-    return periodize(subsample(u, k), k, u.spec)
+    return periodize(subsample(u, k), k)
 
 
 def subsample(u: ScalarField, k: int) -> ScalarField:
@@ -338,17 +338,14 @@ def subsample(u: ScalarField, k: int) -> ScalarField:
     return ScalarField(coarse, np.ascontiguousarray(u.values[sl]), u.kind)
 
 
-def periodize(coarse: ScalarField, k: int, spec: GridSpec | None = None) -> ScalarField:
+def periodize(coarse: ScalarField, k: int) -> ScalarField:
     """Repeat a coarse field k times per axis onto the k-times-finer grid.
 
     out[i] = coarse[i mod m].  This is the exact fine-grid rasterization of
     the 1/k-rescaled set when `coarse` rasterizes the parent, since fine
     centers map onto coarse centers under x -> kx.
     """
-    if spec is None:
-        spec = GridSpec(tuple(n * k for n in coarse.spec.sizes))
-    if spec.sizes != tuple(n * k for n in coarse.spec.sizes):
-        raise ValueError("target grid is not k times the coarse grid")
+    spec = GridSpec(tuple(n * k for n in coarse.spec.sizes))
     values = np.tile(coarse.values, (k,) * coarse.spec.dim)
     return ScalarField(spec, values, coarse.kind)
 

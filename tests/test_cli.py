@@ -1,5 +1,10 @@
 """CLI dispatch, config handling, run-directory layout, and pixmap tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -258,26 +263,46 @@ def test_construct_with_probes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, fields",
+    "argv, fields, header",
     [
-        (["energy", "--grid", "32,32"], {"indicator"}),
-        (["green", "--grid", "32,32"], {"u", "v"}),
-        (["flow", "--grid", "32,32", "--eps", "0.08", "--steps", "5"], {"final"}),
+        (["energy", "--grid", "32,32"], {"indicator"}, "perimeter,nonlocal,gamma,total"),
+        (["green", "--grid", "32,32"], {"u", "v"}, "mean_v,laplacian_residual,v_min,v_max"),
+        (
+            ["flow", "--grid", "32,32", "--eps", "0.08", "--steps", "5"],
+            {"final"},
+            "step,dt,energy,mass,sup_update",
+        ),
         (
             ["construct", "--grid", "32,32", "--k", "1,2", "--eps", "0.08", "--steps", "150"],
             {"tiled_k1", "tiled_k2"},
+            "k,gamma_k,alpha,c0_proxy,residual_sup,grad_h_sup,energy_lhs,energy_rhs,rel_err,status",
         ),
-        (["stability"], set()),
-        (["scaling", "--grid", "32,32", "--k", "1,2"], set()),
-        (["gamma-limit", "--grid", "64", "--eps-list", "0.08,0.04"], set()),
+        (["stability"], set(), "w,gamma,min_eig"),
+        (
+            ["scaling", "--grid", "32,32", "--k", "1,2"],
+            set(),
+            "k,perimeter_lhs,nonlocal_lhs,total_lhs,perimeter_rhs,nonlocal_rhs,total_rhs,"
+            "perimeter_err,nonlocal_err,total_err",
+        ),
+        (
+            ["gamma-limit", "--grid", "64", "--eps-list", "0.08,0.04"],
+            set(),
+            "eps,ok_energy,sharp_reference,difference",
+        ),
     ],
     ids=["energy", "green", "flow", "construct", "stability", "scaling", "gamma-limit"],
 )
-def test_run_directory_contract(tmp_path, argv, fields):
+def test_run_directory_contract(tmp_path, argv, fields, header):
+    # the file layout and the exact report header of every subcommand, with
+    # one cell per header name in every row
     out = tmp_path / "run"
     assert run(argv + ["--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["fields", "meta.txt", "report.csv"]
     assert sorted(p.name for p in (out / "fields").iterdir()) == sorted(f"{f}.okf" for f in fields)
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) > 1
+    assert all(len(row.split(",")) == len(header.split(",")) for row in lines[1:])
 
 
 def test_failed_run_leaves_no_earlier_results(tmp_path):
@@ -311,3 +336,55 @@ def test_bad_tiling_factor_or_empty_list_exits_2(tmp_path, capsys, argv, config)
     ini.write_text(config)
     assert run(argv + ["--grid", "32,32", "--config", str(ini), "--out", str(tmp_path / "r")]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_lamella_center_with_extra_coordinates_exits_2(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run(["energy", "--shape", "lamella", "--center", "0.3,0.4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: shape: a lamella center")
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["probe_amplitude = 4", "probe_amplitude = -1", "probe_seed = -1", "mesh_resolution = 4"],
+    ids=["amplitude-above-3", "negative-amplitude", "negative-seed", "coarse-mesh"],
+)
+def test_construct_settings_rejected_when_read(tmp_path, capsys, setting):
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[construct]\nprobes = 10\nk_list = 1,2\n{setting}\n")
+    out = tmp_path / "r"
+    argv = ["construct", "--grid", "32,32", "--eps", "0.08", "--steps", "150"]
+    assert run(argv + ["--config", str(ini), "--out", str(out)]) == 2
+    key = setting.split()[0]
+    assert capsys.readouterr().err.startswith(f"configuration error: construct.{key}")
+    assert not (out / "report.csv").exists()
+
+
+def test_construct_same_with_one_and_two_blas_threads(tmp_path):
+    # the 64^2 ball seed's stability gate takes the dense pencil, whose
+    # matrix products and eigensolve follow the BLAS thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["construct", "--grid", "64,64", "--shape", "ball", "--center", "0.5,0.5"]
+    argv += ["--radius", "0.25", "--k", "1,2"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", "from okpattern.cli import main; main()", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    one, two = outs
+    assert (one / "report.csv").read_bytes() == (two / "report.csv").read_bytes()
+    names = sorted(p.name for p in (one / "fields").iterdir())
+    assert names == ["tiled_k1.okf", "tiled_k2.okf"]
+    assert names == sorted(p.name for p in (two / "fields").iterdir())
+    for name in names:
+        assert (one / "fields" / name).read_bytes() == (two / "fields" / name).read_bytes()

@@ -325,7 +325,7 @@ ORACLE_CASES = (
 @pytest.mark.parametrize("sizes,shape,k", ORACLE_CASES)
 def test_swap_gaps_match_full_recompute(sizes, shape, k):
     spec = GridSpec(sizes)
-    f = periodize(rasterize(shape, spec.coarsen(k)), k, spec)
+    f = periodize(rasterize(shape, spec.coarsen(k)), k)
     rng = np.random.default_rng(3)
     for amplitude in (1, 2, 3):
         a, b = _swap_pairs(f, k, amplitude)

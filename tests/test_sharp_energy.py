@@ -125,11 +125,3 @@ def test_shrinking_difference_continuity():
             * float(np.mean(e.values != f.values))
         )
         assert lhs <= bound + 1e-15
-
-
-def test_scaling_report_csv_row():
-    spec = GridSpec((32, 32))
-    rep = scaling_check(Lamella(), 1.0, 2, spec)
-    row = rep.csv_row()
-    assert row.startswith("2,")
-    assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))

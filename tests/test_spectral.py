@@ -186,7 +186,7 @@ def test_tiling_law_for_shapes_via_one_grid_family():
     for shape in (Lamella(axis=0, center=0.5, halfwidth=0.25), Ball((0.5, 0.5), 0.3)):
         for k in (1, 2, 4):
             coarse = rasterize(shape, spec.coarsen(k))
-            fine = periodize(coarse, k, spec)
+            fine = periodize(coarse, k)
             lhs = nonlocal_energy(fine)
             rhs = nonlocal_energy(coarse) / k**2
             assert lhs == pytest.approx(rhs, rel=1e-12)
