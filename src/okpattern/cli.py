@@ -5,9 +5,9 @@ Every subcommand but render is a function from the resolved RunConfig to
 exit code); _run_dir writes what it returns to the run directory as
 fields/<name>.okf, report.csv and meta.txt, and _text alone turns a report
 cell or a meta.txt value into text.  meta.txt contains the fully resolved
-configuration as a valid config file (comment lines carry versions), so
-re-running with --config meta.txt reproduces the run byte for byte at a
-fixed thread count.  Exit
+configuration as a valid config file (comment lines carry versions and the
+BLAS thread settings), so re-running with --config meta.txt reproduces the
+run byte for byte at a fixed thread count.  Exit
 codes: 0 success, 2 configuration error, 3 numerical failure status.
 """
 
@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .construct import MAX_PROBE_AMPLITUDE, ConstructConfig, build_periodic, local_minimality_probe
 from .diffuse_ok import FlowConfig, gamma_limit_sweep, minimize
-from .geometry import MIN_MESH_RESOLUTION
 from .sharp_energy import scaling_check, sharp_energy
 from .spectral import laplacian, poisson_zero_mean
 from .stability import lamella_threshold, mode_scan_min_eigenvalue
@@ -92,26 +91,12 @@ SCHEMA = {
         "eps": (float, _positive("flow.eps"), 0.06),
         "gamma": (float, _nonnegative("flow.gamma"), 0.0),
         "dt": (float, _positive("flow.dt"), 5e-3),
-        # -1 is the auto sentinel (2/eps); otherwise nonnegative
-        "stabilizer": (
-            float,
-            lambda v: v >= 0 or v == -1.0 or _fail("flow.stabilizer must be nonnegative or -1 (auto)"),
-            -1.0,
-        ),
         "max_steps": (int, _nonnegative("flow.max_steps"), 500),
         "energy_tolerance": (float, _nonnegative("flow.energy_tolerance"), 1e-11),
-        "dt_backoff": (float, None, 0.5),
     },
     "construct": {
         "gamma_bar": (float, _positive("construct.gamma_bar"), 1.0),
         "k_list": (_parse_ints, None, [1, 2, 4]),
-        "continuation_steps": (int, _positive("construct.continuation_steps"), 3),
-        "mesh_resolution": (
-            int,
-            lambda v: v >= MIN_MESH_RESOLUTION
-            or _fail(f"construct.mesh_resolution must be at least {MIN_MESH_RESOLUTION}"),
-            16,
-        ),
         "probes": (int, _nonnegative("construct.probes"), 0),
         "probe_amplitude": (
             int,
@@ -141,7 +126,6 @@ SCHEMA = {
     },
     "run": {
         "out_dir": (str, None, "okrun"),
-        "threads": (int, _positive("run.threads"), 1),
     },
 }
 
@@ -238,16 +222,13 @@ class RunConfig:
         raise ConfigError(f"shape.kind must be lamella, ball or cylinder, got {kind!r}")
 
     def flow(self) -> FlowConfig:
-        stab = self.get("flow", "stabilizer")
         try:
             return FlowConfig(
                 eps=self.get("flow", "eps"),
                 gamma=self.get("flow", "gamma"),
                 dt=self.get("flow", "dt"),
-                stabilizer=None if stab < 0 else stab,
                 max_steps=self.get("flow", "max_steps"),
                 energy_tolerance=self.get("flow", "energy_tolerance"),
-                dt_backoff=self.get("flow", "dt_backoff"),
             )
         except ValueError as exc:
             raise ConfigError(f"flow: {exc}") from exc
@@ -296,8 +277,6 @@ def _cmd_construct(cfg: RunConfig):
         k_list=tuple(cfg.get("construct", "k_list")),
         spec=spec,
         flow=cfg.flow(),
-        continuation_steps=cfg.get("construct", "continuation_steps"),
-        mesh_resolution=cfg.get("construct", "mesh_resolution"),
     )
     n_probes = cfg.get("construct", "probes")
     rows, fields, failed = [], {}, False
@@ -373,6 +352,11 @@ _COMMANDS = {
 }
 
 
+# the environment settings that move the dense pencil's last bits, recorded
+# in meta.txt's comment lines
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _run_dir(cfg: RunConfig, command) -> int:
     """Create the run directory, run the subcommand, write what it returned.
 
@@ -389,7 +373,7 @@ def _run_dir(cfg: RunConfig, command) -> int:
     meta = [
         "# okpattern resolved configuration (feed back via --config to reproduce)",
         f"# version: okpattern {__version__}, numpy {np.__version__}, python {sys.version.split()[0]}",
-        f"# threads: {cfg.get('run', 'threads')}",
+        "# blas threads: " + ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in _BLAS_THREAD_VARS),
         "",
         cfg.serialize(),
     ]
@@ -531,9 +515,6 @@ def run(argv) -> int:
         return 2
     cfg = RunConfig.defaults()
     try:
-        threads = os.environ.get("OKPATTERN_THREADS")
-        if threads is not None:
-            cfg.set("run", "threads", threads)
         if args.config:
             cfg.update_from_file(args.config)
         _apply_cli_overrides(cfg, args)

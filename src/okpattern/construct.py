@@ -52,6 +52,11 @@ from .torus_field import (
 
 # Largest swap displacement, in cells per axis, of local_minimality_probe.
 MAX_PROBE_AMPLITUDE = 3
+# Flow stages that ramp gamma from 0 up to gamma_k, after the gamma = 0 stage.
+CONTINUATION_STEPS = 3
+# Nodes per chart axis of the seed meshes: the stability gate, the C0
+# proxy's normal lines and the criticality residual.
+MESH_RESOLUTION = 16
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +161,7 @@ def zero_level_displacement(
     phase: ScalarField,
     seed: ShapeCandidate,
     *,
-    resolution: int = 16,
+    resolution: int = MESH_RESOLUTION,
 ) -> float:
     """Max displacement of the phase field's zero level along seed normals.
 
@@ -208,8 +213,6 @@ class ConstructConfig:
     k_list: tuple[int, ...]
     spec: GridSpec
     flow: FlowConfig
-    continuation_steps: int = 3
-    mesh_resolution: int = 16
 
     def __post_init__(self):
         if self.gamma_bar <= 0:
@@ -257,14 +260,14 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
     stage failed.
     """
     spec = config.spec
-    gate = min_eigenvalue(config.seed, 0.0, spec, resolution=16)
+    gate = min_eigenvalue(config.seed, 0.0, spec, resolution=MESH_RESOLUTION)
     if gate <= 0:
         raise StabilityGateError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
     seed_raster = rasterize(config.seed, spec)
     out = []
     for k in config.k_list:
         gamma_k = config.gamma_bar / k**3
-        ramp = [gamma_k * (j + 1) / config.continuation_steps for j in range(config.continuation_steps)]
+        ramp = [gamma_k * (j + 1) / CONTINUATION_STEPS for j in range(CONTINUATION_STEPS)]
         family = continue_family(config.seed, [0.0] + ramp, config.flow, spec)
         if family.status != "complete":
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, family.status), None))
@@ -272,9 +275,9 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
         last = family.members[-1]
         e_field = last.sharp
         alpha_seed = alpha_distance(e_field, seed_raster)
-        c0 = zero_level_displacement(last.phase, config.seed, resolution=config.mesh_resolution) / k
+        c0 = zero_level_displacement(last.phase, config.seed) / k
         fitted = fit_like(config.seed, e_field)
-        rep = el_residual(TiledShape(fitted, k), config.gamma_bar, spec, resolution=config.mesh_resolution)
+        rep = el_residual(TiledShape(fitted, k), config.gamma_bar, spec, resolution=MESH_RESOLUTION)
         tiled = tile(e_field, k)
         energy_lhs = total_variation_perimeter(tiled) + config.gamma_bar * nonlocal_energy(tiled)
         energy_rhs = k * (

@@ -12,10 +12,10 @@ Lagrange multiplier), stepped semi-implicitly in Fourier space,
     u_hat <- [ (1 + c_s dt) u_hat + dt N_hat ] / (1 + c_s dt + 2 eps dt |2 pi xi|^2 )
 
 with N(u) = -(4/eps) u (u^2 - 1) - 2 gamma v_u and v_u the zero-mean potential
-of u.  The zero-frequency coefficient is held fixed, which conserves mass
-exactly and absorbs the multiplier.  Steps that increase the energy are
-rejected and retried with dt * dt_backoff; accepted energies are therefore
-non-increasing by construction.
+of u, and c_s = 2/eps.  The zero-frequency coefficient is held fixed, which
+conserves mass exactly and absorbs the multiplier.  Steps that increase the
+energy are rejected and retried with dt halved; accepted energies are
+therefore non-increasing by construction.
 
 The sharp limit of OK_eps is sigma * P + gamma * NL with the surface-tension
 constant sigma = 2 * int_{-1}^{1} sqrt(W) = 8/3 for W(s) = (s^2-1)^2 carried by
@@ -56,10 +56,8 @@ class FlowConfig:
     eps: float
     gamma: float = 0.0
     dt: float = 1e-2
-    stabilizer: float | None = None  # default 2/eps
     max_steps: int = 1000
     energy_tolerance: float = 0.0
-    dt_backoff: float = 0.5
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -68,16 +66,12 @@ class FlowConfig:
             raise ValueError("gamma must be nonnegative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.stabilizer is not None and self.stabilizer < 0:
-            raise ValueError("stabilizer must be nonnegative")
-        if not 0 < self.dt_backoff < 1:
-            raise ValueError("dt_backoff must lie in (0,1)")
         if self.max_steps < 0 or self.energy_tolerance < 0:
             raise ValueError("max_steps and energy_tolerance must be nonnegative")
 
     @property
     def c_s(self) -> float:
-        return 2.0 / self.eps if self.stabilizer is None else self.stabilizer
+        return 2.0 / self.eps
 
 
 @dataclass(frozen=True)
@@ -185,7 +179,7 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
                 last_update_sup=float(np.max(np.abs(new_values - values))),
                 uhat=new_hat,
             )
-        dt *= config.dt_backoff
+        dt *= 0.5
         rejections += 1
 
 

@@ -75,12 +75,6 @@ class Chart:
     def grid_shape(self) -> tuple[int, ...]:
         return self.weights.shape
 
-    def tangential_gradient_sq(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values, dtype=float)
-        for comp in self.tangent_fn(values):
-            out += comp.real**2 + comp.imag**2
-        return out
-
 
 @dataclass
 class InterfaceMesh:
@@ -219,6 +213,8 @@ def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceM
             raise ValueError("lamella meshes need the ambient dimension")
         if shape.axis >= dim:
             raise ValueError("lamella axis exceeds ambient dimension")
+        if dim < 2:
+            raise ValueError("a lamella in dim 1 has point interfaces, which carry no chart")
         centers = _copy_centers((shape.center,), k)
         pieces = [Lamella(shape.axis, c, shape.halfwidth / k) for (c,) in centers]
         charts = [c for piece in pieces for c in _lamella_charts(piece, dim, k * resolution)]

@@ -22,9 +22,8 @@ Two evaluation routes are kept deliberately distinct:
   potential node weights (d_nu v sampled spectrally from the rasterized set)
   and the Green matrix of the multilinear splat come from the one function
   the pencil also calls, so those terms are phi . weights . phi and
-  phi^T G phi.  The tangential term is summed directly from the chart
-  derivative (tangential_energy()), the same full-symbol derivative the
-  pencil's stiffness K is built from.  Fully generic; agrees with
+  phi^T G phi.  The tangential term is phi^T K phi with the pencil's own
+  chart stiffness K (_chart_stiffness).  Fully generic; agrees with
   the mode route to about a part in 10^3 at production resolutions, which is
   exactly the oracle-equivalence check the test suite runs.
 
@@ -115,11 +114,11 @@ def lamella_potential_slope(halfwidth: float) -> float:
 
 @dataclass
 class SurfaceFunction:
-    """Values of phi at the points of an InterfaceMesh, one array per chart."""
+    """Values of phi at the points of an InterfaceMesh, one array per chart;
+    phi must have zero weighted mean, the domain of the quadratic form."""
 
     mesh: InterfaceMesh
     values: list[np.ndarray]
-    zero_mean: bool = True
 
     def __post_init__(self):
         if len(self.values) != len(self.mesh.charts):
@@ -128,32 +127,21 @@ class SurfaceFunction:
             np.asarray(v, dtype=np.float64).reshape(c.grid_shape)
             for v, c in zip(self.values, self.mesh.charts)
         ]
-        if self.zero_mean:
-            total = self.weighted_integral()
-            area = self.mesh.total_weight
-            if abs(total) > 1e-10 * area:
-                raise ValueError(
-                    f"phi flagged zero-mean but int phi = {total:.3e} (area {area:.3e})"
-                )
+        total = self.weighted_integral()
+        area = self.mesh.total_weight
+        if abs(total) > 1e-10 * area:
+            raise ValueError(f"phi must be zero-mean, but int phi = {total:.3e} (area {area:.3e})")
 
     def weighted_integral(self) -> float:
         return float(
             sum(np.sum(c.weights * v) for c, v in zip(self.mesh.charts, self.values))
         )
 
-    def tangential_energy(self) -> float:
-        return float(
-            sum(
-                np.sum(c.weights * c.tangential_gradient_sq(v))
-                for c, v in zip(self.mesh.charts, self.values)
-            )
-        )
-
 
 def translation_mode(mesh: InterfaceMesh, axis: int) -> SurfaceFunction:
     """phi = nu . e_axis, the translation null direction."""
     values = [c.normals[..., axis].copy() for c in mesh.charts]
-    return SurfaceFunction(mesh, values, zero_mean=True)
+    return SurfaceFunction(mesh, values)
 
 
 def lamella_wave_mode(mesh: InterfaceMesh, q: int, amplitudes=(1.0, 1.0)) -> SurfaceFunction:
@@ -166,7 +154,7 @@ def lamella_wave_mode(mesh: InterfaceMesh, q: int, amplitudes=(1.0, 1.0)) -> Sur
         vec = amp * np.cos(2 * np.pi * q * t)
         shape_vec = [res] + [1] * (len(c.grid_shape) - 1)
         values.append(np.broadcast_to(vec.reshape(shape_vec), c.grid_shape).copy())
-    return SurfaceFunction(mesh, values, zero_mean=(q != 0 or abs(sum(amplitudes)) < 1e-12))
+    return SurfaceFunction(mesh, values)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +206,6 @@ def quad_form(
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if not phi.zero_mean:
-        raise ValueError("the quadratic form is defined on zero-mean phi")
     lam = _lamella_of(shape)
     if method == "auto":
         method = "mode" if (lam is not None and lam[1] == 1) else "grid"
@@ -264,7 +250,10 @@ def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -
     vals = np.concatenate([v.ravel() for v in phi.values])
     curv, pot, green = _second_variation_parts(shape, phi.mesh, gamma, spec)
     sq = vals**2
-    term_perimeter = phi.tangential_energy() - float(curv @ sq)
+    tangential = sum(
+        float(v.ravel() @ _chart_stiffness(c, 1) @ v.ravel()) for c, v in zip(phi.mesh.charts, phi.values)
+    )
+    term_perimeter = tangential - float(curv @ sq)
     term_green = 0.0 if green is None else float(vals @ green @ vals)
     return QuadFormReport(term_perimeter, float(pot @ sq), term_green)
 
@@ -354,22 +343,13 @@ def mode_scan_min_eigenvalue(
     q_max: int = 8,
     *,
     tangential_dim: int = 1,
-    h1_normalized: bool = False,
 ) -> float:
     """min over nonzero wave vectors of the least ModeMatrix eigenvalue,
-    4 pi^2 |q|^2 + gamma c_q (see _mode_lines).
-
-    With h1_normalized=True each block is divided by the H^1 weight
-    4 pi^2 |q|^2 + 1 of its mode, matching the generalized pencil
-    normalization of min_eigenvalue.
-    """
+    4 pi^2 |q|^2 + gamma c_q (see _mode_lines)."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     q_sq, slope = _mode_lines(halfwidth, q_max, tangential_dim)
-    vals = FOUR_PI_SQ * q_sq + gamma * slope
-    if h1_normalized:
-        vals = vals / (FOUR_PI_SQ * q_sq + 1.0)
-    return float(np.min(vals, initial=math.inf))
+    return float(np.min(FOUR_PI_SQ * q_sq + gamma * slope, initial=math.inf))
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,8 @@ class Lamella:
     halfwidth: float = 0.25
 
     def __post_init__(self):
+        if self.axis < 0:
+            raise ValueError(f"lamella axis must be nonnegative, got {self.axis}")
         if not 0 <= self.center < 1:
             raise ValueError("lamella center must lie in [0,1)")
         if not 0 < self.halfwidth < 0.5:
@@ -191,6 +193,8 @@ class Cylinder:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if self.axis not in (0, 1, 2):
+            raise ValueError(f"cylinder axis must be 0, 1 or 2, got {self.axis}")
         if len(self.center) != 2:
             raise ValueError("cylinder cross-section center must be 2d")
         if not all(0 <= c < 1 for c in self.center):
@@ -267,9 +271,7 @@ def rasterize(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> ScalarField
     return ScalarField(spec, np.ascontiguousarray(values), "indicator")
 
 
-def tanh_profile(
-    shape: ShapeCandidate | TiledShape, spec: GridSpec, eps: float
-) -> ScalarField:
+def tanh_profile(shape: ShapeCandidate, spec: GridSpec, eps: float) -> ScalarField:
     """Diffuse profile tanh(d/eps) of the periodic signed distance to the boundary.
 
     Positive inside.  Requires eps >= 2*max spacing so the interface is
@@ -279,14 +281,8 @@ def tanh_profile(
         raise ValueError(
             f"eps={eps} below resolvability bound 2/min(n)={2.0 * spec.max_spacing}"
         )
-    if isinstance(shape, TiledShape):
-        k = shape.k
-        coords = [np.mod(c * k, 1.0) for c in spec.center_mesh()]
-        _check_shape_dim(shape.shape, spec)
-        d = shape.shape.signed_distance(coords) / k
-    else:
-        _check_shape_dim(shape, spec)
-        d = shape.signed_distance(spec.center_mesh())
+    _check_shape_dim(shape, spec)
+    d = shape.signed_distance(spec.center_mesh())
     values = np.tanh(np.broadcast_to(d, spec.sizes) / eps)
     return ScalarField(spec, np.ascontiguousarray(values), "phase")
 

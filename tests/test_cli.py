@@ -203,10 +203,15 @@ def test_render_cli_round_trip(tmp_path):
 
 
 def test_threads_env_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("OKPATTERN_THREADS", "2")
+    # the BLAS thread settings are one comment line of meta.txt, not a key
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     out = tmp_path / "t"
     assert run(["energy", "--grid", "32,32", "--out", str(out)]) == 0
-    assert "threads = 2" in (out / "meta.txt").read_text()
+    lines = (out / "meta.txt").read_text().splitlines()
+    blas = [line for line in lines if "NUM_THREADS" in line]
+    assert blas == ["# blas threads: OPENBLAS_NUM_THREADS=2, OMP_NUM_THREADS=unset"]
+    assert not any("threads =" in line for line in lines)
 
 
 def test_stability_thresholds_mode(tmp_path):
@@ -346,9 +351,37 @@ def test_lamella_center_with_extra_coordinates_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid", "32,32", "--shape", "lamella"],
+        ["--grid", "32,32,32", "--shape", "cylinder", "--center", "0.5,0.5"],
+    ],
+    ids=["lamella", "cylinder"],
+)
+def test_negative_axis_exits_2(tmp_path, capsys, argv):
+    # a lamella at axis -1 once certified c0_proxy at the saturated window
+    # with status ok; a cylinder at axis -1 crashed while unpacking its chart
+    out = tmp_path / "r"
+    argv = ["construct", *argv, "--axis", "-1", "--k", "1", "--eps", "0.08", "--steps", "50"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: shape: ")
+    assert not (out / "report.csv").exists()
+
+
+def test_construct_on_a_1d_grid_exits_2(tmp_path, capsys):
+    # the lamella's interfaces are points in dim 1: no chart, no stability gate
+    out = tmp_path / "r"
+    assert run(["construct", "--grid", "64", "--k", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "dim 1" in err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
     "setting",
-    ["probe_amplitude = 4", "probe_amplitude = -1", "probe_seed = -1", "mesh_resolution = 4"],
-    ids=["amplitude-above-3", "negative-amplitude", "negative-seed", "coarse-mesh"],
+    ["probe_amplitude = 4", "probe_amplitude = -1", "probe_seed = -1"],
+    ids=["amplitude-above-3", "negative-amplitude", "negative-seed"],
 )
 def test_construct_settings_rejected_when_read(tmp_path, capsys, setting):
     ini = tmp_path / "c.ini"

@@ -90,7 +90,7 @@ def test_flow_rejection_backoff_and_stall():
     # finally report a stall rather than accept an increase
     spec = GridSpec((32, 32))
     u0 = ScalarField(spec, np.ones(spec.sizes), "phase")
-    cfg = FlowConfig(eps=0.08, gamma=0.0, dt=1e-2, max_steps=10, dt_backoff=0.5)
+    cfg = FlowConfig(eps=0.08, gamma=0.0, dt=1e-2, max_steps=10)
     state = replace(flow_state(u0, cfg), energy=-1.0)
     with pytest.raises(FlowStallError, match="rejections"):
         flow_step(state, cfg)
@@ -166,8 +166,6 @@ def test_gamma_limit_sweep_reference_and_order():
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(eps=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(eps=0.1, dt_backoff=1.5)
     with pytest.raises(ValueError):
         FlowConfig(eps=0.1, gamma=-2.0)
     spec = GridSpec((8, 8))

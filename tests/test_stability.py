@@ -46,6 +46,15 @@ from okpattern.torus_field import Ball, Cylinder, GridSpec, Lamella, TiledShape,
 FOUR_PI_SQ = 4 * np.pi**2
 
 
+def direct_tangential_energy(phi):
+    """sum of w |T phi|^2 over every chart node, from the chart tangent
+    components T directly (the grid route reads phi^T K phi instead)."""
+    return sum(
+        float(np.sum(c.weights * sum(t.real**2 + t.imag**2 for t in c.tangent_fn(v))))
+        for c, v in zip(phi.mesh.charts, phi.values)
+    )
+
+
 def lattice_sum_oracle(q_sq: float, d: float, cutoff: int = 3_000_000) -> float:
     """Direct evaluation of sum_xi e^{2 pi i xi d} / (4 pi^2 (xi^2 + q_sq)).
 
@@ -152,8 +161,8 @@ def test_grid_quad_form_is_the_assembled_pencil(shape, spec, res, monkeypatch):
     # phi^T A phi with A as min_eigenvalue assembles it: its Bloch blocks are
     # caught on their way out of _pencil_blocks and expanded back to the
     # dense A (the cylinder takes the Bloch route, the disk the dense one);
-    # the grid route takes its tangential term from tangential_energy(), the
-    # pencil from the chart stiffness
+    # the grid route and the pencil both take the tangential term from the
+    # chart stiffness
     assembled = []
 
     def spy(*args):
@@ -492,15 +501,17 @@ def test_surface_function_zero_mean_validation():
         SurfaceFunction(mesh, [np.ones(c.grid_shape) for c in mesh.charts])
     phi = SurfaceFunction(mesh, [np.ones(16), -np.ones(16)])
     assert phi.weighted_integral() == pytest.approx(0.0, abs=1e-15)
-    assert phi.tangential_energy() == pytest.approx(0.0, abs=1e-12)
+    assert direct_tangential_energy(phi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_splat_mean_guard():
-    # the grid form is defined on zero-mean phi only
+    # the grid form is defined on zero-mean phi only, and a SurfaceFunction
+    # is one: the non-zero-mean phi never reaches quad_form
     mesh = interface_mesh(Lamella(axis=0, center=0.5, halfwidth=0.25), 16, dim=2)
-    phi = SurfaceFunction(mesh, [np.ones(16), np.ones(16)], zero_mean=False)
     with pytest.raises(ValueError, match="zero-mean"):
-        quad_form(LAMELLA, 1.0, phi, GridSpec((32, 32)), method="grid")
+        SurfaceFunction(mesh, [np.ones(16), np.ones(16)])
+    with pytest.raises(ValueError, match="zero-mean"):
+        lamella_wave_mode(mesh, 0)
 
 
 def test_mode_vs_grid_oracle_equivalence_sample():
@@ -525,7 +536,12 @@ def test_min_eigenvalue_matches_mode_scan_at_gamma_zero():
     shape = Lamella(axis=0, center=0.5, halfwidth=0.25)
     spec = GridSpec((128, 128))
     pencil = min_eigenvalue(shape, 0.0, spec, resolution=32)
-    scan = mode_scan_min_eigenvalue(0.25, 0.0, q_max=8, h1_normalized=True)
+    # each block divided by the H^1 weight 4 pi^2 |q|^2 + 1 of its mode, the
+    # pencil's normalization
+    scan = min(
+        lamella_mode_matrix(q, 0.0, 0.25).min_eigenvalue() / (FOUR_PI_SQ * q * q + 1.0)
+        for q in range(1, 9)
+    )
     assert pencil == pytest.approx(scan, rel=1e-3)
     with pytest.raises(ValueError):
         min_eigenvalue(shape, 0.0, spec, resolution=8)
@@ -806,7 +822,7 @@ def test_sphere_translation_mode_area_functional():
     for axis in range(3):
         phi = translation_mode(mesh, axis)
         x = phi.values[0].ravel()
-        assert x @ stiffness @ x == pytest.approx(phi.tangential_energy(), rel=1e-12)
+        assert x @ stiffness @ x == pytest.approx(direct_tangential_energy(phi), rel=1e-12)
 
 
 def test_mode_route_on_a_512_node_mesh():
@@ -832,8 +848,7 @@ def test_grid_route_keeps_the_chart_nyquist_mode():
 
 
 @pytest.mark.parametrize("tangential_dim", [1, 2])
-@pytest.mark.parametrize("h1_normalized", [False, True])
-def test_mode_scan_matches_eigvalsh_of_every_block(tangential_dim, h1_normalized):
+def test_mode_scan_matches_eigvalsh_of_every_block(tangential_dim):
     q_max = 8
     box = itertools.product(range(-q_max, q_max + 1), repeat=tangential_dim)
     wave_vectors = [q for q in box if any(q)]
@@ -841,14 +856,8 @@ def test_mode_scan_matches_eigvalsh_of_every_block(tangential_dim, h1_normalized
         for w in (0.18, 0.25, 0.3):
             want = np.inf
             for q in wave_vectors:
-                block = lamella_mode_matrix(q, gamma, w)
-                val = np.linalg.eigvalsh(block.matrix)[0]
-                if h1_normalized:
-                    val /= FOUR_PI_SQ * block.q_sq + 1.0
-                want = min(want, val)
-            got = mode_scan_min_eigenvalue(
-                w, gamma, q_max, tangential_dim=tangential_dim, h1_normalized=h1_normalized
-            )
+                want = min(want, np.linalg.eigvalsh(lamella_mode_matrix(q, gamma, w).matrix)[0])
+            got = mode_scan_min_eigenvalue(w, gamma, q_max, tangential_dim=tangential_dim)
             assert got == pytest.approx(want, rel=1e-13)
 
 

@@ -269,12 +269,15 @@ def test_rasterize_cylinder_volume():
     assert np.all(u.values == u.values[:, :, :1])
 
 
-def test_tanh_profile_tiled_shape():
-    spec = GridSpec((64, 64))
-    u1 = tanh_profile(Lamella(axis=0, center=0.5, halfwidth=0.25), spec, 0.08)
-    u2 = tanh_profile(TiledShape(Lamella(axis=0, center=0.5, halfwidth=0.25), 2), spec, 0.04)
-    # the tiled profile is 1/2-periodic with interfaces twice as thin
-    assert np.allclose(u2.values, np.roll(u2.values, 32, axis=0), atol=1e-12)
+def test_negative_or_out_of_range_axis_rejected():
+    # a negative axis would index the last grid axis in rasterize while the
+    # charts are built for the axis as given
+    with pytest.raises(ValueError, match="lamella axis"):
+        Lamella(axis=-1)
+    for axis in (-1, 3):
+        with pytest.raises(ValueError, match="cylinder axis"):
+            Cylinder(axis=axis)
+    assert Cylinder(axis=0).cross_axes() == (1, 2)
 
 
 def test_gridspec_memory_budget():
