@@ -14,7 +14,7 @@ Pipeline per tiling factor k:
 4. certification: translation-minimized L1 distance to the seed, a C0 proxy
    (zero-level displacement along seed normals, divided by k, the exact
    scaling of the tiled set), criticality residual and tangential-curvature
-   bound of the tiled set, and the energy bookkeeping identity
+   bound of the tiled seed, and the energy bookkeeping identity
    F^gamma_bar(tile(E,k)) = k [P(E) + gamma_k NL(E)].
 
 Local minimality is probed empirically: random volume-preserving cell-pair
@@ -31,14 +31,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffuse_ok import FlowConfig, FlowTrace, minimize, sharp_to_diffuse_gamma
-from .geometry import fit_ball, fit_cylinder, fit_lamella, interface_mesh, el_residual
+from .geometry import interface_mesh, el_residual
 from .sharp_energy import total_variation_perimeter
 from .spectral import _trig_shift, cell_average_potential, get_workspace
 from .spectral import nonlocal_energy, real_space_kernel, sample_field
 from .stability import min_eigenvalue
 from .torus_field import (
-    Ball,
-    Cylinder,
     GridSpec,
     Lamella,
     ScalarField,
@@ -168,37 +166,36 @@ def zero_level_displacement(
     For each mesh point of the seed boundary, the trigonometric interpolant
     of the phase field is sampled along the outward normal and the zero
     crossing nearest the seed interface located by linear interpolation.
-    The lines span offsets in [-0.08, 0.08] at 81 samples; returns 0.08 when
-    a line never changes sign (saturated).
+    The lines span offsets in [-0.08, 0.08] at 81 samples; returns inf when
+    a line never changes sign: the field has lost its interface there.
     """
     mesh = interface_mesh(seed, resolution, phase.spec.dim)
-    window = 0.08
-    ts = np.linspace(-window, window, 81)
+    ts = np.linspace(-0.08, 0.08, 81)
     lines = np.mod(
         mesh.all_points()[:, None, :] + ts[None, :, None] * mesh.all_normals()[:, None, :], 1.0
     )
     line_vals = sample_field(phase, lines.reshape(-1, phase.spec.dim)).reshape(len(lines), len(ts))
-    return _max_crossing_offset(line_vals, ts, window)
+    return _max_crossing_offset(line_vals, ts)
 
 
-def _max_crossing_offset(line_vals: np.ndarray, ts: np.ndarray, window: float) -> float:
+def _max_crossing_offset(line_vals: np.ndarray, ts: np.ndarray) -> float:
     """Max over lines of |t| at the sign change nearest the middle sample.
 
     line_vals: (lines, samples) at offsets ts.  A crossing is a strict sign
     change between neighbouring samples, located by linear interpolation; of
     equally near crossings the first wins, and a line with none counts as
-    window.
+    inf.
     """
     sgn = np.sign(line_vals)
     crossing = sgn[:, :-1] * sgn[:, 1:] < 0
+    if not crossing.any(axis=1).all():
+        return math.inf
     mid = (len(ts) - 1) / 2.0
-    dist = np.where(crossing, np.abs(np.arange(len(ts) - 1) + 0.5 - mid), np.inf)
-    lines = np.flatnonzero(crossing.any(axis=1))
-    j = np.argmin(dist[lines], axis=1)
+    j = np.argmin(np.where(crossing, np.abs(np.arange(len(ts) - 1) + 0.5 - mid), np.inf), axis=1)
+    lines = np.arange(len(line_vals))
     v0, v1 = line_vals[lines, j], line_vals[lines, j + 1]
     t_cross = ts[j] + (ts[j + 1] - ts[j]) * v0 / (v0 - v1)
-    worst = float(np.max(np.abs(t_cross), initial=0.0))
-    return max(worst, window) if lines.size < len(line_vals) else worst
+    return float(np.max(np.abs(t_cross), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +240,15 @@ class StabilityGateError(RuntimeError):
     failure status of the construction, not a configuration error)."""
 
 
-def fit_like(seed: ShapeCandidate, sharp: ScalarField) -> ShapeCandidate:
-    if isinstance(seed, Lamella):
-        return fit_lamella(sharp, seed.axis)
-    if isinstance(seed, Ball):
-        return fit_ball(sharp)
-    if isinstance(seed, Cylinder):
-        return fit_cylinder(sharp, seed.axis)
-    raise ValueError(f"no candidate fit for seeds of type {type(seed).__name__}")
-
-
 def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, ScalarField | None]]:
     """Run the construction for every k; failures are recorded per k.
 
-    Returns (certificate, tiled field) pairs; the field is None when the
-    stage failed.
+    Returns (certificate, tiled field) pairs.  A k whose continuation
+    truncates or stalls, or whose phase field has no zero crossing on some
+    seed normal line (lost_interface), gets nan columns and no field.  The
+    criticality columns are the EL residual of the tiled seed, which is k
+    (residual) and k^2 (tangential bound) times the seed's at gamma_k on the
+    n/k grid.
     """
     spec = config.spec
     gate = min_eigenvalue(config.seed, 0.0, spec, resolution=MESH_RESOLUTION)
@@ -273,11 +264,13 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, family.status), None))
             continue
         last = family.members[-1]
+        c0 = zero_level_displacement(last.phase, config.seed) / k
+        if c0 == math.inf:
+            out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, "lost_interface"), None))
+            continue
         e_field = last.sharp
         alpha_seed = alpha_distance(e_field, seed_raster)
-        c0 = zero_level_displacement(last.phase, config.seed) / k
-        fitted = fit_like(config.seed, e_field)
-        rep = el_residual(TiledShape(fitted, k), config.gamma_bar, spec, resolution=MESH_RESOLUTION)
+        rep = el_residual(TiledShape(config.seed, k), config.gamma_bar, spec, MESH_RESOLUTION)
         tiled = tile(e_field, k)
         energy_lhs = total_variation_perimeter(tiled) + config.gamma_bar * nonlocal_energy(tiled)
         energy_rhs = k * (

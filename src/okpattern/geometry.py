@@ -9,14 +9,11 @@ harmonics differentiate exactly, and Fejer quadrature in cos(theta) sums the
 weights to the analytic area to machine precision.
 
 Curvature is analytic for candidates (sum of principal curvatures, positive
-for a convex set).  Flow outputs never get voxel curvature extraction; their
-criticality is assessed by fitting a candidate (see fit_lamella / fit_ball)
-or through the diffuse multiplier residual.
+for a convex set).  Flow outputs never get voxel curvature extraction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,8 +25,8 @@ from .torus_field import (
     Cylinder,
     GridSpec,
     Lamella,
-    ScalarField,
     TiledShape,
+    _check_shape_dim,
     rasterize,
 )
 
@@ -193,7 +190,7 @@ def _cylinder_chart(shape: Cylinder, res: int, axial_res: int) -> Chart:
     return Chart(pts, normals, weights, 1.0 / r, 1.0 / r**2, tangent_fn, shape.axis)
 
 
-def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceMesh:
+def interface_mesh(shape, resolution: int, dim: int) -> InterfaceMesh:
     """Quadrature mesh of the boundary of a candidate (or its 1/k tiling).
 
     resolution is the sample count per chart axis and must be at least 8,
@@ -208,11 +205,8 @@ def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceM
     k = 1
     if isinstance(shape, TiledShape):
         shape, k = shape.shape, shape.k
+    _check_shape_dim(shape, dim)
     if isinstance(shape, Lamella):
-        if dim is None:
-            raise ValueError("lamella meshes need the ambient dimension")
-        if shape.axis >= dim:
-            raise ValueError("lamella axis exceeds ambient dimension")
         if dim < 2:
             raise ValueError("a lamella in dim 1 has point interfaces, which carry no chart")
         centers = _copy_centers((shape.center,), k)
@@ -220,12 +214,9 @@ def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceM
         charts = [c for piece in pieces for c in _lamella_charts(piece, dim, k * resolution)]
         return InterfaceMesh(charts)
     if isinstance(shape, Ball):
-        bdim = len(shape.center)
-        if dim is not None and dim != bdim:
-            raise ValueError("ball center dimension disagrees with ambient dimension")
-        if bdim == 2:
+        if dim == 2:
             chart_fn = _circle_chart
-        elif bdim == 3:
+        elif dim == 3:
             if resolution % 2:
                 raise ValueError("sphere meshes need an even resolution")
             chart_fn = _sphere_chart
@@ -233,13 +224,9 @@ def interface_mesh(shape, resolution: int, dim: int | None = None) -> InterfaceM
             raise ValueError("ball meshes exist for dim 2 and 3 only")
         centers = _copy_centers(shape.center, k)
         return InterfaceMesh([chart_fn(c, shape.radius / k, resolution) for c in centers])
-    if isinstance(shape, Cylinder):
-        if dim is not None and dim != 3:
-            raise ValueError("cylinder meshes require dim 3")
-        centers = _copy_centers(shape.center, k)
-        pieces = [Cylinder(shape.axis, c, shape.radius / k) for c in centers]
-        return InterfaceMesh([_cylinder_chart(p, resolution, k * resolution) for p in pieces])
-    raise TypeError(f"unsupported mesh shape {shape!r}")
+    centers = _copy_centers(shape.center, k)  # a cylinder: _check_shape_dim admits no other
+    pieces = [Cylinder(shape.axis, c, shape.radius / k) for c in centers]
+    return InterfaceMesh([_cylinder_chart(p, resolution, k * resolution) for p in pieces])
 
 
 def _copy_centers(center, k: int) -> list[tuple[float, ...]]:
@@ -282,59 +269,3 @@ def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> Cr
     tang = gv - np.sum(gv * normals, axis=-1)[:, None] * normals
     grad_sup = 4.0 * gamma * float(np.max(np.linalg.norm(tang, axis=-1)))
     return CriticalityReport(gamma, k, lam, residual, grad_sup)
-
-
-# ---------------------------------------------------------------------------
-# Candidate fitting for sharpened flow outputs
-# ---------------------------------------------------------------------------
-
-
-def _circular_mean(angles_weights) -> float:
-    angles, weights = angles_weights
-    s = np.sum(weights * np.sin(angles))
-    c = np.sum(weights * np.cos(angles))
-    t = math.atan2(s, c) / (2 * np.pi) % 1.0
-    return 0.0 if t == 1.0 else t  # a tiny negative angle rounds up to 1
-
-
-def fit_lamella(u: ScalarField, axis: int) -> Lamella:
-    """Least-surprise lamella through an axis-aligned slab indicator."""
-    inside = u.values > 0
-    frac = inside.mean(axis=tuple(a for a in range(u.spec.dim) if a != axis))
-    x = u.spec.centers(axis)
-    mass = frac.sum()
-    if mass == 0 or mass == len(x):
-        raise ValueError("field is single-phase; no slab to fit")
-    center = _circular_mean((2 * np.pi * x, frac))
-    halfwidth = float(mass / len(x) / 2.0)
-    return Lamella(axis=axis, center=center, halfwidth=halfwidth)
-
-
-def _circular_centroid(u: ScalarField, axes) -> tuple[float, ...]:
-    """Circular mean position of the indicator's inside cells along each axis."""
-    inside = u.values > 0
-    center = []
-    for a in axes:
-        frac = inside.mean(axis=tuple(b for b in range(u.spec.dim) if b != a))
-        center.append(_circular_mean((2 * np.pi * u.spec.centers(a), frac)))
-    return tuple(center)
-
-
-def fit_ball(u: ScalarField) -> Ball:
-    """Ball with the indicator's circular centroid and volume-matched radius."""
-    vol = float(np.mean(u.values > 0))
-    if vol <= 0:
-        raise ValueError("field is empty; no ball to fit")
-    dim = u.spec.dim
-    radius = {2: math.sqrt(vol / math.pi), 3: (vol * 3 / (4 * math.pi)) ** (1 / 3)}[dim]
-    return Ball(_circular_centroid(u, range(dim)), radius)
-
-
-def fit_cylinder(u: ScalarField, axis: int) -> Cylinder:
-    """Cylinder along `axis` with the indicator's circular centroid in the two
-    cross axes and the volume-matched radius."""
-    area = float(np.mean(u.values > 0))
-    if area <= 0:
-        raise ValueError("field is empty; no cylinder to fit")
-    cross = [a for a in range(3) if a != axis]
-    return Cylinder(axis, _circular_centroid(u, cross), math.sqrt(area / math.pi))

@@ -31,35 +31,33 @@ from .torus_field import (
 )
 
 
-def perimeter(shape_or_field) -> float:
-    """Perimeter of a candidate shape (analytic) or indicator field (TV estimate).
+def perimeter(shape) -> float:
+    """Analytic perimeter of a candidate shape.
 
-    Candidates: lamella 2 (two unit flat interfaces), ball 2*pi*r (dim 2) or
-    4*pi*r^2 (dim 3), cylinder 2*pi*r.  TiledShape multiplies by k.
-
-    Indicator fields: finite-difference total variation, counting jump facets
-    weighted by their area prod_{i != axis} h_i (the anisotropy correction for
-    unequal per-axis spacings).  Exact for axis-aligned interfaces whose jumps
-    sit between cells; for curved interfaces it measures the l1 (Manhattan)
-    perimeter, an O(1) overestimate, so candidate shapes always go through the
-    analytic branch.
+    Lamella 2 (two unit flat interfaces), ball 2*pi*r (dim 2) or 4*pi*r^2
+    (dim 3), cylinder 2*pi*r.  TiledShape multiplies by k.
     """
-    if isinstance(shape_or_field, TiledShape):
-        return shape_or_field.k * perimeter(shape_or_field.shape)
-    if isinstance(shape_or_field, Lamella):
+    if isinstance(shape, TiledShape):
+        return shape.k * perimeter(shape.shape)
+    if isinstance(shape, Lamella):
         return 2.0
-    if isinstance(shape_or_field, Ball):
-        dim = len(shape_or_field.center)
-        r = shape_or_field.radius
-        return {1: 2.0, 2: 2 * math.pi * r, 3: 4 * math.pi * r * r}[dim]
-    if isinstance(shape_or_field, Cylinder):
-        return 2 * math.pi * shape_or_field.radius
-    if isinstance(shape_or_field, ScalarField):
-        return total_variation_perimeter(shape_or_field)
-    raise TypeError(f"cannot take the perimeter of {shape_or_field!r}")
+    if isinstance(shape, Ball):
+        r = shape.radius
+        return {1: 2.0, 2: 2 * math.pi * r, 3: 4 * math.pi * r * r}[len(shape.center)]
+    if isinstance(shape, Cylinder):
+        return 2 * math.pi * shape.radius
+    raise TypeError(f"cannot take the perimeter of {shape!r}")
 
 
 def total_variation_perimeter(u: ScalarField) -> float:
+    """Finite-difference total variation of an indicator field.
+
+    Counts jump facets weighted by their area prod_{i != axis} h_i (the
+    anisotropy correction for unequal per-axis spacings).  Exact for
+    axis-aligned interfaces whose jumps sit between cells; for curved
+    interfaces it measures the l1 (Manhattan) perimeter, an O(1) overestimate,
+    so candidate shapes go through the analytic perimeter.
+    """
     if u.kind != "indicator":
         raise ValueError("TV perimeter is defined for indicator fields")
     spec = u.spec
@@ -82,21 +80,11 @@ class EnergyBreakdown:
         return self.perimeter + self.gamma * self.nonlocal_term
 
 
-def sharp_energy(shape_or_field, gamma: float, spec: GridSpec | None = None) -> EnergyBreakdown:
-    """P + gamma * NL of a candidate shape (rasterized on spec) or indicator field."""
+def sharp_energy(shape, gamma: float, spec: GridSpec) -> EnergyBreakdown:
+    """P + gamma * NL of a candidate shape, its NL on the raster on spec."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if isinstance(shape_or_field, ScalarField):
-        if shape_or_field.kind != "indicator":
-            raise ValueError("sharp energy is defined for indicator fields")
-        p = total_variation_perimeter(shape_or_field)
-        nl = nonlocal_energy(shape_or_field)
-    else:
-        if spec is None:
-            raise ValueError("a GridSpec is required to rasterize a shape")
-        p = perimeter(shape_or_field)
-        nl = nonlocal_energy(rasterize(shape_or_field, spec))
-    return EnergyBreakdown(p, nl, gamma)
+    return EnergyBreakdown(perimeter(shape), nonlocal_energy(rasterize(shape, spec)), gamma)
 
 
 @dataclass(frozen=True)

@@ -232,17 +232,15 @@ def wrap_half(t: np.ndarray | float) -> np.ndarray:
     return np.mod(np.asarray(t, dtype=np.float64) + 0.5, 1.0) - 0.5
 
 
-def _check_shape_dim(shape, spec: GridSpec) -> None:
+def _check_shape_dim(shape, dim: int) -> None:
     if isinstance(shape, Lamella):
-        if shape.axis >= spec.dim:
-            raise ValueError(f"lamella axis {shape.axis} invalid for dim {spec.dim}")
+        if shape.axis >= dim:
+            raise ValueError(f"lamella axis {shape.axis} invalid for dim {dim}")
     elif isinstance(shape, Ball):
-        if len(shape.center) != spec.dim:
-            raise ValueError(
-                f"ball center dim {len(shape.center)} does not match grid dim {spec.dim}"
-            )
+        if len(shape.center) != dim:
+            raise ValueError(f"ball center dim {len(shape.center)} does not match grid dim {dim}")
     elif isinstance(shape, Cylinder):
-        if spec.dim != 3:
+        if dim != 3:
             raise ValueError("cylinders require a 3d grid")
     else:
         raise TypeError(f"not a shape candidate: {shape!r}")
@@ -264,7 +262,7 @@ def rasterize(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> ScalarField
     if isinstance(shape, TiledShape):
         coarse = rasterize(shape.shape, spec.coarsen(shape.k))
         return periodize(coarse, shape.k)
-    _check_shape_dim(shape, spec)
+    _check_shape_dim(shape, spec.dim)
     d = shape.signed_distance(spec.center_mesh())
     values = np.where(d >= 0.0, 1.0, -1.0)
     values = np.broadcast_to(values, spec.sizes)
@@ -281,7 +279,7 @@ def tanh_profile(shape: ShapeCandidate, spec: GridSpec, eps: float) -> ScalarFie
         raise ValueError(
             f"eps={eps} below resolvability bound 2/min(n)={2.0 * spec.max_spacing}"
         )
-    _check_shape_dim(shape, spec)
+    _check_shape_dim(shape, spec.dim)
     d = shape.signed_distance(spec.center_mesh())
     values = np.tanh(np.broadcast_to(d, spec.sizes) / eps)
     return ScalarField(spec, np.ascontiguousarray(values), "phase")

@@ -113,6 +113,16 @@ def test_construct_subcommand(tmp_path):
     assert (out / "fields" / "tiled_k2.okf").exists()
 
 
+def test_construct_with_a_dissolved_seed_exits_3(tmp_path):
+    out = tmp_path / "c"
+    argv = ["construct", "--grid", "32,32,32", "--shape", "ball", "--center", "0.5,0.5,0.5"]
+    argv += ["--radius", "0.25", "--eps", "0.07", "--k", "1", "--out", str(out)]
+    assert run(argv) == 3
+    _, row = (out / "report.csv").read_text().strip().split("\n")
+    assert row.endswith(",lost_interface")
+    assert not any((out / "fields").iterdir())
+
+
 def test_config_file_and_unknown_key(tmp_path):
     good = tmp_path / "ok.ini"
     good.write_text("[energy]\ngamma = 2.5\n\n[grid]\nsizes = 32,32\n")

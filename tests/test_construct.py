@@ -173,7 +173,7 @@ def test_build_periodic_3d_cylinder():
         assert cert.status == "ok"
         assert cert.energy_rel_err <= 1e-3
         assert cert.alpha_to_seed <= 1.0 / 32
-        # the residual of the fitted raster is voxel-level (5e-4 to 6e-4 here)
+        # the tiled seed's residual is voxel-level (4.8e-4 and 5.9e-4 here)
         assert cert.residual_sup <= 5e-3
         # exhaustive amplitude-2 swap scan of the tiled field
         a, b = _swap_pairs(tiled, cert.k, 2)
@@ -181,6 +181,21 @@ def test_build_periodic_3d_cylinder():
         assert _swap_gaps(tiled, cfg.gamma_bar, cert.k, a, b).min() >= -1e-12
     # the k = 1 field is the constructed parent itself
     assert nl_tiling_identity_error(results[0][1], 2) <= 1e-12
+
+
+def test_build_periodic_records_a_lost_interface():
+    # the gamma = 0 stage dissolves this ball: seed normal lines find no zero
+    cfg = ConstructConfig(
+        seed=Ball((0.5, 0.5, 0.5), 0.25),
+        gamma_bar=1.0,
+        k_list=(1,),
+        spec=GridSpec((32, 32, 32)),
+        flow=default_flow(eps=0.07),
+    )
+    (cert, tiled), = build_periodic(cfg)
+    assert cert.status == "lost_interface"
+    assert tiled is None
+    assert np.isnan(cert.c0_proxy) and np.isnan(cert.residual_sup)
 
 
 def test_failed_stability_gate_exits_3(tmp_path, monkeypatch):
@@ -231,14 +246,14 @@ def test_zero_level_displacement_on_curved_normals():
     assert d == pytest.approx(2.0 / 128, abs=2e-4)
 
 
-def loop_crossing_offset(line_vals, ts, window):
+def loop_crossing_offset(line_vals, ts):
     """Reference: the per-line crossing search, one line at a time."""
     worst = 0.0
     for vals in line_vals:
         sgn = np.sign(vals)
         crossings = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
         if len(crossings) == 0:
-            worst = max(worst, window)
+            worst = np.inf
             continue
         mid = (len(ts) - 1) / 2.0
         j = crossings[np.argmin(np.abs(crossings + 0.5 - mid))]
@@ -263,20 +278,21 @@ def test_crossing_search_matches_per_line_loop():
     rng = np.random.default_rng(4)
     for name, vals in lines.items():
         vals = np.array([vals])
-        got = _max_crossing_offset(vals, ts, window)
-        assert got == loop_crossing_offset(vals, ts, window), name
+        got = _max_crossing_offset(vals, ts)
+        assert got == loop_crossing_offset(vals, ts), name
     # the first of the equidistant crossings, not the second (0.02 + 0.02 / 1.7)
-    tie = _max_crossing_offset(np.array([lines["equidistant"]]), ts, window)
+    tie = _max_crossing_offset(np.array([lines["equidistant"]]), ts)
     assert tie == pytest.approx(0.04 - 0.02 / 1.3, rel=1e-12)
+    # one line without a crossing: the field has lost its interface
     stacked = np.array(list(lines.values()))
-    assert _max_crossing_offset(stacked, ts, window) == window
+    assert _max_crossing_offset(stacked, ts) == np.inf
     crossing_only = np.array([lines[k] for k in ("one", "several", "equidistant", "far left")])
-    got = _max_crossing_offset(crossing_only, ts, window)
-    assert got == loop_crossing_offset(crossing_only, ts, window) < window
+    got = _max_crossing_offset(crossing_only, ts)
+    assert got == loop_crossing_offset(crossing_only, ts) < window
     noisy = np.sin(rng.uniform(0, 6, (40, 1)) + np.linspace(0, 3, 81)) + rng.normal(0, 0.3, (40, 81))
     ts81 = np.linspace(-window, window, 81)
-    assert _max_crossing_offset(noisy, ts81, window) == loop_crossing_offset(noisy, ts81, window)
-    assert _max_crossing_offset(noisy[:, :1] ** 2 + 1.0 + 0 * noisy, ts81, window) == window
+    assert _max_crossing_offset(noisy, ts81) == loop_crossing_offset(noisy, ts81)
+    assert _max_crossing_offset(noisy[:, :1] ** 2 + 1.0 + 0 * noisy, ts81) == np.inf
 
 
 def test_local_minimality_probe_gaps():

@@ -3,19 +3,12 @@
 import numpy as np
 import pytest
 
-from okpattern.geometry import (
-    el_residual,
-    fit_ball,
-    fit_cylinder,
-    fit_lamella,
-    interface_mesh,
-)
+from okpattern.geometry import el_residual, interface_mesh
 from okpattern.torus_field import (
     Ball,
     Cylinder,
     GridSpec,
     Lamella,
-    ScalarField,
     TiledShape,
     rasterize,
 )
@@ -31,9 +24,9 @@ def test_lamella_mesh_weights_and_normals():
 
 
 def test_ball_mesh_weights():
-    mesh2 = interface_mesh(Ball((0.5, 0.5), 0.3), 64)
+    mesh2 = interface_mesh(Ball((0.5, 0.5), 0.3), 64, dim=2)
     assert mesh2.total_weight == pytest.approx(2 * np.pi * 0.3, rel=1e-12)
-    mesh3 = interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16)
+    mesh3 = interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16, dim=3)
     assert mesh3.total_weight == pytest.approx(4 * np.pi * 0.25**2, rel=1e-12)
     norms = np.linalg.norm(mesh3.all_normals(), axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
@@ -41,7 +34,7 @@ def test_ball_mesh_weights():
 
 def test_cylinder_mesh_weights_and_radial_normals():
     shape = Cylinder(axis=2, center=(0.5, 0.5), radius=0.2)
-    mesh = interface_mesh(shape, 16)
+    mesh = interface_mesh(shape, 16, dim=3)
     assert mesh.total_weight == pytest.approx(2 * np.pi * 0.2, rel=1e-12)
     normals = mesh.all_normals()
     assert np.max(np.abs(normals[:, 2])) == 0.0
@@ -53,10 +46,10 @@ def test_mesh_resolution_and_variant_errors():
     with pytest.raises(ValueError):
         interface_mesh(Cylinder(), 16, dim=2)
     with pytest.raises(ValueError):
-        interface_mesh(Ball((0.5,), 0.2), 16)
+        interface_mesh(Ball((0.5,), 0.2), 16, dim=1)
     # the sphere's polar extension f(2 pi - theta, phi + pi) needs phi + pi on a node
     with pytest.raises(ValueError):
-        interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 17)
+        interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 17, dim=3)
 
 
 def chart_mean_curvatures(shape, dim):
@@ -72,7 +65,7 @@ def test_mean_curvature_values():
 
 
 def test_sphere_tangential_derivative_exact_for_harmonics():
-    mesh = interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16)
+    mesh = interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16, dim=3)
     chart = mesh.charts[0]
     # phi = nu . e_z is a degree-1 harmonic: |grad phi|^2 = (1 - mu^2)/r^2
     phi = chart.normals[..., 2]
@@ -143,34 +136,6 @@ def test_tiled_mesh_of_a_centre_just_below_one():
     ):
         mesh = interface_mesh(shape, 8, dim)
         assert mesh.total_weight == pytest.approx(area, rel=1e-12)
-
-
-def test_fit_lamella_and_ball_round_trip():
-    spec = GridSpec((64, 64))
-    shape = Lamella(axis=0, center=0.375, halfwidth=0.25)
-    fitted = fit_lamella(rasterize(shape, spec), axis=0)
-    assert fitted.center == pytest.approx(0.375, abs=1e-9)
-    assert fitted.halfwidth == pytest.approx(0.25, abs=1e-9)
-
-    ball = Ball((0.5, 0.5), 0.3)
-    fitted_ball = fit_ball(rasterize(ball, spec))
-    assert fitted_ball.center[0] == pytest.approx(0.5, abs=1e-6)
-    assert fitted_ball.center[1] == pytest.approx(0.5, abs=1e-6)
-    assert fitted_ball.radius == pytest.approx(0.3, abs=5e-3)
-
-
-def test_fit_cylinder_recovers_off_centre_raster():
-    # centres on cell edges make the raster mirror-symmetric, so the circular
-    # centroid is exact; the last one straddles the torus seam
-    spec = GridSpec((32, 32, 32))
-    for axis, center in ((0, (0.3125, 0.6875)), (2, (0.3125, 0.6875)), (1, (0.96875, 0.0))):
-        fitted = fit_cylinder(rasterize(Cylinder(axis, center, 0.2), spec), axis)
-        assert fitted.axis == axis
-        offset = np.mod(np.array(fitted.center) - center + 0.5, 1.0) - 0.5
-        assert np.max(np.abs(offset)) <= 1e-9
-        assert fitted.radius == pytest.approx(0.2, abs=5e-3)
-    with pytest.raises(ValueError):
-        fit_cylinder(ScalarField(spec, -np.ones(spec.sizes), "indicator"), 2)
 
 
 def per_chart_el_residual(shape, gamma, spec, resolution):

@@ -1,9 +1,9 @@
 """Property tests of the exact identities the pipeline rests on.
 
 Each law holds to rounding (or exactly) for every input, so hypothesis draws
-the grids, sets and parameters: the 1/k tiling laws, mass conservation and
-energy descent of one flow step, the alpha pseudometric, and the OKF byte
-round trip.
+the grids, sets and parameters: the 1/k tiling laws of the energy and of the
+criticality residual, mass conservation and energy descent of one flow step,
+the alpha pseudometric, and the OKF byte round trip.
 """
 
 import tempfile
@@ -15,12 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okpattern.diffuse_ok import FlowConfig, flow_state, flow_step
+from okpattern.geometry import el_residual
 from okpattern.sharp_energy import total_variation_perimeter
 from okpattern.spectral import nonlocal_energy
 from okpattern.torus_field import (
     FIELD_KINDS,
+    Ball,
+    Cylinder,
     GridSpec,
+    Lamella,
     ScalarField,
+    TiledShape,
     alpha_distance,
     periodize,
     read_field,
@@ -30,6 +35,15 @@ from okpattern.torus_field import (
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+RADII = st.floats(0.1, 0.4)
+# (candidate, grid sizes) pairs; every size is divisible by k = 2, 3 and 4
+CANDIDATES = st.one_of(
+    st.tuples(st.builds(Lamella, st.integers(0, 1), UNIT, st.floats(0.05, 0.45)), st.just((48, 48))),
+    st.tuples(st.builds(Ball, st.tuples(UNIT, UNIT), RADII), st.just((48, 48))),
+    st.tuples(st.builds(Cylinder, st.integers(0, 2), st.tuples(UNIT, UNIT), RADII), st.just((24,) * 3)),
+    st.tuples(st.builds(Ball, st.tuples(UNIT, UNIT, UNIT), RADII), st.just((24,) * 3)),
+)
 
 
 def random_set(spec: GridSpec, rng) -> ScalarField:
@@ -54,6 +68,22 @@ def test_tiling_laws(half, k, seed):
     assert np.array_equal(tiled.values, periodize(parent, k).values)
     assert_rel_close(total_variation_perimeter(tiled), k * total_variation_perimeter(parent))
     assert_rel_close(nonlocal_energy(tiled), nonlocal_energy(parent) / k**2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(candidate=CANDIDATES, k=st.integers(2, 4), gamma_bar=st.floats(0.0, 20.0))
+def test_criticality_tiling_law(candidate, k, gamma_bar):
+    # the tiled seed's EL residual at gamma_bar is the seed's at
+    # gamma_bar / k^3 on the n/k grid, times k (lambda and the residual) and
+    # k^2 (the tangential bound)
+    seed, sizes = candidate
+    spec = GridSpec(sizes)
+    tiled = el_residual(TiledShape(seed, k), gamma_bar, spec, 16)
+    parent = el_residual(seed, gamma_bar / k**3, spec.coarsen(k), 16)
+    tol = 1e-12 * max(1.0, abs(tiled.lambda_))
+    assert abs(tiled.lambda_ - k * parent.lambda_) <= tol
+    assert abs(tiled.residual_sup - k * parent.residual_sup) <= tol
+    assert abs(tiled.grad_h_sup - k**2 * parent.grad_h_sup) <= tol
 
 
 @settings(max_examples=25, deadline=None)

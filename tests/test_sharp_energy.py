@@ -65,8 +65,8 @@ def test_sharp_energy_rejects_non_indicator_field():
     spec = GridSpec((32, 32))
     x = spec.center_mesh()[0]
     u = ScalarField(spec, np.broadcast_to(np.cos(2 * np.pi * x), spec.sizes).copy())
-    with pytest.raises(ValueError):
-        sharp_energy(u, 1.0)
+    with pytest.raises(TypeError):
+        sharp_energy(u, 1.0, spec)
     with pytest.raises(ValueError):
         sharp_energy(Lamella(), -1.0, spec)
 

@@ -122,7 +122,7 @@ def test_translation_degeneracy_mode_route():
 
 
 def test_translation_degeneracy_ball_area_functional():
-    mesh = interface_mesh(Ball((0.5, 0.5), 0.3), 64)
+    mesh = interface_mesh(Ball((0.5, 0.5), 0.3), 64, dim=2)
     spec = GridSpec((64, 64))
     phi = translation_mode(mesh, 0)
     rep = quad_form(Ball((0.5, 0.5), 0.3), 0.0, phi, spec, method="grid")
@@ -811,7 +811,7 @@ def test_threshold_continuous_in_halfwidth():
 def test_sphere_translation_mode_area_functional():
     # degree-1 harmonic on the sphere: the area form's exact null direction
     ball = Ball((0.5, 0.5, 0.5), 0.25)
-    mesh = interface_mesh(ball, 16)
+    mesh = interface_mesh(ball, 16, dim=3)
     spec = GridSpec((32, 32, 32))
     for axis in (0, 2):
         phi = translation_mode(mesh, axis)
