@@ -6,7 +6,8 @@ Pipeline per tiling factor k:
 1. continuation: warm-started mass-conserving flows ramp the sharp parameter
    from 0 up to gamma_k = gamma_bar / k^3 (the flow runs at the diffuse
    parameter sigma * gamma so its sharp limit weighs the nonlocal term like
-   P + gamma NL);
+   P + gamma NL); the gamma = 0 stage is the same for every k, so it runs
+   once and every k continues from it;
 2. sharpening: threshold the final phase field at the level that restores the
    seed volume to within one cell;
 3. tiling: the sharpened parent, measured on the full grid, is rescaled by
@@ -114,6 +115,7 @@ def continue_family(
     spec: GridSpec,
     *,
     perturb_amplitude: float = 0.0,
+    start: FamilyMember | None = None,
 ) -> FamilyResult:
     """Warm-started flow continuation along increasing sharp gamma values.
 
@@ -121,16 +123,23 @@ def continue_family(
     members; the family truncates when a flow stalls or a step exceeds
     0.02 (instability escape).  perturb_amplitude > 0 wobbles the
     interfaces before each stage (dim 2 lamella seeds) so that tangential
-    instabilities can express themselves.
+    instabilities can express themselves.  The first stage starts from the
+    seed's tanh profile and raster or, given the last member `start` of a
+    family of this seed, from start's phase field and sharpened set; the
+    result then leads with `start`, so it continues that family exactly.
     """
     gammas = [float(g) for g in gamma_list]
-    if any(b < a for a, b in zip(gammas, gammas[1:])) or (gammas and gammas[0] < 0):
-        raise ValueError("gamma_list must be nondecreasing and nonnegative")
+    floor = 0.0 if start is None else start.gamma
+    if any(b < a for a, b in zip([floor] + gammas, gammas)):
+        raise ValueError("gamma_list must be nondecreasing from 0 (or from start.gamma)")
     seed_raster = rasterize(seed, spec)
     target_cells = int(np.sum(seed_raster.values > 0))
-    u = tanh_profile(seed, spec, template.eps)
-    prev_sharp = seed_raster
-    result = FamilyResult()
+    if start is None:
+        u, prev_sharp = tanh_profile(seed, spec, template.eps), seed_raster
+        result = FamilyResult()
+    else:
+        u, prev_sharp = start.phase, start.sharp
+        result = FamilyResult([start])
     for gamma in gammas:
         cfg = replace(template, gamma=sharp_to_diffuse_gamma(gamma))
         if perturb_amplitude > 0 and spec.dim == 2 and isinstance(seed, Lamella):
@@ -243,6 +252,9 @@ class StabilityGateError(RuntimeError):
 def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, ScalarField | None]]:
     """Run the construction for every k; failures are recorded per k.
 
+    The gamma = 0 continuation stage runs once, and every k continues its
+    ramp gamma_k (1/3, 2/3, 1) from that stage's phase field and sharpened
+    set; a stalled or truncated gamma = 0 stage gives every k that status.
     Returns (certificate, tiled field) pairs.  A k whose continuation
     truncates or stalls, or whose phase field has no zero crossing on some
     seed normal line (lost_interface), gets nan columns and no field.  The
@@ -255,11 +267,15 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
     if gate <= 0:
         raise StabilityGateError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
     seed_raster = rasterize(config.seed, spec)
+    # the gamma = 0 stage does not depend on k: it runs once
+    base = continue_family(config.seed, [0.0], config.flow, spec)
     out = []
     for k in config.k_list:
         gamma_k = config.gamma_bar / k**3
         ramp = [gamma_k * (j + 1) / CONTINUATION_STEPS for j in range(CONTINUATION_STEPS)]
-        family = continue_family(config.seed, [0.0] + ramp, config.flow, spec)
+        family = base
+        if base.status == "complete":
+            family = continue_family(config.seed, ramp, config.flow, spec, start=base.members[-1])
         if family.status != "complete":
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, family.status), None))
             continue

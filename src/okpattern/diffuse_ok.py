@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .spectral import SpectralWorkspace, _trig_shift, get_workspace
-from .spectral import from_half_spectrum, half_spectrum, parseval_sum
+from .spectral import from_half_spectrum, half_spectrum
 from .torus_field import GridSpec, Lamella, ScalarField, tanh_profile
 
 # Surface tension of the optimal profile for W(s) = (s^2-1)^2:
@@ -48,7 +48,12 @@ def sharp_to_diffuse_gamma(gamma: float) -> float:
 
 
 class FlowStallError(RuntimeError):
-    """dt underflowed below the stall floor while rejecting steps."""
+    """dt underflowed below the stall floor while rejecting steps; rejections
+    counts the trials the failed step rejected."""
+
+    def __init__(self, message: str, rejections: int):
+        super().__init__(message)
+        self.rejections = rejections
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,15 @@ def ok_energy(
 def _ok_energy_from(
     values: np.ndarray, uhat: np.ndarray, ws: SpectralWorkspace, eps: float, gamma: float
 ) -> float:
-    grad_term = eps * parseval_sum(uhat, ws.lap_symbol, ws)
-    well_term = float(np.mean((values**2 - 1.0) ** 2)) / eps
-    nl_term = gamma * parseval_sum(uhat, ws.inv_lap, ws)
-    return grad_term + well_term + nl_term
+    # |c|^2 with its Parseval weights is formed once for both spectral terms
+    power = np.abs(uhat) ** 2
+    power *= ws.half_weights
+    energy = eps * float(np.vdot(power, ws.lap_symbol))
+    if gamma:
+        energy += gamma * float(np.vdot(power, ws.inv_lap))
+    well = values * values
+    well -= 1.0
+    return energy + float(np.vdot(well, well)) / (well.size * eps)
 
 
 def flow_state(u0: ScalarField, config: FlowConfig, ws: SpectralWorkspace | None = None) -> FlowState:
@@ -147,21 +157,36 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
 
     The explicit force N(u) = -(4/eps) u (u^2 - 1) - 2 gamma v_u is formed in
     Fourier space: the local part is transformed, the potential part is
-    uhat / (4 pi^2 |xi|^2) itself.  An accepted step therefore costs two real
-    FFTs (force transform, new iterate) and each rejection one more inverse FFT.
+    uhat / (4 pi^2 |xi|^2) itself (skipped at gamma = 0).  An accepted step
+    costs two real FFTs (force transform, new iterate) and each rejection one
+    more inverse FFT.  Around them a step makes a few elementwise passes: the
+    local force, formed in place; per trial, the update on the half spectrum,
+    |uhat|^2 once for both Parseval terms and the well term; and, once
+    accepted, one pass each for the min, max and sup of the update.
     """
     ws = ws or get_workspace(state.u.spec)
     spec = state.u.spec
     values = state.u.values
-    local = -(4.0 / config.eps) * values * (values**2 - 1.0)
-    force_hat = half_spectrum(local) - 2.0 * config.gamma * (state.uhat * ws.inv_lap)
+    local = values * (-4.0 / config.eps)
+    well = values * values
+    well -= 1.0
+    local *= well
+    force_hat = half_spectrum(local)
+    if config.gamma:
+        potential = state.uhat * ws.inv_lap
+        potential *= 2.0 * config.gamma
+        force_hat -= potential
     dt = state.dt
-    rejections = state.rejections
+    rejections = 0
     while True:
         if dt < DT_STALL_FLOOR:
-            raise FlowStallError(f"dt underflow ({dt:.3e}) after {rejections} rejections")
-        denom = 1.0 + dt * config.c_s + dt * 2.0 * config.eps * ws.lap_symbol
-        new_hat = ((1.0 + dt * config.c_s) * state.uhat + dt * force_hat) / denom
+            raise FlowStallError(f"dt underflow ({dt:.3e}) after {rejections} rejections", rejections)
+        keep = 1.0 + dt * config.c_s
+        denom = ws.lap_symbol * (dt * 2.0 * config.eps)
+        denom += keep
+        new_hat = state.uhat * keep
+        new_hat += dt * force_hat
+        new_hat /= denom
         new_hat.flat[0] = state.uhat.flat[0]  # frozen zero mode: exact mass conservation
         new_hat.flags.writeable = False
         new_values = from_half_spectrum(new_hat, spec.sizes)
@@ -169,22 +194,22 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
         if energy <= state.energy:
             # a smooth iterate of an indicator start is a phase field
             kind = "phase" if state.u.kind == "indicator" else state.u.kind
-            u_new = ScalarField(spec, new_values, kind if _phase_ok(new_values) else "generic")
+            try:
+                u_new = ScalarField(spec, new_values, kind)
+            except ValueError:  # the iterate left the phase range
+                u_new = ScalarField(spec, new_values, "generic")
+            np.subtract(new_values, values, out=local)
             return FlowState(
                 u=u_new,
                 energy=energy,
                 dt=dt,
                 step=state.step + 1,
-                rejections=rejections,
-                last_update_sup=float(np.max(np.abs(new_values - values))),
+                rejections=state.rejections + rejections,
+                last_update_sup=max(float(local.max()), -float(local.min())),
                 uhat=new_hat,
             )
         dt *= 0.5
         rejections += 1
-
-
-def _phase_ok(values: np.ndarray) -> bool:
-    return bool(values.min() >= -1.1 and values.max() <= 1.1)
 
 
 def minimize(
@@ -192,7 +217,8 @@ def minimize(
 ) -> FlowTrace:
     """Iterate flow_step until the energy decrease per accepted step drops
     below energy_tolerance or max_steps accepted steps ran.  A dt stall is a
-    terminal status, not an exception."""
+    terminal status, not an exception; its step's rejected trials count in
+    trace.rejections."""
     ws = ws or get_workspace(u0.spec)
     state = flow_state(u0, config, ws)
     trace = FlowTrace()
@@ -204,8 +230,9 @@ def minimize(
         prev_energy = state.energy
         try:
             state = flow_step(state, config, ws)
-        except FlowStallError:
+        except FlowStallError as stall:
             trace.status = "stalled"
+            trace.rejections = stall.rejections
             break
         trace.append(state)
         trace.final = state.u
@@ -214,7 +241,7 @@ def minimize(
             break
     else:
         trace.status = "max_steps"
-    trace.rejections = state.rejections
+    trace.rejections += state.rejections
     return trace
 
 

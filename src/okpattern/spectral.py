@@ -317,21 +317,28 @@ def _mode_sum(
     grid = [l == 0 or counts[l] * distinct[l] == counts[l + 1] for l in range(dim)]
     fans_out = [counts[l + 1] > counts[l] for l in range(dim)]
     # bytes per prefix of each level, counting every temporary: the variant
-    # rows, the factor rows (with their temporaries and the derivative); a
-    # grid level's full product, before the rows a chunk cuts off are
-    # dropped, is at most three times its rows; another level also holds,
-    # where a parent fans out, the parents' gathered variant rows.  Summed
-    # over the levels, this bounds what any level holds.
+    # rows, and the factor rows (with their temporaries and the derivative)
+    # of a level that makes one per prefix; a grid level's full product,
+    # before the rows a chunk cuts off are dropped, is at most three times
+    # its rows; another level also holds, where a parent fans out, the
+    # parents' gathered variant rows.  Summed over the levels, this bounds
+    # what any level holds.
+    shared = [grid[l] and l > 0 for l in range(dim)]
+    factor_bytes = [16 * (2 + gradient) * n[l] for l in range(dim)]
     row_bytes = np.array(
         [
-            16 * (n_var[l + 1] * rest[l] * (4 if grid[l] and l else 1) + (2 + gradient) * n[l])
+            16 * n_var[l + 1] * rest[l] * (4 if shared[l] else 1)
+            + (0 if shared[l] else factor_bytes[l])
             + (0 if grid[l] else 16 * fans_out[l] * n_var[l] * rest[l - 1])
             for l in range(dim)
         ]
     )
     cost = np.cumsum(new @ row_bytes)
-    # the first point of a chunk starts a prefix at every level
+    # the first point of a chunk starts a prefix at every level; a grid level
+    # past the first makes one factor row per distinct value the chunk
+    # holds, at most distinct[l], charged once per chunk
     slack = _PHASE_BLOCK_BYTES - int(row_bytes.sum())
+    slack -= sum(factor_bytes[l] * distinct[l] for l in range(dim) if shared[l])
     take = [0] * value + [value + order.index(a) for a in range(dim)] * gradient
     out = np.empty((len(pts), len(take)))
     head = _interp_coeffs(uhat, ws, order).reshape(1, 1, cells)

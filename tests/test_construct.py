@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okpattern import construct
 from okpattern.construct import (
     ConstructConfig,
     StabilityGateError,
@@ -119,6 +120,12 @@ def test_continue_family_rejects_bad_gammas():
     spec = GridSpec((32, 32))
     with pytest.raises(ValueError):
         continue_family(SEED, [1.0, 0.5], default_flow(), spec)
+    with pytest.raises(ValueError):
+        continue_family(SEED, [-0.5], default_flow(), spec)
+    flow = default_flow(eps=0.07)
+    start = continue_family(SEED, [0.0, 1.0], flow, spec).members[-1]
+    with pytest.raises(ValueError):
+        continue_family(SEED, [0.5], flow, spec, start=start)
 
 
 def test_build_periodic_certificates():
@@ -137,6 +144,45 @@ def test_build_periodic_certificates():
     assert all(b <= a + 1e-9 for a, b in zip(c0s, c0s[1:]))
     # k=1: tiled field equals the parent, certificate identity is trivial
     assert certs[0][0].energy_lhs == pytest.approx(certs[0][0].energy_rhs, rel=1e-12)
+
+
+def test_build_periodic_runs_the_gamma_zero_stage_once(monkeypatch):
+    spec = GridSpec((64, 64))
+    cfg = ConstructConfig(seed=SEED, gamma_bar=1.0, k_list=(1, 2, 4), spec=spec, flow=default_flow())
+    real_minimize, real_continue = construct.minimize, construct.continue_family
+    gammas = []
+    monkeypatch.setattr(
+        construct, "minimize", lambda u, flow: gammas.append(flow.gamma) or real_minimize(u, flow)
+    )
+    shared = build_periodic(cfg)
+    assert len(gammas) == 1 + 3 * len(cfg.k_list) and gammas.count(0.0) == 1
+
+    def per_k(seed, ramp, flow, spec, *, start=None):
+        # the reference: each k runs continue_family(seed, [0.0] + ramp) whole
+        return real_continue(seed, ramp if start is None else [0.0] + ramp, flow, spec)
+
+    monkeypatch.setattr(construct, "continue_family", per_k)
+    reference = build_periodic(cfg)
+    for (cert, tiled), (want, want_tiled) in zip(shared, reference, strict=True):
+        assert cert.status == "ok" and cert == want
+        assert np.array_equal(tiled.values, want_tiled.values)
+
+
+def test_build_periodic_gives_every_k_a_stalled_gamma_zero_stage(monkeypatch):
+    real_minimize = construct.minimize
+
+    def stall_at_zero(u, flow):
+        trace = real_minimize(u, flow)
+        if flow.gamma == 0:
+            trace.status = "stalled"
+        return trace
+
+    monkeypatch.setattr(construct, "minimize", stall_at_zero)
+    cfg = ConstructConfig(
+        seed=SEED, gamma_bar=1.0, k_list=(1, 2), spec=GridSpec((32, 32)), flow=default_flow(eps=0.07)
+    )
+    results = build_periodic(cfg)
+    assert [(c.status, f) for c, f in results] == [("stalled", None)] * 2
 
 
 def nl_tiling_identity_error(e_field, k):

@@ -4,11 +4,13 @@ The surface-tension constant is pinned by a quadrature oracle here:
 sigma = 2 * int_{-1}^{1} sqrt(W(s)) ds with W(s) = (s^2 - 1)^2.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from okpattern import diffuse_ok
 from okpattern.diffuse_ok import (
     MODICA_MORTOLA_SIGMA,
     FlowConfig,
@@ -96,6 +98,24 @@ def test_flow_rejection_backoff_and_stall():
         flow_step(state, cfg)
     trace = minimize(u0, cfg)
     assert trace.status in ("converged", "max_steps")
+
+
+def test_stalled_minimize_counts_the_rejections_of_its_last_step(monkeypatch):
+    # after the start and two accepted steps every trial reads as an energy
+    # increase: the third step halves dt to the stall floor, and each of its
+    # rejected trials counts in the trace
+    real = diffuse_ok._ok_energy_from
+    evaluated = []
+
+    def rising(*args):
+        evaluated.append(len(evaluated) < 3)
+        return real(*args) if evaluated[-1] else math.inf
+
+    monkeypatch.setattr(diffuse_ok, "_ok_energy_from", rising)
+    u0 = tanh_profile(Ball((0.5, 0.5), 0.3), GridSpec((32, 32)), 0.1)
+    trace = minimize(u0, FlowConfig(eps=0.1, gamma=5.0, dt=5e-3, max_steps=10))
+    assert trace.status == "stalled" and len(trace.records) == 2
+    assert trace.rejections == evaluated.count(False) == 39
 
 
 def test_minimize_zero_steps():

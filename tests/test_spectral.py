@@ -37,6 +37,7 @@ from okpattern.torus_field import (
     periodize,
     rasterize,
     subsample,
+    tanh_profile,
     tile,
 )
 
@@ -289,6 +290,27 @@ def test_prefix_sampler_memory_stays_within_phase_budget(query):
         tracemalloc.stop()
     assert grad.shape == (len(pts), 3)
     assert peak < 2 * _PHASE_BLOCK_BYTES
+
+
+def test_c0_proxy_lines_contract_in_one_chunk(monkeypatch):
+    # the 2,592 C0 line points of the 64^2 lamella: one chunk, so each of
+    # the two levels makes its factor rows once, within the phase budget
+    spec = GridSpec((64, 64))
+    seed = Lamella(axis=0, center=0.5, halfwidth=0.25)
+    u = tanh_profile(seed, spec, 0.06)
+    pts = normal_lines(seed, 2, 16)
+    ws = get_workspace(spec)
+    calls = []
+    factor_rows = spectral._factor_rows
+    monkeypatch.setattr(spectral, "_factor_rows", lambda x, n: calls.append(n) or factor_rows(x, n))
+    tracemalloc.start()
+    try:
+        sample_field(u, pts, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2
+    assert peak < _PHASE_BLOCK_BYTES
 
 
 def dense_mode_sum(coeffs: np.ndarray, points: np.ndarray, axis: int | None = None) -> np.ndarray:
