@@ -49,15 +49,18 @@ class Chart:
     differentiates a whole batch of nodal basis vectors.
 
     The last chart axis is periodic, the weights are constant along it, and
-    tangent_fn commutes with shifts along it; the pencil's chart stiffness
-    relies on this and is block circulant along that axis.
+    tangent_fn commutes with shifts along it; so does every chart axis with
+    an axis entry.  The pencil's chart stiffness relies on this and is block
+    circulant along those axes.
 
-    axis, when not None, names the torus axis along which one node step on
-    the last chart axis (n2 nodes) is the translation by 1/n2: the node
-    (..., i2 + 1) is the node (..., i2) plus e_axis / n2 mod 1, with the same
-    normal and weight.  The pencil splits into Bloch blocks along that
-    translation when every chart of a mesh shares it (stability).  Charts
-    whose last axis is a rotation (circle, sphere) leave it None.
+    axis has one entry per chart axis.  Entry c, when not None, names the
+    torus axis along which one node step on chart axis c (n_c nodes) is the
+    translation by 1/n_c: the node with i_c + 1 is the node with i_c plus
+    e_axis / n_c mod 1, with the same normal and weight.  A lamella chart
+    has an entry on each tangential axis, a cylinder chart on its axial
+    (last) one; chart axes that are rotations (circle, sphere, the
+    cylinder's angle) have None.  The pencil splits into Bloch blocks along
+    the trailing chart axes that every chart of a mesh shares (stability).
     """
 
     points: np.ndarray
@@ -66,7 +69,7 @@ class Chart:
     mean_curv: float
     second_fundamental_sq: float
     tangent_fn: Callable[[np.ndarray], list[np.ndarray]]
-    axis: int | None = None
+    axis: tuple[int | None, ...]
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -118,7 +121,7 @@ def _lamella_charts(shape: Lamella, dim: int, res: int) -> list[Chart]:
         def tangent_fn(values):
             return [_fft_deriv(values, ax, period=1.0) for ax in range(len(grid_shape))]
 
-        charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn, tangential[-1]))
+        charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn, tuple(tangential)))
     return charts
 
 
@@ -131,7 +134,7 @@ def _circle_chart(center, r: float, res: int) -> Chart:
     def tangent_fn(values, _r=r):
         return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r)]
 
-    return Chart(pts, nx.copy(), weights, 1.0 / r, 1.0 / r**2, tangent_fn)
+    return Chart(pts, nx.copy(), weights, 1.0 / r, 1.0 / r**2, tangent_fn, (None,))
 
 
 def _sphere_chart(center, r: float, res: int) -> Chart:
@@ -162,7 +165,7 @@ def _sphere_chart(center, r: float, res: int) -> Chart:
         d_azim = _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r)
         return [d_polar, d_azim / _sin.reshape((res,) + (1,) * (values.ndim - 1))]
 
-    return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn)
+    return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn, (None, None))
 
 
 def _cylinder_chart(shape: Cylinder, res: int, axial_res: int) -> Chart:
@@ -187,7 +190,7 @@ def _cylinder_chart(shape: Cylinder, res: int, axial_res: int) -> Chart:
         ]
 
     r = shape.radius
-    return Chart(pts, normals, weights, 1.0 / r, 1.0 / r**2, tangent_fn, shape.axis)
+    return Chart(pts, normals, weights, 1.0 / r, 1.0 / r**2, tangent_fn, (None, shape.axis))
 
 
 def interface_mesh(shape, resolution: int, dim: int) -> InterfaceMesh:

@@ -30,18 +30,23 @@ Two evaluation routes are kept deliberately distinct:
 The pencil (min_eigenvalue) has no per-node loop before its generalized
 eigensolves: the Green matrix from the 3^dim distinct splat cell shifts,
 summed axis by axis in cache-sized row blocks; each chart stiffness, block
-circulant along the chart's last axis, from one tangent_fn call on one block
-column; and the exact T-perp restriction (weighted zero mean, no normal
-moment) from at most dim + 1 Householder reflectors in compact-WY form,
-applied by rank updates.  No translation penalty enters, and each solve asks
-for one eigenvalue, not the whole spectrum.  When every chart steps along one
-torus translation whose step is whole cells (lamellae, cylinders: Chart.axis),
-the pencil is block circulant with order s = nodes per step axis: only the
-block row (p^2 / s entries) is assembled, and its FFT splits the pencil into
-s / 2 + 1 Hermitian blocks of size p / s (Floquet-Bloch along one axis);
-tiled lamellae and cylinders are meshed as their pieces and split too.
-Otherwise (balls, tiled or not) it is dense, O(p^2) memory and one p x p
-solve, with its upper-triangle Green fill.
+circulant along the chart's last axis and every split axis, from one
+tangent_fn call on one block column; and the exact T-perp restriction
+(weighted zero mean, no normal moment) from at most dim + 1 Householder
+reflectors in compact-WY form, applied by rank updates.  No translation
+penalty enters.  When the trailing chart axes of every chart step along
+torus translations by whole cells (Chart.axis: both tangential axes of a 3D
+lamella, the one of a 2D lamella, a cylinder's axis), the pencil is block
+circulant over these split axes: with S the product of their node counts,
+only the block row (p^2 / S entries) is assembled, and its real FFT over
+them splits the pencil into Hermitian blocks of size p / S (Floquet-Bloch
+along every split axis).  The real q = 0 block carries the restriction and
+one eigh that asks for one eigenvalue; all q != 0 blocks are solved
+together, by one batched Cholesky reduction.  Tiled lamellae and cylinders
+are meshed as their pieces and split too.  Otherwise (balls, tiled or not,
+or a last chart axis whose step is not whole cells) the pencil is dense,
+O(p^2) memory and one p x p solve for one eigenvalue, with its
+upper-triangle Green fill.
 """
 
 from __future__ import annotations
@@ -251,7 +256,7 @@ def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -
     curv, pot, green = _second_variation_parts(shape, phi.mesh, gamma, spec)
     sq = vals**2
     tangential = sum(
-        float(v.ravel() @ _chart_stiffness(c, 1) @ v.ravel()) for c, v in zip(phi.mesh.charts, phi.values)
+        float(v.ravel() @ _chart_stiffness(c, ()) @ v.ravel()) for c, v in zip(phi.mesh.charts, phi.values)
     )
     term_perimeter = tangential - float(curv @ sq)
     term_green = 0.0 if green is None else float(vals @ green @ vals)
@@ -401,9 +406,9 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
     T-perp, the null space of C = [w, W nu_1, ..., W nu_d] (weighted zero
     mean and no normal moment, so translations are excluded rather than
     penalized), and returns the smallest generalized eigenvalue.  When the
-    mesh is invariant under a translation of order s > 1 (_symmetry_order),
-    the pencil is block circulant and splits into s Bloch blocks; each block
-    gets a one-eigenvalue solve and the least value is returned.
+    mesh is invariant under the translations along its trailing chart axes
+    (_symmetry_order), the pencil is block circulant and splits into Bloch
+    blocks, and the least value over all blocks is returned.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -413,81 +418,100 @@ def min_eigenvalue(shape, gamma: float, spec: GridSpec, resolution: int = 32) ->
     return _pencil_min(shape, mesh, gamma, spec, _symmetry_order(mesh, spec))
 
 
-def _symmetry_order(mesh: InterfaceMesh, spec: GridSpec) -> int:
-    """n2 when every chart steps 1/n2 per last-axis node along one torus axis
-    a (Chart.axis) and n2 divides the grid size along a, so that the step is
-    a whole number of cells and the splat stencils shift exactly; else 1."""
-    axes = {c.axis for c in mesh.charts}
-    n2s = {c.grid_shape[-1] for c in mesh.charts}
-    if len(axes) == len(n2s) == 1 and None not in axes:
-        (axis,), (n2,) = axes, n2s
-        if spec.sizes[axis] % n2 == 0:
-            return n2
-    return 1
+def _symmetry_order(mesh: InterfaceMesh, spec: GridSpec) -> tuple[int, ...]:
+    """The node counts of the split axes: the trailing chart axes along
+    which every chart steps by a torus translation (Chart.axis entry a) of
+    whole cells, the axis's node count dividing the grid size along a, so
+    that the splat stencils shift exactly.  All charts must share their axes
+    and grid shape, and the run ends at the first chart axis from the end
+    that fails; () when the last one fails: the dense pencil."""
+    keys = {(c.axis, c.grid_shape) for c in mesh.charts}
+    if len(keys) != 1:
+        return ()
+    ((axes, shape),) = keys
+    order = ()
+    for a, n in zip(reversed(axes), reversed(shape)):
+        if a is None or spec.sizes[a] % n:
+            break
+        order = (n,) + order
+    return order
 
 
-def _pencil_min(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order: int) -> float:
-    """Least eigenvalue of the T-perp restricted pencil, solved block by block.
+def _pencil_min(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order: tuple[int, ...]) -> float:
+    """Least eigenvalue of the T-perp restricted pencil over its Bloch blocks.
 
-    The constraint columns are constant along the translation, so they live
-    in the q = 0 block alone, which is restricted there; a block the
-    restriction leaves empty is skipped.  Blocks q and order - q are complex
-    conjugates with the same eigenvalues, so q runs over 0 .. order // 2.
+    The constraint columns are constant along the translations, so they live
+    in the q = 0 block alone, which is restricted there and solved by one
+    eigh; a block the restriction leaves empty is skipped.  Every q != 0
+    block is solved in one batched reduction: B_q = L L^H (the lower
+    triangle read, as eigh reads it) and the least eigenvalue of
+    L^-1 A_q L^-H.
     """
     a_blocks, b_blocks, rows = _pencil_blocks(shape, mesh, gamma, spec, order)
+    least = math.inf
+    if len(a_blocks) > 1:
+        low = np.linalg.cholesky(b_blocks[1:])
+        half = np.linalg.solve(low, a_blocks[1:])
+        reduced = np.linalg.solve(low, half.conj().swapaxes(-1, -2))
+        least = float(np.min(np.linalg.eigvalsh(reduced)[:, 0]))
     weights = mesh.all_weights()[rows]
     v, t = _constraint_reflectors(
         np.column_stack([weights, weights[:, None] * mesh.all_normals()[rows]])
     )
-    # free each full block once it is restricted
-    a_blocks[0] = _restrict(a_blocks[0], v, t)
-    b_blocks[0] = _restrict(b_blocks[0], v, t)
-    least = math.inf
-    for a_q, b_q in zip(a_blocks, b_blocks):
-        if a_q.size:
-            vals = scipy.linalg.eigh(a_q, b_q, eigvals_only=True, subset_by_index=[0, 0])
-            least = min(least, float(vals[0]))
+    a_0, b_0 = a_blocks[0].real, b_blocks[0].real
+    # free each full q = 0 block once it is restricted (the dense pencil)
+    del a_blocks, b_blocks
+    a_0 = _restrict(a_0, v, t)
+    b_0 = _restrict(b_0, v, t)
+    if a_0.size:
+        vals = scipy.linalg.eigh(a_0, b_0, eigvals_only=True, subset_by_index=[0, 0])
+        least = min(least, float(vals[0]))
     return least
 
 
-def _pencil_blocks(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order: int):
-    """Bloch blocks (A_q, B_q), q = 0 .. order // 2, and the row nodes.
+def _pencil_blocks(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order: tuple[int, ...]):
+    """Bloch blocks A_q and B_q, stacked (blocks, m, m), and the m row nodes.
 
     Nodes are numbered chart by chart in C order, so with every chart
-    sharing n2 = order last-axis nodes, node r * order + i2 is row node r
-    (the node with i2 = 0) shifted i2 steps.  A and B are block circulant:
-    A[(r, i2), (r', j2)] = R[r, r', (j2 - i2) mod order] for the block row R
-    of the m = p / order row nodes, so only R is assembled (Green rows,
-    curvature and potential weights at the row nodes, the chart stiffness
-    blocks) and its real FFT along the last axis gives the Hermitian blocks
-    (the conjugates of the blocks of the plane waves e^{2 pi i q j2 / order},
-    with the same eigenvalues); the q = 0 block is real.  The stiffness
+    sharing its trailing split axes of node counts order (S nodes in all),
+    node r * S + i is row node r (the node with split index 0) shifted by
+    the multi-index i.  A and B are block circulant over the split axes:
+    A[(r, i), (r', j)] = R[r, r', (j - i) mod order] for the block row R of
+    the m = p / S row nodes, so only R is assembled (Green rows, curvature
+    and potential weights at the row nodes, the chart stiffness block rows)
+    and its real FFT over the split axes gives the Hermitian blocks (the
+    conjugates of the blocks of the plane waves e^{2 pi i q . j / order},
+    with the same eigenvalues), the half spectrum along the last split axis
+    and all of it along the others; block 0 (q = 0) is real.  The stiffness
     enters in real space because it is the real part of T^H W T with complex
     components T (the chart Nyquist mode is kept), and the Fourier blocks of
-    T^H W T are not those of its real part.  With order 1 every node is a
+    T^H W T are not those of its real part.  With order () every node is a
     row node and the one block is the dense real pencil, with no FFT.
     """
     weights = mesh.all_weights()
-    rows = np.arange(0, weights.size, order)
+    size = math.prod(order)
+    rows = np.arange(0, weights.size, size)
     m = rows.size
-    # at order 1 the full Green matrix, from its exactly symmetric
+    # with no split axis the full Green matrix, from its exactly symmetric
     # upper-triangle fill
-    curv, pot, green = _second_variation_parts(shape, mesh, gamma, spec, rows if order > 1 else None)
-    a_row = np.zeros((m, m, order)) if green is None else green.reshape(m, m, order)
-    b_row = np.zeros((m, m, order))
-    offsets = np.cumsum([0] + [c.weights.size // order for c in mesh.charts])
+    curv, pot, green = _second_variation_parts(shape, mesh, gamma, spec, rows if order else None)
+    a_row = np.zeros((m, m, size)) if green is None else green.reshape(m, m, size)
+    b_row = np.zeros((m, m, size))
+    offsets = np.cumsum([0] + [c.weights.size // size for c in mesh.charts])
     for chart, lo, hi in zip(mesh.charts, offsets, offsets[1:]):
-        grad_row = _chart_stiffness(chart, order).reshape(hi - lo, hi - lo, order)
+        grad_row = _chart_stiffness(chart, order).reshape(hi - lo, hi - lo, size)
         a_row[lo:hi, lo:hi] += grad_row
         b_row[lo:hi, lo:hi] += grad_row
     diag = np.arange(m)
     a_row[diag, diag, 0] += pot - curv
     b_row[diag, diag, 0] += weights[rows]
-    if order == 1:
-        return [a_row[..., 0]], [b_row[..., 0]], rows
+    if not order:
+        return a_row[None, ..., 0], b_row[None, ..., 0], rows
     blocks = []
+    axes = tuple(range(2, 2 + len(order)))
     for row in (a_row, b_row):
-        hat = list(np.fft.rfft(row, axis=-1).transpose(2, 0, 1))
+        hat = np.fft.rfftn(row.reshape((m, m) + order), axes=axes).reshape(m, m, -1)
+        hat = np.moveaxis(hat, -1, 0)
         # R[., ., d] and R[., ., -d]^T agree in exact arithmetic: make the
         # real q = 0 block exactly symmetric, since the restriction reads all of it
         hat[0] = 0.5 * (hat[0].real + hat[0].real.T)
@@ -495,46 +519,66 @@ def _pencil_blocks(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, ord
     return blocks[0], blocks[1], rows
 
 
-def _stiffness_blocks(chart) -> np.ndarray:
-    """The blocks C[d], d = 0 .. n2 - 1, of the chart stiffness Re(T^H W T)
-    (see _chart_stiffness), each n1 x n1, with C[d] = C[-d]^T exactly.
+def _stiffness_blocks(chart, split: int) -> np.ndarray:
+    """The block row R[i, j, d] = K[(i, 0), (j, d)] of the chart stiffness
+    K = Re(T^H W T) (see _chart_stiffness) over the last split chart axes:
+    i and j run over the n nodes of the other chart axes, d over the shifts
+    along the split ones, shape (n, n, *split shape), and R[i, j, d] equals
+    R[j, i, -d] exactly.
 
-    The last chart axis (n2 nodes) is periodic, the weights are constant
-    along it and tangent_fn commutes with shifts along it, so the stiffness
-    is block circulant along that axis: entry ((i1, i2), (j1, j2)) is
-    C[(i2 - j2) mod n2][i1, j1].  tangent_fn is applied to the n1 = m / n2
-    basis vectors of one block column only, and the blocks C come from one
-    Fourier block per last-axis mode.
+    Each split axis is periodic, the weights are constant along it and
+    tangent_fn commutes with shifts along it, so K is block circulant along
+    those axes: K[(i, e), (j, e + d)] = R[i, j, d].  tangent_fn is applied to
+    the n basis vectors of one block column only; the blocks of K per
+    Fourier mode of the split axes are one batched matmul, and their inverse
+    FFT gives R.
     """
-    n2 = chart.grid_shape[-1]
-    n1 = chart.weights.size // n2
-    w = chart.weights.reshape(n1, n2)
+    grid = chart.grid_shape
+    split_shape = grid[len(grid) - split :]
+    size = math.prod(split_shape)
+    n = chart.weights.size // size
+    w = chart.weights.reshape(n, size)
     if np.any(w != w[:, :1]):
-        raise ValueError("chart weights must be constant along the last chart axis")
-    column = np.zeros((n1, n2, n1))
-    column[np.arange(n1), 0, np.arange(n1)] = 1.0
-    comps = chart.tangent_fn(column.reshape(chart.grid_shape + (n1,)))
-    # hat[c, x1, q, i1]: component c of basis vector (i1, 0) at x1, mode q
-    hat = np.fft.fft(np.stack([c.reshape(n1, n2, n1) for c in comps]), axis=2)
-    blocks = np.einsum("cxqi,x,cxqj->qij", hat.conj(), w[:, 0], hat, optimize=True)
-    blocks = np.fft.ifft(blocks, axis=0).real
+        raise ValueError("chart weights must be constant along the split axes and the last chart axis")
+    column = np.zeros((n, size, n))
+    column[np.arange(n), 0, np.arange(n)] = 1.0
+    comps = chart.tangent_fn(column.reshape(grid + (n,)))
+    split_axes = tuple(range(2, 2 + split))
+    # hat[c, x, q, i]: component c of basis vector (i, 0) at x, mode q; then
+    # hat[q, (c, x), i], one matrix per mode
+    hat = np.fft.fftn(np.stack([c.reshape((n,) + split_shape + (n,)) for c in comps]), axes=split_axes)
+    hat = np.moveaxis(hat.reshape(len(comps) * n, size, n), 1, 0)
+    weighted = hat.conj() * np.tile(w[:, 0], len(comps))[:, None]
+    blocks = np.matmul(weighted.swapaxes(-1, -2), hat).reshape(split_shape + (n, n))
+    d_axes = tuple(range(split))
+    # C[d][i, j] = K[(i, d), (j, 0)]
+    blocks = np.fft.ifftn(blocks, axes=d_axes).real
     # C[d] and C[-d]^T agree in exact arithmetic; their mean makes the filled
     # matrix exactly symmetric (the restriction reads all of it, eigh one triangle)
-    return 0.5 * (blocks + np.roll(blocks[::-1], 1, axis=0).transpose(0, 2, 1))
+    mirror = np.roll(np.flip(blocks, d_axes), 1, d_axes)
+    blocks = 0.5 * (blocks + mirror.swapaxes(-1, -2))
+    # R[i, j, d] = C[-d][i, j] = C[d][j, i]
+    return np.ascontiguousarray(np.moveaxis(blocks, (-1, -2), (0, 1)))
 
 
-def _chart_stiffness(chart, order: int) -> np.ndarray:
-    """Rows i2 = 0, order, 2 order, ... of Re(T^H W T) for the chart's tangent
-    components T on the nodal basis: the exact Dirichlet form of the chart
-    trigonometric interpolant, Nyquist mode included, exactly symmetric.
-    Row (i1, i2) against column (j1, j2) is C[(i2 - j2) mod n2][i1, j1] from
-    _stiffness_blocks, in one gather; with order 1 the whole matrix."""
-    blocks = _stiffness_blocks(chart)
-    n2, n1 = blocks.shape[:2]
-    shift = (np.arange(0, n2, order)[:, None] - np.arange(n2)) % n2
-    i1 = np.arange(n1)
-    out = blocks[shift[None, :, None, :], i1[:, None, None, None], i1[None, None, :, None]]
-    return out.reshape(n1 * n2 // order, n1 * n2)
+def _chart_stiffness(chart, order: tuple[int, ...]) -> np.ndarray:
+    """Rows of Re(T^H W T) for the chart's tangent components T on the nodal
+    basis: the exact Dirichlet form of the chart trigonometric interpolant,
+    Nyquist mode included, exactly symmetric.  With order the node counts
+    of the last len(order) chart axes, the block row of _stiffness_blocks,
+    n x (n * prod(order)); with order () the whole matrix, whose row block
+    i2 along the last chart axis is the last-axis block row R shifted by
+    i2: K[(i1, i2), (j1, j2)] = R[i1, j1, (j2 - i2) mod n2], two slice
+    copies."""
+    row = _stiffness_blocks(chart, len(order) or 1)
+    if order:
+        return row.reshape(row.shape[0], -1)
+    n1, _, n2 = row.shape
+    out = np.empty((n1, n2, n1, n2))
+    for i2 in range(n2):
+        out[:, i2, :, i2:] = row[..., : n2 - i2]
+        out[:, i2, :, :i2] = row[..., n2 - i2 :]
+    return out.reshape(n1 * n2, n1 * n2)
 
 
 def _constraint_reflectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -167,13 +167,13 @@ def test_grid_quad_form_is_the_assembled_pencil(shape, spec, res, monkeypatch):
 
     def spy(*args):
         a_blocks, b_blocks, rows = _pencil_blocks(*args)
-        assembled.append([a.copy() for a in a_blocks])
+        assembled.append(a_blocks.copy())
         return a_blocks, b_blocks, rows
 
     monkeypatch.setattr("okpattern.stability._pencil_blocks", spy)
     mesh = interface_mesh(shape, res, spec.dim)
     order = _symmetry_order(mesh, spec)
-    assert order == (16 if isinstance(shape, Cylinder) else 1)
+    assert order == ((16,) if isinstance(shape, Cylinder) else ())
     w = mesh.all_weights()
     sizes = np.cumsum([c.weights.size for c in mesh.charts])[:-1]
     rng = np.random.default_rng(11)
@@ -190,15 +190,22 @@ def test_grid_quad_form_is_the_assembled_pencil(shape, spec, res, monkeypatch):
 
 
 def dense_from_bloch_blocks(blocks, order):
-    """The dense matrix of the Bloch blocks q = 0 .. order // 2 that
-    _pencil_blocks returns: their inverse real FFT is the block row
-    R[d][r, r'], and entry (r * order + i2, r' * order + j2) is
-    R[(j2 - i2) mod order][r, r']."""
-    row = np.fft.irfft(np.stack(blocks), n=order, axis=0)
-    m = row.shape[1]
-    i2 = np.arange(order)
-    dense = row[(i2[None, :] - i2[:, None]) % order]  # [i2, j2, r, r']
-    return dense.transpose(2, 0, 3, 1).reshape(m * order, m * order)
+    """The dense matrix of the stacked Bloch blocks that _pencil_blocks
+    returns (the half spectrum along the last split axis): their inverse
+    real FFT over the split axes is the block row R[d][r, r'] for the
+    multi-index d, and with S = prod(order) entry (r * S + i, r' * S + j),
+    i and j the flat indices of multi-indices, is R[(j - i) mod order][r, r'].
+    With order () the one block is the dense matrix."""
+    if not order:
+        return blocks[0]
+    m = blocks.shape[-1]
+    half = order[:-1] + (order[-1] // 2 + 1,)
+    row = np.fft.irfftn(blocks.reshape(half + (m, m)), s=order, axes=tuple(range(len(order))))
+    idx = np.indices(order).reshape(len(order), -1)
+    size = idx.shape[1]
+    shift = (idx[:, None, :] - idx[:, :, None]) % np.array(order)[:, None, None]
+    dense = row[tuple(shift)]  # [i, j, r, r']
+    return dense.transpose(2, 0, 3, 1).reshape(m * size, m * size)
 
 
 def green_matrix_corner_pair_reference(mesh, spec):
@@ -302,56 +309,88 @@ CHART_IDS = [
 @pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
 def test_chart_stiffness_matches_identity_stack_reference(shape, dim, res):
     for chart in interface_mesh(shape, res, dim).charts[:2]:
-        got = _chart_stiffness(chart, 1)
+        got = _chart_stiffness(chart, ())
         ref = chart_stiffness_identity_stack_reference(chart)
         assert got.shape == ref.shape == (chart.weights.size,) * 2
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(got, got.T)
 
 
+def split_axes(chart):
+    """The chart axes along which the stiffness may be block circulant: the
+    last one and every one with an axis entry."""
+    last = len(chart.grid_shape) - 1
+    return sorted({last} | {c for c, a in enumerate(chart.axis) if a is not None})
+
+
 @pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
 def test_chart_is_shift_invariant_along_its_last_axis(shape, dim, res):
-    # the block-circulant stiffness rests on this contract
+    # the block-circulant stiffness rests on this contract, along the last
+    # chart axis and along every split axis
     rng = np.random.default_rng(3)
     for chart in interface_mesh(shape, res, dim).charts:
         w = chart.weights
-        assert np.array_equal(w, np.broadcast_to(w[..., :1], w.shape))
-        v = rng.standard_normal(chart.grid_shape)
-        for whole, rolled in zip(chart.tangent_fn(v), chart.tangent_fn(np.roll(v, 1, -1))):
-            assert np.max(np.abs(rolled - np.roll(whole, 1, -1))) <= 1e-13 * np.max(np.abs(whole))
+        for ax in split_axes(chart):
+            assert np.array_equal(w, np.broadcast_to(np.take(w, [0], axis=ax), w.shape))
+            v = rng.standard_normal(chart.grid_shape)
+            for whole, rolled in zip(chart.tangent_fn(v), chart.tangent_fn(np.roll(v, 1, ax))):
+                assert np.max(np.abs(rolled - np.roll(whole, 1, ax))) <= 1e-13 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
 def test_chart_axis_is_a_translation_of_the_last_axis(shape, dim, res):
-    # with Chart.axis set, one node step along the last chart axis is the
-    # torus translation by 1 / n2 along axis, normals and weights unchanged;
-    # a tiled lamella or cylinder is meshed as its pieces, which keep the axis
+    # wherever Chart.axis has an entry a, one node step along that chart
+    # axis (n nodes) is the torus translation by 1 / n along a, normals and
+    # weights unchanged: on both tangential axes of a lamella and the last
+    # axis of a cylinder; a tiled lamella or cylinder is meshed as its
+    # pieces, which keep the axes
     piece = shape.shape if isinstance(shape, TiledShape) else shape
     if isinstance(piece, Cylinder):
-        expected = piece.axis
+        expected = (None, piece.axis)
     elif isinstance(piece, Lamella):
-        expected = [a for a in range(dim) if a != piece.axis][-1]
+        expected = tuple(a for a in range(dim) if a != piece.axis)
     else:
-        expected = None  # rotations: circles and spheres, tiled or not
+        expected = (None,) * (dim - 1)  # rotations: circles and spheres, tiled or not
     for chart in interface_mesh(shape, res, dim).charts:
         assert chart.axis == expected
-        if expected is None:
-            continue
-        n2 = chart.grid_shape[-1]
-        step = np.zeros(dim)
-        step[chart.axis] = 1.0 / n2
-        moved = np.roll(chart.points, -1, axis=-2)
-        gap = (moved - (chart.points + step)) % 1.0
-        assert np.max(np.minimum(gap, 1.0 - gap)) <= 1e-15
-        assert np.array_equal(np.roll(chart.normals, -1, axis=-2), chart.normals)
-        assert np.array_equal(np.roll(chart.weights, -1, axis=-1), chart.weights)
+        for c, a in enumerate(chart.axis):
+            if a is None:
+                continue
+            step = np.zeros(dim)
+            step[a] = 1.0 / chart.grid_shape[c]
+            moved = np.roll(chart.points, -1, axis=c)
+            gap = (moved - (chart.points + step)) % 1.0
+            assert np.max(np.minimum(gap, 1.0 - gap)) <= 1e-15
+            assert np.array_equal(np.roll(chart.normals, -1, axis=c), chart.normals)
+            assert np.array_equal(np.roll(chart.weights, -1, axis=c), chart.weights)
+
+
+@pytest.mark.parametrize("shape, dim, res", CHART_CASES, ids=CHART_IDS)
+def test_chart_stiffness_block_row_is_the_whole_matrix_rows(shape, dim, res):
+    # over the last chart axis, and over the two tangential axes of a 3D
+    # lamella, the block row is the rows of the whole matrix whose split
+    # indices are 0: the very entries over one axis, since the whole matrix
+    # is filled from that block row
+    for chart in interface_mesh(shape, res, dim).charts[:2]:
+        whole = _chart_stiffness(chart, ())
+        grid = chart.grid_shape
+        splits = [1] + [2] * (len(grid) == 2 and None not in chart.axis)
+        for split in splits:
+            order = grid[len(grid) - split :]
+            size = int(np.prod(order))
+            row = _chart_stiffness(chart, order)
+            want = whole.reshape(-1, size, whole.shape[1])[:, 0]
+            assert row.shape == want.shape
+            if split == 1:
+                assert np.array_equal(row, want)
+            assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_chart_stiffness_rejects_weights_varying_along_last_axis():
     chart = interface_mesh(CYLINDER, 16, 3).charts[0]
     tilted = chart.weights * (1.0 + 0.1 * np.arange(16) / 16)
     with pytest.raises(ValueError, match="last chart axis"):
-        _chart_stiffness(dataclasses.replace(chart, weights=tilted), 1)
+        _chart_stiffness(dataclasses.replace(chart, weights=tilted), ())
 
 
 def test_chart_stiffness_memory_stays_within_three_m_squared():
@@ -361,7 +400,7 @@ def test_chart_stiffness_memory_stays_within_three_m_squared():
     assert m == 1024
     tracemalloc.start()
     try:
-        _chart_stiffness(chart, 1)
+        _chart_stiffness(chart, ())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -683,13 +722,16 @@ def test_min_eigenvalue_same_with_one_and_two_blas_threads():
 
 
 @pytest.mark.parametrize(
-    "shape, gamma",
-    [(LAMELLA, 80.0), (CYLINDER, 0.1)],
+    "shape, gamma, q0_solves",
+    [(LAMELLA, 80.0, 0), (CYLINDER, 0.1, 1)],
     ids=["lamella", "cylinder"],
 )
-def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, monkeypatch):
-    # every Bloch block solve asks for one eigenvalue, and their minimum is
-    # the least eigenvalue of a full eigh of the dense (order 1) pencil
+def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, q0_solves, monkeypatch):
+    # the restricted q = 0 Bloch block (empty on the lamella, whose two row
+    # nodes the constraints take) and the dense pencil each get one eigh
+    # that asks for one eigenvalue; the q != 0 blocks go through the batched
+    # reduction.  The Bloch value and the dense one are the least eigenvalue
+    # of a full eigh of the dense pencil
     full = []
     eigh = scipy.linalg.eigh
 
@@ -700,10 +742,9 @@ def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
     value = min_eigenvalue(shape, gamma, CUBE, resolution=16)
-    assert len(full) == 16 // 2 + 1  # blocks q = 0 .. 8
-    assert value == pytest.approx(min(full), rel=1e-12)
+    assert len(full) == q0_solves
     full.clear()
-    dense = _pencil_min(shape, interface_mesh(shape, 16, 3), gamma, CUBE, 1)
+    dense = _pencil_min(shape, interface_mesh(shape, 16, 3), gamma, CUBE, ())
     assert len(full) == 1
     assert dense == pytest.approx(full[0], rel=1e-12)
     assert value == pytest.approx(full[0], rel=1e-12)
@@ -716,22 +757,27 @@ GAMMA_STAR_2D = lamella_threshold(0.25).gamma_star
 @pytest.mark.parametrize(
     "shape, gamma, spec, res, order, solves",
     [
-        (LAMELLA, 0.9 * GAMMA_STAR_3D, CUBE, 16, 16, 9),
-        (LAMELLA, 1.2 * GAMMA_STAR_3D, CUBE, 16, 16, 9),
-        # two one-node rows, both constrained away: q = 0 is empty
-        (LAMELLA, 0.9 * GAMMA_STAR_2D, GridSpec((128, 128)), 32, 32, 16),
-        (CYLINDER, 0.1, CUBE, 16, 16, 9),
-        (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 16, 16, 9),
+        # both tangential axes split: 16 x 9 blocks of two one-node rows,
+        # both constrained away at q = 0
+        (LAMELLA, 0.9 * GAMMA_STAR_3D, CUBE, 16, (16, 16), 143),
+        (LAMELLA, 1.2 * GAMMA_STAR_3D, CUBE, 16, (16, 16), 143),
+        # 16 nodes along the last tangential axis do not divide its 24 cells:
+        # the dense pencil
+        (LAMELLA, 0.9 * GAMMA_STAR_3D, GridSpec((32, 32, 24)), 16, (), 1),
+        (LAMELLA, 0.9 * GAMMA_STAR_2D, GridSpec((128, 128)), 32, (32,), 16),
+        (CYLINDER, 0.1, CUBE, 16, (16,), 9),
+        (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 16, (16,), 9),
         # 24 nodes along the axis do not divide 32 cells: the dense pencil
-        (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 24, 1, 1),
+        (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), 0.7, CUBE, 24, (), 1),
         # tilings: each wrapping chart axis carries k * res nodes
-        (TiledShape(LAMELLA, 2), 10.0, GridSpec((128, 128)), 32, 64, 33),
-        (TiledShape(LAMELLA, 2), 0.9 * GAMMA_STAR_3D, CUBE, 16, 32, 17),
-        (TiledShape(CYLINDER, 2), 1.0, CUBE, 16, 32, 17),
+        (TiledShape(LAMELLA, 2), 10.0, GridSpec((128, 128)), 32, (64,), 33),
+        (TiledShape(LAMELLA, 2), 0.9 * GAMMA_STAR_3D, CUBE, 16, (32, 32), 32 * 17),
+        (TiledShape(CYLINDER, 2), 1.0, CUBE, 16, (32,), 17),
     ],
     ids=[
         "lamella-3d-0.9",
         "lamella-3d-1.2",
+        "lamella-3d-32x32x24",
         "lamella-2d",
         "cylinder",
         "cylinder-axis1",
@@ -742,20 +788,60 @@ GAMMA_STAR_2D = lamella_threshold(0.25).gamma_star
     ],
 )
 def test_bloch_pencil_matches_dense_pencil(shape, gamma, spec, res, order, solves, monkeypatch):
+    # solves counts the blocks solved: one per eigh call, and every block
+    # of a batched eigvalsh
     mesh = interface_mesh(shape, res, spec.dim)
     assert _symmetry_order(mesh, spec) == order
-    dense = _pencil_min(shape, mesh, gamma, spec, 1)
+    dense = _pencil_min(shape, mesh, gamma, spec, ())
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh, eigvalsh = scipy.linalg.eigh, np.linalg.eigvalsh
 
     def spy(a, b, **kwargs):
-        calls.append(a.shape)
+        calls.append(1)
         return eigh(a, b, **kwargs)
 
+    def batch_spy(a, *args, **kwargs):
+        calls.append(int(np.prod(a.shape[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", batch_spy)
     value = min_eigenvalue(shape, gamma, spec, resolution=res)
-    assert len(calls) == solves
+    assert sum(calls) == solves
     assert value == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, order, m",
+    [(LAMELLA, (16, 16), 2), (TiledShape(LAMELLA, 2), (32, 32), 4)],
+    ids=["lamella-3d", "tiled-lamella-3d-k2"],
+)
+def test_batched_bloch_solve_matches_per_block_eigh(shape, order, m, monkeypatch):
+    # a 3D lamella splits along both tangential axes, one row node per
+    # chart; the one batched reduction of the q != 0 blocks finds the least
+    # of their per-block eigh minima
+    gamma = 0.9 * GAMMA_STAR_3D
+    mesh = interface_mesh(shape, 16, 3)
+    assert _symmetry_order(mesh, CUBE) == order
+    a_blocks, b_blocks, rows = _pencil_blocks(shape, mesh, gamma, CUBE, order)
+    assert rows.size == m
+    assert a_blocks.shape == b_blocks.shape == (order[0] * (order[1] // 2 + 1), m, m)
+    per_block = min(
+        scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])[0]
+        for a, b in zip(a_blocks[1:], b_blocks[1:])
+    )
+    batched = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        vals = eigvalsh(a, *args, **kwargs)
+        batched.append(np.min(vals[..., 0]))
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    value = min_eigenvalue(shape, gamma, CUBE, resolution=16)
+    assert batched == [pytest.approx(per_block, rel=1e-12)]
+    assert value <= batched[0]
 
 
 def test_min_eigenvalue_rejects_negative_gamma():
@@ -818,7 +904,7 @@ def test_sphere_translation_mode_area_functional():
         rep = quad_form(ball, 0.0, phi, spec, method="grid")
         assert abs(rep.total) <= 1e-8 * max(rep.magnitude_scale, 1.0)
     # the pencil's chart stiffness carries the same tangential energy
-    stiffness = _chart_stiffness(mesh.charts[0], 1)
+    stiffness = _chart_stiffness(mesh.charts[0], ())
     for axis in range(3):
         phi = translation_mode(mesh, axis)
         x = phi.values[0].ravel()
