@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -56,7 +57,14 @@ def _parse_list(cast):
     return parse
 
 
-_parse_floats = _parse_list(float)
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+_parse_floats = _parse_list(_finite)
 _parse_ints = _parse_list(int)
 
 
@@ -81,22 +89,23 @@ SCHEMA = {
         "kind": (str, None, "lamella"),
         "axis": (int, None, 0),
         "center": (_parse_floats, None, [0.5]),
-        "halfwidth": (float, None, 0.25),
-        "radius": (float, None, 0.25),
+        "halfwidth": (_finite, None, 0.25),
+        "radius": (_finite, None, 0.25),
     },
+    # the sharp gamma (energy, scaling, gamma-limit, construct) and the
+    # tiling factors k (scaling, construct)
     "energy": {
-        "gamma": (float, _nonnegative("energy.gamma"), 1.0),
+        "gamma": (_finite, _nonnegative("energy.gamma"), 1.0),
+        "k_list": (_parse_ints, None, [1, 2, 4]),
     },
     "flow": {
-        "eps": (float, _positive("flow.eps"), 0.06),
-        "gamma": (float, _nonnegative("flow.gamma"), 0.0),
-        "dt": (float, _positive("flow.dt"), 5e-3),
+        "eps": (_finite, _positive("flow.eps"), 0.06),
+        "gamma": (_finite, _nonnegative("flow.gamma"), 0.0),
+        "dt": (_finite, _positive("flow.dt"), 5e-3),
         "max_steps": (int, _nonnegative("flow.max_steps"), 500),
-        "energy_tolerance": (float, _nonnegative("flow.energy_tolerance"), 1e-11),
+        "energy_tolerance": (_finite, _nonnegative("flow.energy_tolerance"), 1e-11),
     },
     "construct": {
-        "gamma_bar": (float, _positive("construct.gamma_bar"), 1.0),
-        "k_list": (_parse_ints, None, [1, 2, 4]),
         "probes": (int, _nonnegative("construct.probes"), 0),
         "probe_amplitude": (
             int,
@@ -110,14 +119,8 @@ SCHEMA = {
         "w_list": (_parse_floats, None, [0.2, 0.25, 0.3]),
         "gamma_list": (_parse_floats, None, [0.0, 1.0, 10.0]),
         "q_max": (int, _positive("stability.q_max"), 8),
-        "thresholds": (int, None, 0),
-    },
-    "scaling": {
-        "gamma": (float, _nonnegative("scaling.gamma"), 1.0),
-        "k_list": (_parse_ints, None, [1, 2, 4]),
     },
     "gamma_limit": {
-        "gamma": (float, _nonnegative("gamma_limit.gamma"), 1.0),
         "eps_list": (_parse_floats, None, [0.08, 0.04, 0.02, 0.01]),
     },
     "render": {
@@ -270,14 +273,12 @@ def _cmd_flow(cfg: RunConfig):
 
 
 def _cmd_construct(cfg: RunConfig):
-    spec = cfg.grid()
-    ccfg = ConstructConfig(
-        seed=cfg.shape(),
-        gamma_bar=cfg.get("construct", "gamma_bar"),
-        k_list=tuple(cfg.get("construct", "k_list")),
-        spec=spec,
-        flow=cfg.flow(),
-    )
+    spec, seed, flow = cfg.grid(), cfg.shape(), cfg.flow()
+    k_list = tuple(cfg.get("energy", "k_list"))
+    try:
+        ccfg = ConstructConfig(seed, cfg.get("energy", "gamma"), k_list, spec, flow)
+    except ValueError as exc:
+        raise ConfigError(f"energy: {exc}") from exc
     n_probes = cfg.get("construct", "probes")
     rows, fields, failed = [], {}, False
     for cert, tiled in build_periodic(ccfg):
@@ -304,24 +305,20 @@ def _cmd_stability(cfg: RunConfig):
     rows = []
     q_max = cfg.get("stability", "q_max")
     for w in cfg.get("stability", "w_list"):
-        if cfg.get("stability", "thresholds"):
-            res = lamella_threshold(w, q_max=q_max)
-            rows.append((w, "threshold", res.gamma_star))
-            continue
+        gamma_star = lamella_threshold(w, q_max=q_max).gamma_star
         for gamma in cfg.get("stability", "gamma_list"):
-            val = mode_scan_min_eigenvalue(w, gamma, q_max)
-            rows.append((w, gamma, val))
-    return "w,gamma,min_eig", rows, {}, 0
+            rows.append((w, gamma, mode_scan_min_eigenvalue(w, gamma, q_max), gamma_star))
+    return "w,gamma,min_eig,gamma_star", rows, {}, 0
 
 
 def _cmd_scaling(cfg: RunConfig):
     spec = cfg.grid()
     shape = cfg.shape()
-    gamma = cfg.get("scaling", "gamma")
+    gamma = cfg.get("energy", "gamma")
     try:
-        reports = [scaling_check(shape, gamma, k, spec) for k in cfg.get("scaling", "k_list")]
+        reports = [scaling_check(shape, gamma, k, spec) for k in cfg.get("energy", "k_list")]
     except ValueError as exc:
-        raise ConfigError(f"scaling.k_list: {exc}") from exc
+        raise ConfigError(f"energy.k_list: {exc}") from exc
     header = (
         "k,perimeter_lhs,nonlocal_lhs,total_lhs,perimeter_rhs,nonlocal_rhs,total_rhs,"
         "perimeter_err,nonlocal_err,total_err"
@@ -332,7 +329,7 @@ def _cmd_scaling(cfg: RunConfig):
 
 def _cmd_gamma_limit(cfg: RunConfig):
     spec = cfg.grid()
-    gamma = cfg.get("gamma_limit", "gamma")
+    gamma = cfg.get("energy", "gamma")
     try:
         rows = gamma_limit_sweep(cfg.shape(), gamma, cfg.get("gamma_limit", "eps_list"), spec)
     except ValueError as exc:
@@ -461,18 +458,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the subcommands whose --gamma sets a key other than the sharp energy.gamma
 _GAMMA_TARGET = {
-    "energy": ("energy", "gamma"),
     "flow": ("flow", "gamma"),
-    "scaling": ("scaling", "gamma"),
-    "gamma-limit": ("gamma_limit", "gamma"),
-    "construct": ("construct", "gamma_bar"),
     "stability": ("stability", "gamma_list"),
 }
 
 # flag (argparse dest) -> the config keys it sets, in the order they are set;
-# --gamma sets the one key _GAMMA_TARGET names for the subcommand, and is an
-# error for a subcommand that reads no gamma (green, render)
+# --gamma sets the one key _GAMMA_TARGET names for the subcommand, else
+# energy.gamma, and is an error for a subcommand that reads no gamma (green,
+# render)
 _FLAG_KEYS = {
     "grid": [("grid", "sizes")],
     "shape": [("shape", "kind")],
@@ -481,7 +476,7 @@ _FLAG_KEYS = {
     "w": [("shape", "halfwidth"), ("stability", "w_list")],
     "radius": [("shape", "radius")],
     "gamma": None,
-    "k": [("scaling", "k_list"), ("construct", "k_list")],
+    "k": [("energy", "k_list")],
     "eps": [("flow", "eps")],
     "eps_list": [("gamma_limit", "eps_list")],
     "steps": [("flow", "max_steps")],
@@ -497,9 +492,9 @@ def _apply_cli_overrides(cfg: RunConfig, args) -> None:
         if value is None:
             continue
         if keys is None:
-            if args.command not in _GAMMA_TARGET:
+            if args.command in ("green", "render"):
                 raise ConfigError(f"--gamma does not apply to {args.command}")
-            keys = [_GAMMA_TARGET[args.command]]
+            keys = [_GAMMA_TARGET.get(args.command, ("energy", "gamma"))]
         for section, key in keys:
             cfg.set(section, key, value)
 

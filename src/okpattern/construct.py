@@ -34,7 +34,7 @@ import numpy as np
 from .diffuse_ok import FlowConfig, FlowTrace, minimize, sharp_to_diffuse_gamma
 from .geometry import interface_mesh, el_residual
 from .sharp_energy import total_variation_perimeter
-from .spectral import _trig_shift, cell_average_potential, get_workspace
+from .spectral import cell_average_potential, get_workspace
 from .spectral import nonlocal_energy, real_space_kernel, sample_field
 from .stability import min_eigenvalue
 from .torus_field import (
@@ -79,15 +79,6 @@ def sharpen_to_volume(u: ScalarField, target_cells: int) -> ScalarField:
     return ScalarField(u.spec, values.reshape(u.spec.sizes), "indicator")
 
 
-def interface_wobble(u: ScalarField, axis: int, delta: float, tangential_axis: int) -> ScalarField:
-    """Displace the field along `axis` by delta*cos(2 pi t) of the tangential
-    coordinate (an exact trigonometric shift per slice)."""
-    spec = u.spec
-    others = [a for a in range(spec.dim) if a != tangential_axis]
-    disp = np.expand_dims(delta * np.cos(2 * np.pi * spec.centers(tangential_axis)), others)
-    return ScalarField(spec, np.clip(_trig_shift(u.values, axis, disp), -1.1, 1.1), "phase")
-
-
 # ---------------------------------------------------------------------------
 # Continuation
 # ---------------------------------------------------------------------------
@@ -114,17 +105,14 @@ def continue_family(
     template: FlowConfig,
     spec: GridSpec,
     *,
-    perturb_amplitude: float = 0.0,
     start: FamilyMember | None = None,
 ) -> FamilyResult:
     """Warm-started flow continuation along increasing sharp gamma values.
 
     Records the translation-minimized L1 step between consecutive sharpened
     members; the family truncates when a flow stalls or a step exceeds
-    0.02 (instability escape).  perturb_amplitude > 0 wobbles the
-    interfaces before each stage (dim 2 lamella seeds) so that tangential
-    instabilities can express themselves.  The first stage starts from the
-    seed's tanh profile and raster or, given the last member `start` of a
+    0.02 (instability escape).  The first stage starts from the seed's
+    tanh profile and raster or, given the last member `start` of a
     family of this seed, from start's phase field and sharpened set; the
     result then leads with `start`, so it continues that family exactly.
     """
@@ -142,8 +130,6 @@ def continue_family(
         result = FamilyResult([start])
     for gamma in gammas:
         cfg = replace(template, gamma=sharp_to_diffuse_gamma(gamma))
-        if perturb_amplitude > 0 and spec.dim == 2 and isinstance(seed, Lamella):
-            u = interface_wobble(u, seed.axis, perturb_amplitude, 1 - seed.axis)
         trace = minimize(u, cfg)
         u = trace.final
         sharp = sharpen_to_volume(u, target_cells)

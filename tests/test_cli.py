@@ -153,12 +153,89 @@ def test_config_round_trip_fixed_point(tmp_path):
     assert cfg2.values == cfg.values
 
 
-def test_meta_is_reusable_config(tmp_path):
+# (argv, field names, report header) of one run of every run-directory subcommand
+RUNS = {
+    "energy": (
+        ["energy", "--grid", "32,32", "--gamma", "7"],
+        {"indicator"},
+        "perimeter,nonlocal,gamma,total",
+    ),
+    "green": (["green", "--grid", "32,32"], {"u", "v"}, "mean_v,laplacian_residual,v_min,v_max"),
+    "flow": (
+        ["flow", "--grid", "32,32", "--eps", "0.08", "--steps", "5"],
+        {"final"},
+        "step,dt,energy,mass,sup_update",
+    ),
+    "construct": (
+        ["construct", "--grid", "32,32", "--k", "1,2", "--eps", "0.08", "--steps", "150"],
+        {"tiled_k1", "tiled_k2"},
+        "k,gamma_k,alpha,c0_proxy,residual_sup,grad_h_sup,energy_lhs,energy_rhs,rel_err,status",
+    ),
+    "stability": (["stability"], set(), "w,gamma,min_eig,gamma_star"),
+    "scaling": (
+        ["scaling", "--grid", "32,32", "--k", "1,2"],
+        set(),
+        "k,perimeter_lhs,nonlocal_lhs,total_lhs,perimeter_rhs,nonlocal_rhs,total_rhs,"
+        "perimeter_err,nonlocal_err,total_err",
+    ),
+    "gamma-limit": (
+        ["gamma-limit", "--grid", "64", "--eps-list", "0.08,0.04"],
+        set(),
+        "eps,ok_energy,sharp_reference,difference",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_meta_is_reusable_config(tmp_path, command):
     out1 = tmp_path / "a"
-    assert run(["energy", "--grid", "32,32", "--gamma", "7", "--out", str(out1)]) == 0
+    assert run(RUNS[command][0] + ["--out", str(out1)]) == 0
     out2 = tmp_path / "b"
-    assert run(["energy", "--config", str(out1 / "meta.txt"), "--out", str(out2)]) == 0
+    assert run([command, "--config", str(out1 / "meta.txt"), "--out", str(out2)]) == 0
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("scaling", "[scaling]\ngamma = 1\n"),
+        ("construct", "[construct]\ngamma_bar = 1\n"),
+        ("stability", "[stability]\nthresholds = 1\n"),
+    ],
+    ids=["scaling-gamma", "construct-gamma-bar", "stability-thresholds"],
+)
+def test_deleted_keys_exit_2(tmp_path, capsys, command, config):
+    # gamma and the k list are [energy] gamma and k_list alone; stability
+    # always reports the threshold
+    ini = tmp_path / "c.ini"
+    ini.write_text(config)
+    out = tmp_path / "r"
+    assert run([command, "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "unknown configuration" in err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--gamma", "inf"],
+        ["stability", "--gamma", "inf"],
+        ["gamma-limit", "--grid", "32", "--eps-list", "inf"],
+        ["construct", "--gamma", "inf"],
+        ["flow", "--eps", "inf"],
+        ["energy", "--w", "nan"],
+    ],
+    ids=[
+        "energy-gamma", "stability-gamma", "eps-list", "construct-gamma", "flow-eps", "halfwidth-nan"
+    ],
+)
+def test_non_finite_setting_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "not finite" in err
+    assert not (out / "report.csv").exists()
 
 
 def test_render_2d_and_determinism(tmp_path):
@@ -225,13 +302,12 @@ def test_threads_env_recorded(tmp_path, monkeypatch):
 
 
 def test_stability_thresholds_mode(tmp_path):
+    # every row of a default run carries its halfwidth's threshold
     out = tmp_path / "thr"
-    cfg = tmp_path / "c.ini"
-    cfg.write_text("[stability]\nw_list = 0.25\nthresholds = 1\n")
-    assert run(["stability", "--config", str(cfg), "--out", str(out)]) == 0
-    lines = (out / "report.csv").read_text().strip().split("\n")
-    assert lines[1].split(",")[1] == "threshold"
-    assert abs(float(lines[1].split(",")[2]) - 94.872) < 0.01
+    assert run(["stability", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    stars = {float(row[3]) for row in rows if row[0] == "0.25"}
+    assert len(stars) == 1 and abs(stars.pop() - 94.872) < 0.01
 
 
 def test_stability_flags_set_the_scanned_lists(tmp_path):
@@ -254,9 +330,8 @@ def test_gamma_flag_is_an_error_where_no_gamma_is_read(tmp_path, capsys, command
     [
         "[stability]\nw_list = 0.7,-0.1\n",
         "[stability]\ngamma_list = -5\n",
-        "[stability]\nw_list = 0.6\nthresholds = 1\n",
     ],
-    ids=["halfwidth-outside-range", "negative-gamma", "threshold-halfwidth-outside-range"],
+    ids=["halfwidth-outside-range", "negative-gamma"],
 )
 def test_stability_rejects_lamellae_that_cannot_exist(tmp_path, capsys, config):
     ini = tmp_path / "c.ini"
@@ -271,45 +346,17 @@ def test_construct_with_probes(tmp_path):
     out = tmp_path / "cp"
     cfg = tmp_path / "c.ini"
     cfg.write_text(
-        "[construct]\nprobes = 20\nprobe_amplitude = 2\nk_list = 2\n\n"
+        "[construct]\nprobes = 20\nprobe_amplitude = 2\n\n[energy]\nk_list = 2\n\n"
         "[grid]\nsizes = 32,32\n\n[flow]\neps = 0.08\nmax_steps = 150\n"
     )
     assert run(["construct", "--config", str(cfg), "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize(
-    "argv, fields, header",
-    [
-        (["energy", "--grid", "32,32"], {"indicator"}, "perimeter,nonlocal,gamma,total"),
-        (["green", "--grid", "32,32"], {"u", "v"}, "mean_v,laplacian_residual,v_min,v_max"),
-        (
-            ["flow", "--grid", "32,32", "--eps", "0.08", "--steps", "5"],
-            {"final"},
-            "step,dt,energy,mass,sup_update",
-        ),
-        (
-            ["construct", "--grid", "32,32", "--k", "1,2", "--eps", "0.08", "--steps", "150"],
-            {"tiled_k1", "tiled_k2"},
-            "k,gamma_k,alpha,c0_proxy,residual_sup,grad_h_sup,energy_lhs,energy_rhs,rel_err,status",
-        ),
-        (["stability"], set(), "w,gamma,min_eig"),
-        (
-            ["scaling", "--grid", "32,32", "--k", "1,2"],
-            set(),
-            "k,perimeter_lhs,nonlocal_lhs,total_lhs,perimeter_rhs,nonlocal_rhs,total_rhs,"
-            "perimeter_err,nonlocal_err,total_err",
-        ),
-        (
-            ["gamma-limit", "--grid", "64", "--eps-list", "0.08,0.04"],
-            set(),
-            "eps,ok_energy,sharp_reference,difference",
-        ),
-    ],
-    ids=["energy", "green", "flow", "construct", "stability", "scaling", "gamma-limit"],
-)
-def test_run_directory_contract(tmp_path, argv, fields, header):
+@pytest.mark.parametrize("command", RUNS)
+def test_run_directory_contract(tmp_path, command):
     # the file layout and the exact report header of every subcommand, with
     # one cell per header name in every row
+    argv, fields, header = RUNS[command]
     out = tmp_path / "run"
     assert run(argv + ["--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["fields", "meta.txt", "report.csv"]
@@ -395,7 +442,7 @@ def test_construct_on_a_1d_grid_exits_2(tmp_path, capsys):
 )
 def test_construct_settings_rejected_when_read(tmp_path, capsys, setting):
     ini = tmp_path / "c.ini"
-    ini.write_text(f"[construct]\nprobes = 10\nk_list = 1,2\n{setting}\n")
+    ini.write_text(f"[energy]\nk_list = 1,2\n\n[construct]\nprobes = 10\n{setting}\n")
     out = tmp_path / "r"
     argv = ["construct", "--grid", "32,32", "--eps", "0.08", "--steps", "150"]
     assert run(argv + ["--config", str(ini), "--out", str(out)]) == 2

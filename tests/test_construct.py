@@ -1,5 +1,7 @@
 """Continuation, sharpening, certification, and minimality probe tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from okpattern import construct
 from okpattern.construct import (
     ConstructConfig,
+    FamilyMember,
     StabilityGateError,
     _max_crossing_offset,
     _swap_gaps,
@@ -16,14 +19,13 @@ from okpattern.construct import (
     continue_family,
     fitted_growth_exponent,
     graph_probe_study,
-    interface_wobble,
     local_minimality_probe,
     sharpen_to_volume,
     zero_level_displacement,
 )
 from okpattern.diffuse_ok import FlowConfig
 from okpattern.sharp_energy import total_variation_perimeter
-from okpattern.spectral import nonlocal_energy
+from okpattern.spectral import _trig_shift, nonlocal_energy
 from okpattern.torus_field import (
     Ball,
     Cylinder,
@@ -71,14 +73,6 @@ def test_sharpen_exact_under_value_ties():
         assert np.array_equal(sharp.values, again.values)
 
 
-def test_interface_wobble_preserves_mass():
-    spec = GridSpec((64, 64))
-    u = tanh_profile(SEED, spec, 0.06)
-    wob = interface_wobble(u, 0, 2.0 / 64, 1)
-    assert wob.mean == pytest.approx(u.mean, abs=1e-13)
-    assert np.max(np.abs(wob.values - u.values)) > 1e-3
-
-
 def test_continue_family_recovers_seed_at_gamma_zero():
     spec = GridSpec((64, 64))
     fam = continue_family(SEED, [0.0], default_flow(), spec)
@@ -103,17 +97,32 @@ def test_continue_family_steps_shrink_with_gamma_refinement():
 
 
 def test_continue_family_truncates_beyond_threshold():
+    # before each stage the interfaces are displaced by 3 cells times
+    # cos(2 pi y), so that tangential instabilities can express themselves;
+    # one single-stage continuation per gamma, each from the wobbled member
     spec = GridSpec((96, 96))
     flow = FlowConfig(eps=0.05, dt=2e-3, max_steps=1500, energy_tolerance=1e-13)
-    fam = continue_family(
-        SEED, [0.0, 40.0, 150.0], flow, spec, perturb_amplitude=3.0 / 96
-    )
-    assert fam.status == "truncated"
-    below = continue_family(
-        SEED, [0.0, 40.0], flow, spec, perturb_amplitude=3.0 / 96
-    )
-    assert below.status == "complete"
-    assert all(m.alpha_step <= 2.0 / 96 for m in below.members)
+    disp = (3.0 / 96) * np.cos(2 * np.pi * spec.centers(1))[None, :]
+
+    def wobbled_family(gammas):
+        u = tanh_profile(SEED, spec, flow.eps)
+        last = FamilyMember(0.0, u, rasterize(SEED, spec), 0.0, "converged")
+        members, status = [], "complete"
+        for gamma in gammas:
+            wobbled = np.clip(_trig_shift(last.phase.values, 0, disp), -1.1, 1.1)
+            start = replace(last, phase=ScalarField(spec, wobbled, "phase"))
+            fam = continue_family(SEED, [gamma], flow, spec, start=start)
+            last = fam.members[-1]
+            members.append(last)
+            if fam.status != "complete":
+                status = fam.status
+                break
+        return members, status
+
+    assert wobbled_family([0.0, 40.0, 150.0])[1] == "truncated"
+    members, status = wobbled_family([0.0, 40.0])
+    assert status == "complete"
+    assert all(m.alpha_step <= 2.0 / 96 for m in members)
 
 
 def test_continue_family_rejects_bad_gammas():
