@@ -464,10 +464,22 @@ _GAMMA_TARGET = {
     "stability": ("stability", "gamma_list"),
 }
 
+# the config keys each subcommand reads: whole sections, or section.key
+_READS = {
+    "energy": ("grid", "shape", "energy.gamma", "run"),
+    "green": ("grid", "shape", "run"),
+    "flow": ("grid", "shape", "flow", "run"),
+    "construct": ("grid", "shape", "energy", "flow", "construct", "run"),
+    "stability": ("stability", "run"),
+    "scaling": ("grid", "shape", "energy", "run"),
+    "gamma-limit": ("grid", "shape", "energy.gamma", "gamma_limit", "run"),
+    "render": ("render",),
+}
+
 # flag (argparse dest) -> the config keys it sets, in the order they are set;
 # --gamma sets the one key _GAMMA_TARGET names for the subcommand, else
-# energy.gamma, and is an error for a subcommand that reads no gamma (green,
-# render)
+# energy.gamma.  A flag none of whose keys the subcommand reads (_READS) is
+# an error, e.g. --gamma for green and render
 _FLAG_KEYS = {
     "grid": [("grid", "sizes")],
     "shape": [("shape", "kind")],
@@ -487,14 +499,14 @@ _FLAG_KEYS = {
 
 
 def _apply_cli_overrides(cfg: RunConfig, args) -> None:
+    reads = _READS[args.command]
     for flag, keys in _FLAG_KEYS.items():
         value = getattr(args, flag, None)
         if value is None:
             continue
-        if keys is None:
-            if args.command in ("green", "render"):
-                raise ConfigError(f"--gamma does not apply to {args.command}")
-            keys = [_GAMMA_TARGET.get(args.command, ("energy", "gamma"))]
+        keys = keys or [_GAMMA_TARGET.get(args.command, ("energy", "gamma"))]
+        if not any(section in reads or f"{section}.{key}" in reads for section, key in keys):
+            raise ConfigError(f"--{flag.replace('_', '-')} does not apply to {args.command}")
         for section, key in keys:
             cfg.set(section, key, value)
 

@@ -14,6 +14,7 @@ for a convex set).  Flow outputs never get voxel curvature extraction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,44 +102,51 @@ def _fft_deriv(values: np.ndarray, axis: int, period: float, scale: float = 1.0)
     return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * omega * k), axis=axis) * scale
 
 
-def _lamella_charts(shape: Lamella, dim: int, res: int) -> list[Chart]:
-    """Two flat charts covering the unit tangential cross-section each."""
-    tangential = [a for a in range(dim) if a != shape.axis]
+def _lamella_charts(pieces: list[Lamella], dim: int, res: int) -> list[Chart]:
+    """Two flat charts per lamella, each covering the unit tangential
+    cross-section; every chart shares one tangent_fn."""
+    axis = pieces[0].axis
+    tangential = [a for a in range(dim) if a != axis]
     grid_shape = (res,) * len(tangential)
     t = np.arange(res) / res
+
+    def tangent_fn(values):
+        return [_fft_deriv(values, ax, period=1.0) for ax in range(len(grid_shape))]
+
     charts = []
-    for side in (+1.0, -1.0):
+    for shape, side in itertools.product(pieces, (+1.0, -1.0)):
         pts = np.zeros(grid_shape + (dim,))
-        pts[..., shape.axis] = (shape.center + side * shape.halfwidth) % 1.0
+        pts[..., axis] = (shape.center + side * shape.halfwidth) % 1.0
         for pos, a in enumerate(tangential):
             shape_vec = [1] * len(tangential)
             shape_vec[pos] = res
             pts[..., a] = t.reshape(shape_vec)
         normals = np.zeros(grid_shape + (dim,))
-        normals[..., shape.axis] = side
+        normals[..., axis] = side
         weights = np.full(grid_shape, 1.0 / res ** len(tangential))
-
-        def tangent_fn(values):
-            return [_fft_deriv(values, ax, period=1.0) for ax in range(len(grid_shape))]
-
         charts.append(Chart(pts, normals, weights, 0.0, 0.0, tangent_fn, tuple(tangential)))
     return charts
 
 
-def _circle_chart(center, r: float, res: int) -> Chart:
+def _circle_charts(centers, r: float, res: int) -> list[Chart]:
+    """One chart per circle of radius r; every chart shares one tangent_fn."""
     theta = 2 * np.pi * np.arange(res) / res
     nx = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    pts = (np.asarray(center) + r * nx) % 1.0
     weights = np.full(res, 2 * np.pi * r / res)
 
-    def tangent_fn(values, _r=r):
-        return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r)]
+    def tangent_fn(values):
+        return [_fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / r)]
 
-    return Chart(pts, nx.copy(), weights, 1.0 / r, 1.0 / r**2, tangent_fn, (None,))
+    curv = (1.0 / r, 1.0 / r**2)
+    return [
+        Chart((np.asarray(c) + r * nx) % 1.0, nx.copy(), weights.copy(), *curv, tangent_fn, (None,))
+        for c in centers
+    ]
 
 
-def _sphere_chart(center, r: float, res: int) -> Chart:
-    """Chart axes (theta, phi) on the double Fourier sphere.
+def _sphere_charts(centers, r: float, res: int) -> list[Chart]:
+    """One chart per sphere of radius r, axes (theta, phi) on the double
+    Fourier sphere; every chart shares one tangent_fn.
 
     Polar nodes theta_j = (j + 1/2) pi / res carry Fejer's first-rule
     weights in cos(theta).  A function on the sphere extends to a 2 pi
@@ -156,41 +164,48 @@ def _sphere_chart(center, r: float, res: int) -> Chart:
     nx[..., 0] = sin_t[:, None] * np.cos(phi)[None, :]
     nx[..., 1] = sin_t[:, None] * np.sin(phi)[None, :]
     nx[..., 2] = np.cos(theta)[:, None]
-    pts = (np.asarray(center) + r * nx) % 1.0
-    weights = np.broadcast_to(r**2 * fejer[:, None] * (2 * np.pi / res), (res, res)).copy()
+    weights = np.broadcast_to(r**2 * fejer[:, None] * (2 * np.pi / res), (res, res))
 
-    def tangent_fn(values, _r=r, _sin=sin_t):
+    def tangent_fn(values):
         doubled = np.concatenate([values, np.roll(values[::-1], res // 2, axis=1)])
-        d_polar = _fft_deriv(doubled, 0, period=2 * np.pi, scale=1.0 / _r)[:res]
-        d_azim = _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / _r)
-        return [d_polar, d_azim / _sin.reshape((res,) + (1,) * (values.ndim - 1))]
+        d_polar = _fft_deriv(doubled, 0, period=2 * np.pi, scale=1.0 / r)[:res]
+        d_azim = _fft_deriv(values, 1, period=2 * np.pi, scale=1.0 / r)
+        return [d_polar, d_azim / sin_t.reshape((res,) + (1,) * (values.ndim - 1))]
 
-    return Chart(pts, nx, weights, 2.0 / r, 2.0 / r**2, tangent_fn, (None, None))
+    curv = (2.0 / r, 2.0 / r**2)
+    return [
+        Chart((np.asarray(c) + r * nx) % 1.0, nx.copy(), weights.copy(), *curv, tangent_fn, (None, None))
+        for c in centers
+    ]
 
 
-def _cylinder_chart(shape: Cylinder, res: int, axial_res: int) -> Chart:
-    """Chart axes (theta, z), res by axial_res nodes: the last axis runs
-    along the cylinder axis."""
-    a1, a2 = shape.cross_axes()
+def _cylinder_charts(pieces: list[Cylinder], res: int, axial_res: int) -> list[Chart]:
+    """One chart per cylinder of the common radius, axes (theta, z), res by
+    axial_res nodes: the last axis runs along the cylinder axis.  Every
+    chart shares one tangent_fn."""
+    r, axis = pieces[0].radius, pieces[0].axis
+    a1, a2 = pieces[0].cross_axes()
     theta = 2 * np.pi * np.arange(res) / res
     z = np.arange(axial_res) / axial_res
-    pts = np.zeros((res, axial_res, 3))
-    normals = np.zeros((res, axial_res, 3))
-    pts[..., a1] = (shape.center[0] + shape.radius * np.cos(theta))[:, None] % 1.0
-    pts[..., a2] = (shape.center[1] + shape.radius * np.sin(theta))[:, None] % 1.0
-    pts[..., shape.axis] = z[None, :]
-    normals[..., a1] = np.cos(theta)[:, None]
-    normals[..., a2] = np.sin(theta)[:, None]
-    weights = np.full((res, axial_res), 2 * np.pi * shape.radius / (res * axial_res))
 
-    def tangent_fn(values, _r=shape.radius):
+    def tangent_fn(values):
         return [
-            _fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / _r),
+            _fft_deriv(values, 0, period=2 * np.pi, scale=1.0 / r),
             _fft_deriv(values, 1, period=1.0),
         ]
 
-    r = shape.radius
-    return Chart(pts, normals, weights, 1.0 / r, 1.0 / r**2, tangent_fn, (None, shape.axis))
+    charts = []
+    for shape in pieces:
+        pts = np.zeros((res, axial_res, 3))
+        normals = np.zeros((res, axial_res, 3))
+        pts[..., a1] = (shape.center[0] + r * np.cos(theta))[:, None] % 1.0
+        pts[..., a2] = (shape.center[1] + r * np.sin(theta))[:, None] % 1.0
+        pts[..., axis] = z[None, :]
+        normals[..., a1] = np.cos(theta)[:, None]
+        normals[..., a2] = np.sin(theta)[:, None]
+        weights = np.full((res, axial_res), 2 * np.pi * r / (res * axial_res))
+        charts.append(Chart(pts, normals, weights, 1.0 / r, 1.0 / r**2, tangent_fn, (None, axis)))
+    return charts
 
 
 def interface_mesh(shape, resolution: int, dim: int) -> InterfaceMesh:
@@ -201,7 +216,10 @@ def interface_mesh(shape, resolution: int, dim: int) -> InterfaceMesh:
     connected pieces, each a candidate in its own right: k lamellae of
     halfwidth w / k, k^2 cylinders or k^dim balls of radius r / k.  A chart
     axis that wraps the torus (a lamella's tangential axes, a cylinder's
-    axis) runs through k copies and carries k * resolution nodes.
+    axis) runs through k copies and carries k * resolution nodes.  Charts
+    with the same tangent operator (both sides of a lamella, the copies of
+    a tiling) share one tangent_fn object, so the pencil builds their
+    stiffness once.
     """
     if resolution < MIN_MESH_RESOLUTION:
         raise ValueError(f"mesh resolution must be at least {MIN_MESH_RESOLUTION} per chart axis")
@@ -214,22 +232,20 @@ def interface_mesh(shape, resolution: int, dim: int) -> InterfaceMesh:
             raise ValueError("a lamella in dim 1 has point interfaces, which carry no chart")
         centers = _copy_centers((shape.center,), k)
         pieces = [Lamella(shape.axis, c, shape.halfwidth / k) for (c,) in centers]
-        charts = [c for piece in pieces for c in _lamella_charts(piece, dim, k * resolution)]
-        return InterfaceMesh(charts)
+        return InterfaceMesh(_lamella_charts(pieces, dim, k * resolution))
     if isinstance(shape, Ball):
         if dim == 2:
-            chart_fn = _circle_chart
+            charts_fn = _circle_charts
         elif dim == 3:
             if resolution % 2:
                 raise ValueError("sphere meshes need an even resolution")
-            chart_fn = _sphere_chart
+            charts_fn = _sphere_charts
         else:
             raise ValueError("ball meshes exist for dim 2 and 3 only")
-        centers = _copy_centers(shape.center, k)
-        return InterfaceMesh([chart_fn(c, shape.radius / k, resolution) for c in centers])
+        return InterfaceMesh(charts_fn(_copy_centers(shape.center, k), shape.radius / k, resolution))
     centers = _copy_centers(shape.center, k)  # a cylinder: _check_shape_dim admits no other
     pieces = [Cylinder(shape.axis, c, shape.radius / k) for c in centers]
-    return InterfaceMesh([_cylinder_chart(p, resolution, k * resolution) for p in pieces])
+    return InterfaceMesh(_cylinder_charts(pieces, resolution, k * resolution))
 
 
 def _copy_centers(center, k: int) -> list[tuple[float, ...]]:

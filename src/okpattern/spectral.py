@@ -34,23 +34,28 @@ last axis keeps the columns 0..n/2; the last column is the -n/2 one, as
 `fftfreq` labels it.  Every multiplier is even in xi, so on the half
 spectrum it is the full-lattice one cut to those columns, and a Parseval sum
 counts the self-conjugate columns 0 and n/2 once and the others twice.  The
-workspace keeps no full-grid array.  The off-grid samplers alone need the
-full lattice, since off the grid the Nyquist row of every axis enters with
-one sign only; they fill it from the half spectrum by Hermitian symmetry, so
-a sampler call is one real transform.  `_trig_shift` keeps its one-axis
+workspace keeps no full-grid array, and neither do the off-grid samplers:
+off the grid the Nyquist row of every axis enters with one sign only, so
+they need the full lattice's mode sum, but they contract the half spectrum
+itself and apply the Hermitian mirror to their first partial sum, so a
+sampler call is one real transform.  `_trig_shift` keeps its one-axis
 complex transform, since its displacement varies across the other axes.
 
 Off-grid evaluation
 -------------------
 `sample_field` and `sample_potential` evaluate the mode sum exactly (to
-rounding) at arbitrary points, one axis at a time.  The query sets the
-program builds are structured: chart nodes are tensor grids and the C0
-proxy's lines run along normals, so some axis carries few distinct
+rounding) at arbitrary points, one axis at a time.  The per-axis factors of
+the coefficients (the centre phase, the potential's voxel factor, the
+derivative symbol) ride on the factor rows, so the coefficients are the half
+spectrum (over 4 pi^2 |xi|^2 for the potential) and nothing else.  The query
+sets the program builds are structured: chart nodes are tensor grids and the
+C0 proxy's lines run along normals, so some axis carries few distinct
 coordinates.  The contraction runs over distinct coordinate prefixes, axes
 with the fewest distinct values first, so its cost is the sum over levels
 of (distinct prefixes x remaining modes): O(points x cells) for scattered
-points, far less for grids and lines.  Chunks of points keep its temporaries
-within a fixed byte budget.
+points, far less for grids and lines.  The first level reads the half
+spectrum and mirrors its own output, which is small for chart nodes.
+Chunks of points keep its temporaries within a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -70,17 +75,18 @@ class SpectralWorkspace:
     """Half-spectrum multipliers and per-axis factors for one grid.
 
     freqs[a] and sinc[a] (the voxel factor sinc(xi/n)) broadcast over the
-    half spectrum; phase[a] = exp(-i pi xi/n) runs over the full lattice, for
-    the samplers.  A workspace holds only read-only arrays; it may be shared
-    across threads as long as each solve owns its own temporaries.
+    half spectrum.  The off-grid samplers keep their per-axis factors (centre
+    phase, voxel factor, derivative symbol) on the factor rows, cached per
+    axis length (_axis_split), not here.  A workspace holds only read-only
+    arrays; it may be shared across threads as long as each solve owns its
+    own temporaries.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        self.freqs, self.sinc, self.phase = [], [], []
+        self.freqs, self.sinc = [], []
         for a, n in enumerate(spec.sizes):
             xi = np.fft.fftfreq(n, d=1.0 / n).reshape([n if b == a else 1 for b in range(spec.dim)])
-            self.phase.append(np.exp(-1j * np.pi * xi / n))
             if a == spec.dim - 1:
                 xi = xi[..., : n // 2 + 1]  # 0..n/2-1, then -n/2
             self.freqs.append(xi)
@@ -93,7 +99,7 @@ class SpectralWorkspace:
         half = np.full(spec.sizes[-1] // 2 + 1, 2.0)
         half[[0, -1]] = 1.0
         self.half_weights = half
-        for arr in (lap, inv, half, *self.freqs, *self.sinc, *self.phase):
+        for arr in (lap, inv, half, *self.freqs, *self.sinc):
             arr.flags.writeable = False
 
     def sinc_power(self, p: int) -> np.ndarray:
@@ -228,29 +234,33 @@ _PHASE_BLOCK_BYTES = 2 * 2**20
 
 
 @lru_cache(maxsize=64)
-def _axis_split(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The coarse/fine split of one axis's frequencies, and its derivative
-    symbol 2 pi i xi in fftfreq order.
+def _axis_split(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse/fine split of one axis's frequencies, its derivative
+    symbol 2 pi i xi and its centre factors, the last two in fftfreq order.
 
     With b dividing n/2 and m = n/(2b), every xi is b q + r (-m <= q < m,
     0 <= r < b), so a factor row e^{2 pi i xi x} is the outer product of the
     coarse row e^{2 pi i b q x} and the fine row e^{2 pi i r x}.  Returns m,
     the frequencies b q (q = 0..m) and r (r = 0..b-1) whose exponentials
-    give both rows (q < 0 by conjugation), and the symbol.
+    give both rows (q < 0 by conjugation), the symbol, and the rows
+    centre[p] = e^{-i pi xi/n} sinc(xi/n)^p for p = 0, 1: the axis's share
+    of the centre phase and of p voxel factors.
     """
     b = min((d for d in range(1, n // 2 + 1) if (n // 2) % d == 0), key=lambda d: d + n // d)
     m = n // (2 * b)
     freqs = np.concatenate([b * np.arange(m + 1), np.arange(b)])
-    deriv = TWO_PI * 1j * np.fft.fftfreq(n, d=1.0 / n)
-    for arr in (freqs, deriv):
+    xi = np.fft.fftfreq(n, d=1.0 / n)
+    deriv = TWO_PI * 1j * xi
+    centre = np.exp(-1j * np.pi * xi / n) * np.sinc(xi / n) ** np.arange(2)[:, None]
+    for arr in (freqs, deriv, centre):
         arr.flags.writeable = False
-    return m, freqs, deriv
+    return m, freqs, deriv, centre
 
 
 def _factor_rows(x: np.ndarray, n: int) -> np.ndarray:
     """(len(x), n) rows e^{2 pi i xi x}, xi in fftfreq order, from fewer
     than 2 sqrt(n) exponentials per row (see _axis_split)."""
-    m, freqs, _ = _axis_split(n)
+    m, freqs = _axis_split(n)[:2]
     e = np.exp(TWO_PI * 1j * (x[:, None] * freqs))
     # coarse q = 0..m-1, then -m..-1 in fftfreq order
     coarse = np.concatenate([e[:, :m], np.conj(e[:, m:0:-1])], axis=1)
@@ -258,29 +268,35 @@ def _factor_rows(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _mode_sum(
-    uhat: np.ndarray, points: np.ndarray, ws: SpectralWorkspace, *, value: bool, gradient: bool
+    uhat: np.ndarray, points: np.ndarray, ws: SpectralWorkspace, voxels: int, *, value: bool, gradient: bool
 ) -> np.ndarray:
     """Re sum_xi c(xi) e^{2 pi i xi . x} and/or its gradient at each point,
-    c the interpolant coefficients of the half spectrum uhat (_interp_coeffs).
+    over the full lattice: c(xi) = H(xi) prod_a e^{-i pi xi_a/n_a}
+    sinc(xi_a/n_a)^voxels, H the half spectrum uhat extended by Hermitian
+    symmetry.  The centre phase makes it the trigonometric interpolant of
+    uhat's real grid field; `voxels` counts the voxel factors.
 
-    Separable: e^{2 pi i xi . x} = prod_a E_a[x_a, xi_a] with per-axis factor
-    rows E_a = e^{2 pi i xi_a x_a}, so the sum contracts one axis at a time.
-    Each axis's distinct coordinates are found by exact float equality; the
-    axes are contracted in ascending order of distinct count, and level l
-    contracts one row per distinct prefix (x_{o_0}, ..., x_{o_l}), not one
-    per point.  The cost is the sum over levels of (distinct prefixes x
-    remaining modes): O(P * cells) for scattered points, far less on chart
-    grids and normal lines.
+    Separable: c(xi) e^{2 pi i xi . x} is H(xi) prod_a E_a[x_a, xi_a]
+    with per-axis factor rows E_a = e^{2 pi i xi_a x_a} times the axis's
+    centre factors, so the sum contracts one axis at a time.  Each axis's
+    distinct coordinates are found by exact float equality; the axes are
+    contracted in ascending order of distinct count, and level l contracts
+    one row per distinct prefix (x_{o_0}, ..., x_{o_l}), not one per point.
+    The cost is the sum over levels of (distinct prefixes x remaining
+    modes): O(P * cells) for scattered points, far less on chart grids and
+    normal lines.
 
     The points are lexsorted by their coordinates, so every prefix is a run.
-    Level 0 is one matrix product of its factor rows with the coefficients.
+    Level 0 reads the half spectrum itself (_first_level): the full lattice
+    is never formed, and the Hermitian mirror is applied to level 0's
+    output, which is small when the first axis has few distinct values.
     A later level whose prefixes fill the product of its parents and the
     axis's distinct values (a tensor grid) is one matrix product of the
     factor table with each parent row; any other level contracts each
     prefix's own factor row with its parent's row, gathered only where a
     parent has more than one continuation.  Gradient component a replaces
     E_a by 2 pi i xi_a E_a and shares the prefix before axis a, so level 0
-    runs two matrix products, not dim.
+    contracts two stacked rows per prefix, not dim.
     Exact to rounding.  Chunks of sorted points keep every temporary within
     _PHASE_BLOCK_BYTES.  Returns (P, value + dim * gradient) columns: the
     value, then the gradient components by axis.
@@ -313,21 +329,21 @@ def _mode_sum(
     # then the derivatives along order[0], ..., order[l]
     keep = [value or (gradient and l < dim - 1) for l in range(dim)]
     n_var = [1] + [keep[l] + gradient * (l + 1) for l in range(dim)]
-    # level 0 is one matrix product of its factor rows with the coefficients
     grid = [l == 0 or counts[l] * distinct[l] == counts[l + 1] for l in range(dim)]
     fans_out = [counts[l + 1] > counts[l] for l in range(dim)]
     # bytes per prefix of each level, counting every temporary: the variant
     # rows, and the factor rows (with their temporaries and the derivative)
-    # of a level that makes one per prefix; a grid level's full product,
-    # before the rows a chunk cuts off are dropped, is at most three times
-    # its rows; another level also holds, where a parent fans out, the
-    # parents' gathered variant rows.  Summed over the levels, this bounds
-    # what any level holds.
+    # of a level that makes one per prefix; level 0's mirror holds at most
+    # three times its rows (_first_level); a later grid level's full
+    # product, before the rows a chunk cuts off are dropped, is at most
+    # three times its rows; another level also holds, where a parent fans
+    # out, the parents' gathered variant rows.  Summed over the levels, this
+    # bounds what any level holds.
     shared = [grid[l] and l > 0 for l in range(dim)]
     factor_bytes = [16 * (2 + gradient) * n[l] for l in range(dim)]
     row_bytes = np.array(
         [
-            16 * n_var[l + 1] * rest[l] * (4 if shared[l] else 1)
+            16 * n_var[l + 1] * rest[l] * (4 if shared[l] else 3 if l == 0 else 1)
             + (0 if shared[l] else factor_bytes[l])
             + (0 if grid[l] else 16 * fans_out[l] * n_var[l] * rest[l - 1])
             for l in range(dim)
@@ -341,19 +357,31 @@ def _mode_sum(
     slack -= sum(factor_bytes[l] * distinct[l] for l in range(dim) if shared[l])
     take = [0] * value + [value + order.index(a) for a in range(dim)] * gradient
     out = np.empty((len(pts), len(take)))
-    head = _interp_coeffs(uhat, ws, order).reshape(1, 1, cells)
+    head = np.ascontiguousarray(uhat.transpose(order))
+    last = order.index(dim - 1)
+    centre = [_axis_split(m)[3][voxels] for m in n]
     lo = 0
     while lo < len(pts):
         hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + slack, "right")))
         chunk = pts[perm[lo:hi]]
         starts_at = new[lo:hi].copy()
         starts_at[0] = True
-        prev, n_prev = head, 1
-        for l in range(dim):
+        starts = np.flatnonzero(starts_at[:, 0])
+        e = _factor_rows(chunk[starts, order[0]], n[0])
+        e *= centre[0]
+        rows = np.empty((n_var[1], starts.size, n[0]), dtype=complex)
+        rows[: int(keep[0])] = e
+        if gradient:
+            np.multiply(e, _axis_split(n[0])[2], out=rows[-1])
+        del e
+        prev, n_prev = _first_level(rows, head, last), starts.size
+        del rows
+        for l in range(1, dim):
             starts = np.flatnonzero(starts_at[:, l])
             x = chunk[starts, order[l]]
-            uniq, inv = np.unique(x, return_inverse=True) if grid[l] and l else (x, None)
+            uniq, inv = np.unique(x, return_inverse=True) if grid[l] else (x, None)
             e = _factor_rows(uniq, n[l])
+            e *= centre[l]
             src = prev.reshape(n_var[l], n_prev, n[l], rest[l])
             parent = None
             if starts.size != n_prev * (uniq.size if grid[l] else 1):
@@ -382,20 +410,49 @@ def _mode_sum(
     return out
 
 
-def _interp_coeffs(uhat: np.ndarray, ws: SpectralWorkspace, order: list[int]) -> np.ndarray:
-    """Full-lattice coefficients of the trigonometric interpolant of the real
-    grid field whose normalized half spectrum is uhat, times the per-axis
-    centre phases, with the axes in `order` (C-contiguous, fftfreq layout).
-    The last-axis columns n/2+1..n-1 are the conjugates of columns n/2-1..1
-    at negated frequencies along the other axes."""
-    sizes = ws.spec.sizes
-    n = sizes[-1]
-    mirror = np.ix_(*[-np.arange(m) % m for m in sizes[:-1]], np.arange(n // 2 - 1, 0, -1))
-    coeffs = np.empty([sizes[a] for a in order], dtype=complex).transpose(np.argsort(order))
-    np.concatenate([uhat, np.conj(uhat[mirror])], axis=-1, out=coeffs)
-    for phase in ws.phase:
-        coeffs *= phase
-    return coeffs.transpose(order)
+def _first_level(rows: np.ndarray, head: np.ndarray, last: int) -> np.ndarray:
+    """Level 0 of _mode_sum, contracted straight from the half spectrum.
+
+    rows (variants, prefixes, n) are the factor rows R of the first axis a0;
+    head is the half spectrum H with its axes in the contraction order, the
+    rfft axis L (columns 0..n_L/2) at position `last`.  Returns (variants,
+    prefixes, rest): R contracted over a0 with the full lattice, whose
+    columns xi_L = -j (0 < j < n_L/2) are conj(H[-xi', j]), xi' the other
+    axes.  For a0 = L, with P = R[:, :n/2+1] H and Q = R[:, 1:n/2] H[1:n/2]
+    (P less its columns 0 and n/2), level 0 is P + conj(Q) read at -xi'.
+    For a0 != L, A = R H gives the columns 0..n_L/2 and column -j is
+    conj(R~ H[..., j]) read at -xi', R~ being R with its Nyquist column
+    conjugated: the centre factors and the derivative symbol satisfy
+    conj(f(-xi)) = f(xi) except at -n/2, its own negative on the lattice.
+    R~ H[..., j] is A's column j plus a rank-one term.  The temporaries stay
+    within three times the returned rows.
+    """
+    n_var, n_pre, n = rows.shape
+    other = head.shape[1:]
+    flat = head.reshape(head.shape[0], -1)
+    # the axes of the other grid axes in a (variants, prefixes, *other) array
+    axes = tuple(range(2, 2 + len(other)))
+    if last == 0:
+        half = n // 2
+        low = rows[..., : half + 1] @ flat
+        # P less its columns 0 and n/2
+        high = rows[..., ::half] @ flat[::half]
+        np.subtract(low, high, out=high)
+        mirror = np.roll(np.flip(high.reshape(n_var, n_pre, *other), axes), 1, axes)
+        del high
+        low += np.conj(mirror, out=mirror).reshape(low.shape)
+        return low
+    ax = 1 + last
+    half = other[last - 1] - 1
+    part = (rows @ flat).reshape(n_var, n_pre, *other)
+    cut = (slice(None),) * (last - 1) + (slice(1, half),)
+    nyquist = rows[..., n // 2].imag.reshape(n_var, n_pre, *[1] * len(other))
+    tail = nyquist * (-2j * head[n // 2][cut])
+    tail += part[(slice(None), slice(None)) + cut]
+    mirror = np.roll(np.flip(tail, axes), 1, tuple(a for a in axes if a != ax))
+    del tail
+    full = np.concatenate([part, np.conj(mirror, out=mirror)], axis=ax)
+    return full.reshape(n_var, n_pre, -1)
 
 
 def sample_field(
@@ -403,7 +460,7 @@ def sample_field(
 ) -> np.ndarray:
     """Trigonometric interpolation of the samples of u at arbitrary points."""
     ws = ws or get_workspace(u.spec)
-    return _mode_sum(half_spectrum(u.values), points, ws, value=True, gradient=False)[:, 0]
+    return _mode_sum(half_spectrum(u.values), points, ws, 0, value=True, gradient=False)[:, 0]
 
 
 def sample_potential(
@@ -416,20 +473,22 @@ def sample_potential(
     """Evaluate the potential of u (or its gradient) at arbitrary torus points.
 
     points: (P, dim).  Returns (P,) values or (P, dim) gradient components.
-    The grid potential (one voxel factor over 4 pi^2 |xi|^2, on the half
-    spectrum) has the same full-lattice coefficients as the potential, so it
-    is sampled through its interpolant: a separable mode sum over the
-    distinct coordinate prefixes of the points (see _mode_sum).
+    The grid potential (one voxel factor over 4 pi^2 |xi|^2) has the same
+    full-lattice coefficients as the potential, so it is sampled through its
+    interpolant: a separable mode sum over the distinct coordinate prefixes
+    of the points, straight from the half spectrum (see _mode_sum).
     """
     ws = ws or get_workspace(u.spec)
-    out = _mode_sum(_potential_hat(u, ws), points, ws, value=not gradient, gradient=gradient)
+    out = _mode_sum(_potential_hat(u, ws), points, ws, 1, value=not gradient, gradient=gradient)
     return out if gradient else out[:, 0]
 
 
 def _potential_hat(u: ScalarField, ws: SpectralWorkspace) -> np.ndarray:
-    """Normalized half spectrum of the grid potential of u: one voxel
-    factor over 4 pi^2 |xi|^2."""
-    return half_spectrum(u.values) * (ws.inv_lap * ws.sinc_power(1))
+    """Normalized half spectrum of u over 4 pi^2 |xi|^2: the grid potential
+    of u, less its one voxel factor, which _mode_sum applies per axis."""
+    uhat = half_spectrum(u.values)
+    uhat *= ws.inv_lap
+    return uhat
 
 
 def _potential_and_gradient(
@@ -437,7 +496,7 @@ def _potential_and_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """sample_potential(u, points) and its gradient=True form from one
     transform and one shared prefix contraction: (P,) and (P, dim)."""
-    out = _mode_sum(_potential_hat(u, ws), points, ws, value=True, gradient=True)
+    out = _mode_sum(_potential_hat(u, ws), points, ws, 1, value=True, gradient=True)
     return out[:, 0], out[:, 1:]
 
 

@@ -29,24 +29,26 @@ Two evaluation routes are kept deliberately distinct:
 
 The pencil (min_eigenvalue) has no per-node loop before its generalized
 eigensolves: the Green matrix from the 3^dim distinct splat cell shifts,
-summed axis by axis in cache-sized row blocks; each chart stiffness, block
+summed axis by axis in cache-sized row blocks; the chart stiffness, block
 circulant along the chart's last axis and every split axis, from one
-tangent_fn call on one block column; and the exact T-perp restriction
-(weighted zero mean, no normal moment) from at most dim + 1 Householder
-reflectors in compact-WY form, applied by rank updates.  No translation
-penalty enters.  When the trailing chart axes of every chart step along
-torus translations by whole cells (Chart.axis: both tangential axes of a 3D
-lamella, the one of a 2D lamella, a cylinder's axis), the pencil is block
-circulant over these split axes: with S the product of their node counts,
-only the block row (p^2 / S entries) is assembled, and its real FFT over
-them splits the pencil into Hermitian blocks of size p / S (Floquet-Bloch
-along every split axis).  The real q = 0 block carries the restriction and
-one eigh that asks for one eigenvalue; all q != 0 blocks are solved
-together, by one batched Cholesky reduction.  Tiled lamellae and cylinders
-are meshed as their pieces and split too.  Otherwise (balls, tiled or not,
-or a last chart axis whose step is not whole cells) the pencil is dense,
-O(p^2) memory and one p x p solve for one eigenvalue, with its
-upper-triangle Green fill.
+tangent_fn call on one block column, once per distinct chart operator
+(both sides of a lamella and the copies of a tiling share one tangent_fn
+and their weights, so one stiffness serves them); and the exact T-perp
+restriction (weighted zero mean, no normal moment) from at most dim + 1
+Householder reflectors in compact-WY form, applied by rank updates.  No
+translation penalty enters.  When the trailing chart axes of every chart
+step along torus translations by whole cells (Chart.axis: both tangential
+axes of a 3D lamella, the one of a 2D lamella, a cylinder's axis), the
+pencil is block circulant over these split axes: with S the product of
+their node counts, only the block row (p^2 / S entries) is assembled, and
+its real FFT over them splits the pencil into Hermitian blocks of size
+p / S (Floquet-Bloch along every split axis).  The real q = 0 block
+carries the restriction and one eigh that asks for one eigenvalue; all
+q != 0 blocks are solved together, by one batched Cholesky reduction.
+Tiled lamellae and cylinders are meshed as their pieces and split too.
+Otherwise (balls, tiled or not, or a last chart axis whose step is not
+whole cells) the pencil is dense, O(p^2) memory and one p x p solve for
+one eigenvalue, with its upper-triangle Green fill.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def _quad_form_grid(shape, gamma: float, phi: SurfaceFunction, spec: GridSpec) -
     curv, pot, green = _second_variation_parts(shape, phi.mesh, gamma, spec)
     sq = vals**2
     tangential = sum(
-        float(v.ravel() @ _chart_stiffness(c, ()) @ v.ravel()) for c, v in zip(phi.mesh.charts, phi.values)
+        float(v.ravel() @ k @ v.ravel()) for k, v in zip(_chart_stiffnesses(phi.mesh.charts, ()), phi.values)
     )
     term_perimeter = tangential - float(curv @ sq)
     term_green = 0.0 if green is None else float(vals @ green @ vals)
@@ -498,8 +500,8 @@ def _pencil_blocks(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, ord
     a_row = np.zeros((m, m, size)) if green is None else green.reshape(m, m, size)
     b_row = np.zeros((m, m, size))
     offsets = np.cumsum([0] + [c.weights.size // size for c in mesh.charts])
-    for chart, lo, hi in zip(mesh.charts, offsets, offsets[1:]):
-        grad_row = _chart_stiffness(chart, order).reshape(hi - lo, hi - lo, size)
+    for stiffness, lo, hi in zip(_chart_stiffnesses(mesh.charts, order), offsets, offsets[1:]):
+        grad_row = stiffness.reshape(hi - lo, hi - lo, size)
         a_row[lo:hi, lo:hi] += grad_row
         b_row[lo:hi, lo:hi] += grad_row
     diag = np.arange(m)
@@ -579,6 +581,20 @@ def _chart_stiffness(chart, order: tuple[int, ...]) -> np.ndarray:
         out[:, i2, :, i2:] = row[..., : n2 - i2]
         out[:, i2, :, :i2] = row[..., n2 - i2 :]
     return out.reshape(n1 * n2, n1 * n2)
+
+
+def _chart_stiffnesses(charts, order: tuple[int, ...]):
+    """_chart_stiffness(chart, order) for each chart in turn, built once per
+    run of charts that share their tangent_fn object and weights (both
+    sides of a lamella, the copies of a tiling): the stiffness depends on
+    nothing else."""
+    prev = None
+    for chart in charts:
+        shared = prev is not None and chart.tangent_fn is prev.tangent_fn
+        if not (shared and np.array_equal(chart.weights, prev.weights)):
+            stiffness = _chart_stiffness(chart, order)
+        prev = chart
+        yield stiffness
 
 
 def _constraint_reflectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

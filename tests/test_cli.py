@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from okpattern.cli import RunConfig, render_heatmap, run
+from okpattern.cli import _READS, RunConfig, render_heatmap, run
 from okpattern.torus_field import GridSpec, Lamella, ScalarField, rasterize, read_field
 
 
@@ -323,6 +323,48 @@ def test_gamma_flag_is_an_error_where_no_gamma_is_read(tmp_path, capsys, command
     files = [str(tmp_path / "in.okf"), str(tmp_path / "out.ppm")] if command == "render" else []
     assert run([command, *files, "--gamma", "5", "--out", str(tmp_path / "r")]) == 2
     assert "--gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["green", "--grid", "32,32", "--k", "0", "--eps", "5"], "--k"),
+        (["energy", "--eps", "0.05"], "--eps"),
+        (["flow", "--k", "1,2"], "--k"),
+        (["construct", "--eps-list", "0.08"], "--eps-list"),
+        (["stability", "--grid", "32,32"], "--grid"),
+        (["scaling", "--steps", "5"], "--steps"),
+        (["gamma-limit", "--k", "1,2"], "--k"),
+        (["render", "in.okf", "out.ppm", "--out", "r"], "--out"),
+    ],
+    ids=["green", "energy", "flow", "construct", "stability", "scaling", "gamma-limit", "render"],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
+    # the flag would change nothing but meta.txt, whose rerun by a
+    # subcommand that reads the key could then fail on it
+    out = tmp_path / "r"
+    extra = [] if argv[0] == "render" else ["--out", str(out)]
+    assert run(argv + extra) == 2
+    message = f"configuration error: {flag} does not apply to {argv[0]}"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (out / "meta.txt").exists()
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_every_key_a_subcommand_reads_is_declared(tmp_path, monkeypatch, command):
+    # a flag is rejected unless the subcommand reads one of its keys
+    # (_READS), so _READS names every key the run reads
+    seen = set()
+    get = RunConfig.get
+
+    def spy(self, section, key):
+        seen.add((section, key))
+        return get(self, section, key)
+
+    monkeypatch.setattr(RunConfig, "get", spy)
+    assert run(RUNS[command][0] + ["--out", str(tmp_path / "r")]) == 0
+    reads = _READS[command]
+    assert seen and all(s in reads or f"{s}.{k}" in reads for s, k in seen)
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,26 @@ def test_alpha_distance_is_a_translation_invariant_pseudometric(half, shift, see
     assert cells(moved, e) == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    flips=st.lists(st.integers(0, 2**32 - 1), max_size=2),
+    seed=SEEDS,
+)
+def test_alpha_distance_of_equal_sets_agrees_with_the_fft_path(half, flips, seed):
+    # a set against its copy with up to two cells flipped: equal pairs take
+    # the no-FFT shortcut, the others the cross-correlation, and both read
+    # the complex-FFT cross-correlation's minimum
+    spec = GridSpec(tuple(2 * h for h in half))
+    e = random_set(spec, np.random.default_rng(seed))
+    values = e.values.copy()
+    values.flat[[i % spec.cells for i in flips]] *= -1.0
+    f = ScalarField(spec, values, "indicator")
+    corr = np.fft.ifftn(np.fft.fftn(e.values) * np.conj(np.fft.fftn(f.values))).real
+    want = float(np.rint((spec.cells - corr) / 2.0).min()) * spec.cell_volume
+    assert alpha_distance(e, f) == want
+
+
 KIND_VALUES = {
     "generic": st.floats(allow_nan=False, width=64),
     "indicator": st.sampled_from([-1.0, 1.0]),

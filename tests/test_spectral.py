@@ -292,6 +292,26 @@ def test_prefix_sampler_memory_stays_within_phase_budget(query):
     assert peak < 2 * _PHASE_BLOCK_BYTES
 
 
+def test_pencil_row_node_sampling_holds_no_full_lattice():
+    # the 16 row nodes of the 32^3 cylinder pencil: the sampler contracts
+    # the half spectrum itself, so no full-lattice coefficient array (16
+    # B/cell, 0.5 MiB here) is built on the way
+    spec = GridSpec((32, 32, 32))
+    shape = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
+    pts = interface_mesh(shape, 16, 3).all_points()[::16]
+    assert len(pts) == 16
+    u = rasterize(shape, spec)
+    ws = get_workspace(spec)
+    tracemalloc.start()
+    try:
+        grad = sample_potential(u, pts, ws, gradient=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == (16, 3)
+    assert peak < 0.8 * 2**20
+
+
 def test_c0_proxy_lines_contract_in_one_chunk(monkeypatch):
     # the 2,592 C0 line points of the 64^2 lamella: one chunk, so each of
     # the two levels makes its factor rows once, within the phase budget
@@ -329,31 +349,31 @@ def dense_mode_sum(coeffs: np.ndarray, points: np.ndarray, axis: int | None = No
 
 
 @pytest.mark.parametrize("sizes", [(64, 64), (32, 32, 32), (16, 24, 20), (6, 10, 4)])
-def test_samplers_match_dense_mode_sum(sizes):
+def test_samplers_match_dense_mode_sum(sizes, monkeypatch):
     spec = GridSpec(sizes)
     rng = np.random.default_rng(11)
     u = ScalarField(spec, rng.standard_normal(sizes))
-    pts = rng.random((300, spec.dim))
-    # interpolant coefficients: DFT shifted to cell centres; potential: voxel
-    # (sinc) weights over 4 pi^2 |xi|^2, zero mode dropped
-    freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes], indexing="ij")
-    interp = np.fft.fftn(u.values) / spec.cells
-    sinc = np.ones(sizes)
-    for f, n in zip(freqs, sizes):
-        interp = interp * np.exp(-1j * np.pi * f / n)
-        sinc = sinc * np.sinc(f / n)
-    lap = sum(4 * np.pi**2 * f**2 for f in freqs)
-    pot = np.where(lap > 0, interp * sinc / np.where(lap > 0, lap, 1.0), 0.0)
+    # scattered points, then points with three distinct values on the first
+    # axis and on the last (the rfft axis): the axis with the fewest
+    # distinct values is contracted first, so level 0 lands off the rfft
+    # axis and on it
+    sets = [rng.random((300, spec.dim))]
+    for axis in (0, spec.dim - 1):
+        few = rng.random((100, spec.dim))
+        few[:, axis] = rng.choice(rng.random(3), len(few))
+        sets.append(few)
+    lasts = []
+    first_level = spectral._first_level
 
-    def close(got, want):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    def spy(rows, head, last):
+        lasts.append(last)
+        return first_level(rows, head, last)
 
-    close(sample_field(u, pts), dense_mode_sum(interp, pts))
-    close(sample_potential(u, pts), dense_mode_sum(pot, pts))
-    grad = sample_potential(u, pts, gradient=True)
-    assert grad.shape == (300, spec.dim)
-    for a in range(spec.dim):
-        close(grad[:, a], dense_mode_sum(pot, pts, axis=a))
+    monkeypatch.setattr(spectral, "_first_level", spy)
+    for pts in sets:
+        assert_samplers_match_oracle(u, pts)
+    # last is the place of the rfft axis in the contraction order
+    assert {0} < set(lasts)
 
 
 def dense_coeffs(u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +546,7 @@ def test_workspace_holds_no_full_grid_array():
 
 def test_spectral_fft_budget(monkeypatch):
     # grid operations run on the real-FFT half spectrum; an off-grid sampler
-    # fills the full lattice from it, so a call is one real transform
+    # contracts it directly, so a call is one real transform
     calls = {}
     for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):

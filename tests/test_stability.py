@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from okpattern import stability
 from okpattern.geometry import interface_mesh
 from okpattern.spectral import get_workspace, sample_potential
 from okpattern.stability import (
@@ -808,6 +809,32 @@ def test_bloch_pencil_matches_dense_pencil(shape, gamma, spec, res, order, solve
     monkeypatch.setattr(np.linalg, "eigvalsh", batch_spy)
     value = min_eigenvalue(shape, gamma, spec, resolution=res)
     assert sum(calls) == solves
+    assert value == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape, gamma",
+    [(LAMELLA, 0.9 * GAMMA_STAR_3D), (TiledShape(CYLINDER, 2), 1.0)],
+    ids=["lamella-3d", "tiled-cylinder-k2"],
+)
+def test_pencil_builds_one_stiffness_per_distinct_chart(shape, gamma, monkeypatch):
+    # both sides of a lamella, and the four copies of the tiled cylinder,
+    # share one tangent_fn and equal weights: one block row serves them all
+    mesh = interface_mesh(shape, 16, 3)
+    assert len({id(c.tangent_fn) for c in mesh.charts}) == 1 < len(mesh.charts)
+    calls = []
+    stiffness_blocks = stability._stiffness_blocks
+
+    def spy(chart, split):
+        calls.append(split)
+        return stiffness_blocks(chart, split)
+
+    monkeypatch.setattr(stability, "_stiffness_blocks", spy)
+    value = min_eigenvalue(shape, gamma, CUBE, resolution=16)
+    assert len(calls) == 1
+    calls.clear()
+    dense = _pencil_min(shape, mesh, gamma, CUBE, ())
+    assert len(calls) == 1
     assert value == pytest.approx(dense, rel=1e-12)
 
 

@@ -1,5 +1,7 @@
 """Grid, shape, rasterization, distance, tiling, and field-file tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,28 @@ def test_alpha_distance_identity_and_shift():
     assert alpha_distance(u, u) == 0.0
     shifted = ScalarField(spec, np.roll(u.values, (3, 5), axis=(0, 1)), "indicator")
     assert alpha_distance(u, shifted) == 0.0
+
+
+def test_alpha_distance_of_equal_sets_needs_no_fft(monkeypatch):
+    # equal sets read 0.0 without a transform; a grid-translated copy still
+    # takes the FFT path and reads 0.0 there
+    calls = []
+    rfftn = np.fft.rfftn
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", spy)
+    spec = GridSpec((32, 32))
+    u = rasterize(Ball(center=(0.5, 0.5), radius=0.3), spec)
+    copy = ScalarField(spec, u.values.copy(), "indicator")
+    distance = alpha_distance(u, copy)
+    assert distance == 0.0 and math.copysign(1.0, distance) == 1.0
+    assert calls == []
+    shifted = ScalarField(spec, np.roll(u.values, (3, 5), axis=(0, 1)), "indicator")
+    assert alpha_distance(u, shifted) == 0.0
+    assert len(calls) == 2
 
 
 def test_alpha_distance_nested_slabs():
