@@ -43,12 +43,13 @@ pencil is block circulant over these split axes: with S the product of
 their node counts, only the block row (p^2 / S entries) is assembled, and
 its real FFT over them splits the pencil into Hermitian blocks of size
 p / S (Floquet-Bloch along every split axis).  The real q = 0 block
-carries the restriction and one eigh that asks for one eigenvalue; all
-q != 0 blocks are solved together, by one batched Cholesky reduction.
-Tiled lamellae and cylinders are meshed as their pieces and split too.
-Otherwise (balls, tiled or not, or a last chart axis whose step is not
-whole cells) the pencil is dense, O(p^2) memory and one p x p solve for
-one eigenvalue, with its upper-triangle Green fill.
+carries the restriction.  Every block goes through one numpy reduction
+(Cholesky of B, two solves, eigvalsh): all q != 0 blocks together in one
+batched call, the q = 0 block in another.  Tiled lamellae and cylinders
+are meshed as their pieces and split too.  Otherwise (balls, tiled or
+not, or a last chart axis whose step is not whole cells) the pencil is
+dense, O(p^2) memory and one p x p reduction, with its upper-triangle
+Green fill.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import InterfaceMesh, interface_mesh
 from .spectral import get_workspace, real_space_kernel, sample_potential
@@ -443,19 +443,15 @@ def _pencil_min(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order:
     """Least eigenvalue of the T-perp restricted pencil over its Bloch blocks.
 
     The constraint columns are constant along the translations, so they live
-    in the q = 0 block alone, which is restricted there and solved by one
-    eigh; a block the restriction leaves empty is skipped.  Every q != 0
-    block is solved in one batched reduction: B_q = L L^H (the lower
-    triangle read, as eigh reads it) and the least eigenvalue of
-    L^-1 A_q L^-H.
+    in the q = 0 block alone, which is restricted there; a block the
+    restriction leaves empty is skipped.  The q != 0 blocks, stacked, and the
+    restricted q = 0 block (the whole pencil when it is dense) each go
+    through one call of the one reduction, _least_eigenvalue.
     """
     a_blocks, b_blocks, rows = _pencil_blocks(shape, mesh, gamma, spec, order)
     least = math.inf
     if len(a_blocks) > 1:
-        low = np.linalg.cholesky(b_blocks[1:])
-        half = np.linalg.solve(low, a_blocks[1:])
-        reduced = np.linalg.solve(low, half.conj().swapaxes(-1, -2))
-        least = float(np.min(np.linalg.eigvalsh(reduced)[:, 0]))
+        least = _least_eigenvalue(a_blocks[1:], b_blocks[1:])
     weights = mesh.all_weights()[rows]
     v, t = _constraint_reflectors(
         np.column_stack([weights, weights[:, None] * mesh.all_normals()[rows]])
@@ -466,9 +462,19 @@ def _pencil_min(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order:
     a_0 = _restrict(a_0, v, t)
     b_0 = _restrict(b_0, v, t)
     if a_0.size:
-        vals = scipy.linalg.eigh(a_0, b_0, eigvals_only=True, subset_by_index=[0, 0])
-        least = min(least, float(vals[0]))
+        least = min(least, _least_eigenvalue(a_0[None], b_0[None]))
     return least
+
+
+def _least_eigenvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """The least generalized eigenvalue over a stack of Hermitian pencils
+    (A, B), shaped (blocks, m, m), B positive definite: B = L L^H (the lower
+    triangle read), then the least eigenvalue of L^-1 A L^-H, all blocks in
+    one batched Cholesky, two solves and one eigvalsh."""
+    low = np.linalg.cholesky(b)
+    half = np.linalg.solve(low, a)
+    reduced = np.linalg.solve(low, half.conj().swapaxes(-1, -2))
+    return float(np.min(np.linalg.eigvalsh(reduced)[:, 0]))
 
 
 def _pencil_blocks(shape, mesh: InterfaceMesh, gamma: float, spec: GridSpec, order: tuple[int, ...]):
@@ -556,7 +562,7 @@ def _stiffness_blocks(chart, split: int) -> np.ndarray:
     # C[d][i, j] = K[(i, d), (j, 0)]
     blocks = np.fft.ifftn(blocks, axes=d_axes).real
     # C[d] and C[-d]^T agree in exact arithmetic; their mean makes the filled
-    # matrix exactly symmetric (the restriction reads all of it, eigh one triangle)
+    # matrix exactly symmetric (the restriction reads all of it, the Cholesky one triangle)
     mirror = np.roll(np.flip(blocks, d_axes), 1, d_axes)
     blocks = 0.5 * (blocks + mirror.swapaxes(-1, -2))
     # R[i, j, d] = C[-d][i, j] = C[d][j, i]

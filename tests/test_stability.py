@@ -722,33 +722,85 @@ def test_min_eigenvalue_same_with_one_and_two_blas_threads():
     assert np.all(np.abs(one - two) <= 1e-12 * np.abs(one))
 
 
+NO_SCIPY_SCRIPT = """
+import csv, sys
+sys.modules["scipy"] = None
+try:
+    import scipy.linalg
+except ImportError:
+    pass
+else:
+    sys.exit("scipy is not blocked")
+from okpattern import Cylinder, GridSpec, min_eigenvalue
+from okpattern.cli import run
+cyl = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
+print(repr(min_eigenvalue(cyl, 0.1, GridSpec((32, 32, 32)), resolution=16)))
+ini, out = sys.argv[1:]
+argv = ["construct", "--config", ini, "--grid", "32,32", "--shape", "lamella", "--w", "0.25"]
+code = run(argv + ["--eps", "0.08", "--k", "1,2", "--out", out])
+if code:
+    sys.exit(f"construct exited {code}")
+with open(f"{out}/report.csv") as f:
+    for row in csv.DictReader(f):
+        print(row["status"], *(row[key] for key in ("alpha", "c0_proxy", "rel_err")))
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import made to
+    # fail, the pencil (its q = 0 block included) and a construct still run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    ini = tmp_path / "c.ini"
+    ini.write_text("[construct]\nprobes = 30\n")
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(ini), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    pencil, *rows = run.stdout.splitlines()
+    assert np.isfinite(float(pencil))
+    assert len(rows) == 2
+    for row in rows:
+        status, *values = row.split()
+        assert status == "ok"
+        assert np.all(np.isfinite([float(v) for v in values]))
+
+
 @pytest.mark.parametrize(
-    "shape, gamma, q0_solves",
-    [(LAMELLA, 80.0, 0), (CYLINDER, 0.1, 1)],
+    "shape, gamma, bloch_calls",
+    [(LAMELLA, 80.0, [143]), (CYLINDER, 0.1, [8, 1])],
     ids=["lamella", "cylinder"],
 )
-def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, q0_solves, monkeypatch):
-    # the restricted q = 0 Bloch block (empty on the lamella, whose two row
-    # nodes the constraints take) and the dense pencil each get one eigh
-    # that asks for one eigenvalue; the q != 0 blocks go through the batched
-    # reduction.  The Bloch value and the dense one are the least eigenvalue
-    # of a full eigh of the dense pencil
-    full = []
-    eigh = scipy.linalg.eigh
+def test_one_eigenvalue_solve_matches_full_eigh(shape, gamma, bloch_calls, monkeypatch):
+    # every block goes through the one numpy reduction, one eigensolve per
+    # block: the q != 0 Bloch blocks in one stacked call, then the
+    # restricted q = 0 block (empty on the lamella, whose two row nodes the
+    # constraints take) and the dense pencil in one call of one block each.
+    # Every call agrees with a full eigh of each of its blocks, and the
+    # Bloch value and the dense one with the dense pencil's
+    calls = []
+    least_eigenvalue = stability._least_eigenvalue
 
-    def spy(a, b, **kwargs):
-        assert kwargs.get("subset_by_index") == [0, 0]
-        full.append(eigh(a, b, eigvals_only=True)[0])
-        return eigh(a, b, **kwargs)
+    def spy(a, b):
+        value = least_eigenvalue(a, b)
+        full = min(scipy.linalg.eigh(ai, bi, eigvals_only=True)[0] for ai, bi in zip(a, b))
+        assert value == pytest.approx(full, rel=1e-12)
+        calls.append((len(a), value))
+        return value
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(stability, "_least_eigenvalue", spy)
     value = min_eigenvalue(shape, gamma, CUBE, resolution=16)
-    assert len(full) == q0_solves
-    full.clear()
+    assert [n for n, _ in calls] == bloch_calls
+    calls.clear()
     dense = _pencil_min(shape, interface_mesh(shape, 16, 3), gamma, CUBE, ())
-    assert len(full) == 1
-    assert dense == pytest.approx(full[0], rel=1e-12)
-    assert value == pytest.approx(full[0], rel=1e-12)
+    assert [n for n, _ in calls] == [1]
+    assert dense == calls[0][1]
+    assert value == pytest.approx(dense, rel=1e-12)
 
 
 GAMMA_STAR_3D = lamella_threshold(0.25, tangential_dim=2).gamma_star
@@ -789,24 +841,19 @@ GAMMA_STAR_2D = lamella_threshold(0.25).gamma_star
     ],
 )
 def test_bloch_pencil_matches_dense_pencil(shape, gamma, spec, res, order, solves, monkeypatch):
-    # solves counts the blocks solved: one per eigh call, and every block
-    # of a batched eigvalsh
+    # solves counts the blocks solved: every block of every call of the one
+    # reduction, the restricted q = 0 block included when it is not empty
     mesh = interface_mesh(shape, res, spec.dim)
     assert _symmetry_order(mesh, spec) == order
     dense = _pencil_min(shape, mesh, gamma, spec, ())
     calls = []
-    eigh, eigvalsh = scipy.linalg.eigh, np.linalg.eigvalsh
+    least_eigenvalue = stability._least_eigenvalue
 
-    def spy(a, b, **kwargs):
-        calls.append(1)
-        return eigh(a, b, **kwargs)
+    def spy(a, b):
+        calls.append(len(a))
+        return least_eigenvalue(a, b)
 
-    def batch_spy(a, *args, **kwargs):
-        calls.append(int(np.prod(a.shape[:-2])))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    monkeypatch.setattr(np.linalg, "eigvalsh", batch_spy)
+    monkeypatch.setattr(stability, "_least_eigenvalue", spy)
     value = min_eigenvalue(shape, gamma, spec, resolution=res)
     assert sum(calls) == solves
     assert value == pytest.approx(dense, rel=1e-12)
@@ -839,14 +886,17 @@ def test_pencil_builds_one_stiffness_per_distinct_chart(shape, gamma, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "shape, order, m",
-    [(LAMELLA, (16, 16), 2), (TiledShape(LAMELLA, 2), (32, 32), 4)],
+    "shape, order, m, q0_calls",
+    [(LAMELLA, (16, 16), 2, 0), (TiledShape(LAMELLA, 2), (32, 32), 4, 1)],
     ids=["lamella-3d", "tiled-lamella-3d-k2"],
 )
-def test_batched_bloch_solve_matches_per_block_eigh(shape, order, m, monkeypatch):
+def test_batched_bloch_solve_matches_per_block_eigh(shape, order, m, q0_calls, monkeypatch):
     # a 3D lamella splits along both tangential axes, one row node per
     # chart; the one batched reduction of the q != 0 blocks finds the least
-    # of their per-block eigh minima
+    # of their per-block eigh minima.  The restricted q = 0 block follows
+    # in one call of its own when the constraints leave it nonempty: the
+    # two row nodes of the plain lamella are constrained away, while the
+    # tiled one keeps two of its four
     gamma = 0.9 * GAMMA_STAR_3D
     mesh = interface_mesh(shape, 16, 3)
     assert _symmetry_order(mesh, CUBE) == order
@@ -857,18 +907,19 @@ def test_batched_bloch_solve_matches_per_block_eigh(shape, order, m, monkeypatch
         scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])[0]
         for a, b in zip(a_blocks[1:], b_blocks[1:])
     )
-    batched = []
-    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    least_eigenvalue = stability._least_eigenvalue
 
-    def spy(a, *args, **kwargs):
-        vals = eigvalsh(a, *args, **kwargs)
-        batched.append(np.min(vals[..., 0]))
-        return vals
+    def spy(a, b):
+        value = least_eigenvalue(a, b)
+        calls.append((len(a), value))
+        return value
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(stability, "_least_eigenvalue", spy)
     value = min_eigenvalue(shape, gamma, CUBE, resolution=16)
-    assert batched == [pytest.approx(per_block, rel=1e-12)]
-    assert value <= batched[0]
+    assert [n for n, _ in calls] == [len(a_blocks) - 1] + [1] * q0_calls
+    assert calls[0][1] == pytest.approx(per_block, rel=1e-12)
+    assert value == min(v for _, v in calls)
 
 
 def test_min_eigenvalue_rejects_negative_gamma():
