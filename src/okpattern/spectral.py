@@ -41,6 +41,15 @@ itself and apply the Hermitian mirror to their first partial sum, so a
 sampler call is one real transform.  `_trig_shift` keeps its one-axis
 complex transform, since its displacement varies across the other axes.
 
+Real-space kernels
+------------------
+The grid kernels ifftn(inv_lap * sinc^p) need no transform: their
+multiplier is real and even along each axis, so `kernel_table` sums cosines
+over the even octant |xi_a| <= n_a/2 of the half spectrum, one matrix
+product per axis, at the offsets -1..n_a/2+1 of every axis.  The Green
+matrix gathers from that table, folding each offset d to min(d, n - d);
+`real_space_kernel` unfolds it onto the whole grid.
+
 Off-grid evaluation
 -------------------
 `sample_field` and `sample_potential` evaluate the mode sum exactly (to
@@ -142,10 +151,44 @@ def parseval_sum(uhat: np.ndarray, multiplier: np.ndarray, ws: SpectralWorkspace
     return float(np.sum(np.abs(uhat) ** 2 * ws.half_weights * multiplier))
 
 
+def kernel_table(ws: SpectralWorkspace, p: int) -> np.ndarray:
+    """The grid kernel K = ifftn(inv_lap * sinc^p) at the folded offsets
+    -1..n_a/2+1 of every axis: entry t_a holds offset t_a - 1, so the guard
+    entries 0 and n_a/2+2 repeat offsets 1 and n_a/2-1.
+
+    The multiplier is real and even along each axis, so K is a cosine sum
+    over the octant |xi_a| <= n_a/2 (a view of inv_lap), contracted one axis
+    at a time with that axis's _cosine_rows.  No transform and no full-grid
+    array; the cost is O(n^(dim+1)) in matrix products."""
+    sizes = ws.spec.sizes
+    rows = {n: _cosine_rows(n, p) for n in set(sizes)}
+    table = ws.inv_lap[tuple(slice(0, n // 2 + 1) for n in sizes)]
+    for n in sizes:
+        # contract axis 0 and append the offset axis last: after dim steps
+        # the axes are back in order
+        table = (table.reshape(n // 2 + 1, -1).T @ rows[n].T).reshape(table.shape[1:] + (n // 2 + 3,))
+    return table
+
+
+def _cosine_rows(n: int, p: int) -> np.ndarray:
+    """The (n/2+3) x (n/2+1) matrix m(xi) sinc(xi/n)^p cos(2 pi xi (t-1)/n) / n
+    for t = 0..n/2+2 and xi = 0..n/2, where m counts the lattice modes
+    folded onto xi (1 at 0 and n/2, else 2)."""
+    half = n // 2
+    j = np.arange(n)
+    # cos(2 pi j / n) read at j = xi (t-1) mod n, from angles folded into
+    # [0, pi], so offsets -t and t get the same row
+    cosines = np.cos(TWO_PI / n * np.minimum(j, n - j))[np.arange(-1, half + 2)[:, None] * j[: half + 1] % n]
+    weights = np.sinc(j[: half + 1] / n) ** p * (2.0 / n)
+    weights[[0, -1]] *= 0.5
+    return cosines * weights
+
+
 def real_space_kernel(ws: SpectralWorkspace, p: int) -> np.ndarray:
     """ifftn(inv_lap * sinc^p) over the full lattice: the grid kernel whose
-    circular convolution applies the potential with p voxel factors."""
-    return from_half_spectrum(ws.inv_lap * ws.sinc_power(p), ws.spec.sizes) / ws.spec.cells
+    circular convolution applies the potential with p voxel factors,
+    unfolded from kernel_table (offset t is min(t, n - t))."""
+    return kernel_table(ws, p)[np.ix_(*[1 + n // 2 - np.abs(np.arange(n) - n // 2) for n in ws.spec.sizes])]
 
 
 # ---------------------------------------------------------------------------

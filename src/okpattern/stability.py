@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import InterfaceMesh, interface_mesh
-from .spectral import get_workspace, real_space_kernel, sample_potential
+from .spectral import get_workspace, kernel_table, sample_potential
 from .torus_field import GridSpec, Lamella, ShapeCandidate, TiledShape, rasterize
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -651,30 +651,31 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws, rows=None) -> np.ndar
     """G_ij = int int G b_i b_j over the splatted nodal surface measures.
 
     Splat, solve (both tent kernels divided out) and pairing are circular
-    convolutions with kern = real_space_kernel(ws, -4).  Corner a of node i
-    minus corner b of node j is (base_i - base_j) + s with s = a - b in
-    {-1, 0, 1}^dim, and the tent weights summed over the corner pairs of one
-    s factor per axis into T(+1) = f_i (1 - f_j), T(-1) = (1 - f_i) f_j and
-    T(0) = (1 - f_i)(1 - f_j) + f_i f_j, so
+    convolutions with the kernel K of kernel_table(ws, -4).  Corner a of
+    node i minus corner b of node j is (base_i - base_j) + s with s = a - b
+    in {-1, 0, 1}^dim, and the tent weights summed over the corner pairs of
+    one s factor per axis into T(+1) = f_i (1 - f_j), T(-1) = (1 - f_i) f_j
+    and T(0) = (1 - f_i)(1 - f_j) + f_i f_j, so
 
-        G_ij = cells W_i W_j sum_s kern[base_i - base_j + s] prod_a T_a(s_a)
+        G_ij = cells W_i W_j sum_s K[base_i - base_j + s] prod_a T_a(s_a)
 
     with W the node weights and f the tent fractions: 3^dim gathers from the
-    kernel padded by one wrapped cell, summed axis by axis (_shift_sum).
-    Each row block of about _GREEN_BLOCK entries is computed from its first
-    row's diagonal on and mirrored into the lower triangle, so the matrix is
-    exactly symmetric.  With rows (node indices) given, only G[rows, :] is
-    computed, in row blocks against every column.
+    table of K at the offsets -1..n_a/2+1, summed axis by axis (_shift_sum;
+    _green_entries folds the offsets onto the table).  Each row block of
+    about _GREEN_BLOCK entries is computed from its first row's diagonal on
+    and mirrored into the lower triangle, so the matrix is exactly
+    symmetric.  With rows (node indices) given, only G[rows, :] is computed,
+    in row blocks against every column.
     """
     base, frac = _splat_geometry(mesh, spec)
     p, dim = base.shape
-    padded = np.pad(real_space_kernel(ws, -4), 1, mode="wrap").ravel()
-    strides = [int(np.prod([n + 2 for n in spec.sizes[a + 1 :]])) for a in range(dim)]
+    table = kernel_table(ws, -4)
+    strides = [int(np.prod(table.shape[a + 1 :])) for a in range(dim)]
     weights = mesh.all_weights()
     # per node: corner, f, and for T(0) = (1 + g_i g_j) / 2 with g = 1 - 2 f
     # the factors 1/2 - f and g, then 1 - f and the row and column weights
     nodes = (base, frac, 0.5 - frac, 1.0 - 2.0 * frac, 1.0 - frac, spec.cells * weights, weights)
-    args = (padded, strides, spec.sizes, nodes)
+    args = (table.ravel(), strides, spec.sizes, nodes)
     if rows is not None:
         h = max(1, _GREEN_BLOCK // p)
         blocks = [_green_entries(*args, rows[i : i + h], slice(None)) for i in range(0, len(rows), h)]
@@ -694,36 +695,41 @@ def _green_matrix(mesh: InterfaceMesh, spec: GridSpec, ws, rows=None) -> np.ndar
     return out
 
 
-def _green_entries(padded, strides, sizes, nodes, r, c) -> np.ndarray:
+def _green_entries(table, strides, sizes, nodes, r, c) -> np.ndarray:
     """G[r, c] for the row nodes r against the column nodes c (slices or
-    index arrays), from the per-node tables of _green_matrix."""
+    index arrays), from the flat kernel table and the per-node tables of
+    _green_matrix.  K is even along each axis, so the offset
+    d = (base_i - base_j) mod n reads the table at min(d, n - d); where
+    d > n/2 that reflects s to -s, and T(+1) and T(-1) swap places."""
     base, frac, half_g, g, co, row_w, weights = nodes
     flat = 0
     tents = []
     for a, n in enumerate(sizes):
-        flat = flat + (base[r, a, None] - base[None, c, a]) % n * strides[a]
+        d = (base[r, a, None] - base[None, c, a]) % n
+        flat = flat + np.minimum(d, n - d) * strides[a]
         zero = half_g[r, a, None] * g[None, c, a]
         zero += 0.5
         minus = co[r, a, None] * frac[None, c, a]
         plus = frac[r, a, None] * co[None, c, a]
-        tents.append((minus, zero, plus))
-    # sum(strides) is the flat offset of the unpadded origin
-    acc = _shift_sum(padded, flat, tents, strides, sum(strides))
+        swap = d > n // 2
+        tents.append((np.where(swap, plus, minus), zero, np.where(swap, minus, plus)))
+    # sum(strides) is the flat offset of the table's origin (offset 0 on every axis)
+    acc = _shift_sum(table, flat, tents, strides, sum(strides))
     acc *= row_w[r, None]
     acc *= weights[c]
     return acc
 
 
-def _shift_sum(padded, flat, tents, strides, offset) -> np.ndarray:
-    """sum over s in {-1, 0, 1}^len(tents) of padded[flat + offset + s . strides]
+def _shift_sum(table, flat, tents, strides, offset) -> np.ndarray:
+    """sum over s in {-1, 0, 1}^len(tents) of table[flat + offset + s . strides]
     times prod_a tents[a][s_a + 1], one axis per level: each level scales a
     partial sum by its axis factor once.  A module-level function, not a
     closure, so every level's buffers are freed as soon as it returns."""
     if not tents:
-        return np.take(padded[offset:], flat)
+        return np.take(table[offset:], flat)
     total = None
     for s, tent in zip((-1, 0, 1), tents[0]):
-        part = _shift_sum(padded, flat, tents[1:], strides[1:], offset + s * strides[0])
+        part = _shift_sum(table, flat, tents[1:], strides[1:], offset + s * strides[0])
         part *= tent
         total = part if total is None else np.add(total, part, out=total)
     return total

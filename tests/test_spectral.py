@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okpattern import spectral
@@ -21,9 +21,11 @@ from okpattern.spectral import (
     cell_average_potential,
     get_workspace,
     gradient,
+    kernel_table,
     laplacian,
     nonlocal_energy,
     poisson_zero_mean,
+    real_space_kernel,
     sample_field,
     sample_potential,
     sample_potential_on_planes,
@@ -233,6 +235,35 @@ def test_multiplier_symmetry_and_positivity():
     rng = np.random.default_rng(1)
     u = ScalarField(GridSpec((16, 16)), rng.standard_normal((16, 16)))
     assert nonlocal_energy(u) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half_sizes=st.lists(st.integers(2, 20), min_size=1, max_size=3),
+    p=st.sampled_from([-4, 0, 2]),
+)
+@example(half_sizes=[24, 2], p=-4)
+@example(half_sizes=[2, 20, 3], p=2)
+def test_real_space_kernel_matches_full_lattice_ifftn(half_sizes, p):
+    # oracle: ifftn of the full-lattice multiplier, built from np.fft.fftfreq
+    sizes = tuple(2 * h for h in half_sizes)
+    freqs = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in sizes], indexing="ij")
+    lap = sum(4 * np.pi**2 * f**2 for f in freqs)
+    sinc = np.prod([np.sinc(f / n) for f, n in zip(freqs, sizes)], axis=0)
+    want = np.fft.ifftn(np.where(lap > 0, 1.0 / np.where(lap > 0, lap, 1.0), 0.0) * sinc**p).real
+    ws = get_workspace(GridSpec(sizes))
+    got = real_space_kernel(ws, p)
+    tol = 1e-14 * np.max(np.abs(want))
+    assert got.shape == sizes
+    assert np.max(np.abs(got - want)) <= tol
+    # the table holds the offsets -1..n/2+1 of every axis; its guard entries
+    # repeat the offsets they fold to: -1 is 1, and n/2 + 1 is n/2 - 1
+    table = kernel_table(ws, p)
+    assert table.shape == tuple(n // 2 + 3 for n in sizes)
+    for a, n in enumerate(sizes):
+        rows = np.moveaxis(table, a, 0)
+        assert np.max(np.abs(rows[0] - rows[2])) <= tol
+        assert np.max(np.abs(rows[n // 2 + 2] - rows[n // 2])) <= tol
 
 
 def test_sample_potential_matches_grid_and_plane_path():

@@ -7,6 +7,7 @@ acceptance module.
 
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import scipy.linalg
 
 from okpattern import stability
 from okpattern.geometry import interface_mesh
-from okpattern.spectral import get_workspace, sample_potential
+from okpattern.spectral import get_workspace, real_space_kernel, sample_potential
 from okpattern.stability import (
     SurfaceFunction,
     _chart_stiffness,
@@ -246,8 +247,10 @@ CYLINDER = Cylinder(axis=2, center=(0.5, 0.5), radius=0.25)
         (Ball((0.41, 0.57, 0.33), 0.25), CUBE, 16),
         (Ball((0.4, 0.55), 0.3), GridSpec((48, 40)), 48),
         (Cylinder(axis=1, center=(0.45, 0.52), radius=0.25), CUBE, 24),
+        # an axis of 4 cells: nearly every entry folds its offset or swaps its tents
+        (Ball((0.4, 0.55), 0.3), GridSpec((48, 4)), 32),
     ],
-    ids=["lamella", "cylinder", "ball-off-centre", "disk-48x40", "cylinder-res24"],
+    ids=["lamella", "cylinder", "ball-off-centre", "disk-48x40", "cylinder-res24", "disk-48x4"],
 )
 def test_green_matrix_matches_corner_pair_reference(shape, spec, res):
     mesh = interface_mesh(shape, res, spec.dim)
@@ -255,6 +258,45 @@ def test_green_matrix_matches_corner_pair_reference(shape, spec, res):
     ref = green_matrix_corner_pair_reference(mesh, spec)
     assert np.max(np.abs(green - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(green, green.T)
+
+
+@pytest.mark.parametrize("shape, nrows", [(LAMELLA, 2), (CYLINDER, 16)], ids=["lamella", "cylinder"])
+def test_green_rows_match_corner_pair_reference(shape, nrows):
+    # the pencil's route: the Green rows of its row nodes only
+    mesh = interface_mesh(shape, 16, 3)
+    rows = np.arange(0, len(mesh.all_weights()), math.prod(_symmetry_order(mesh, CUBE)))
+    assert len(rows) == nrows
+    green = _green_matrix(mesh, CUBE, get_workspace(CUBE), rows)
+    ref = green_matrix_corner_pair_reference(mesh, CUBE)[rows]
+    assert np.max(np.abs(green - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_green_matrix_makes_no_fft_and_no_full_grid_array(monkeypatch):
+    calls = []
+    for name in np.fft.__all__:
+        fn = getattr(np.fft, name)
+        if callable(fn):
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+    spec = GridSpec((64,) * 3)
+    mesh = interface_mesh(LAMELLA, 16, 3)
+    rows = np.arange(0, len(mesh.all_weights()), math.prod(_symmetry_order(mesh, spec)))
+    ws, cube_ws = get_workspace(spec), get_workspace(CUBE)
+    calls.clear()
+    _green_matrix(mesh, CUBE, cube_ws)
+    real_space_kernel(ws, 2)
+    tracemalloc.start()
+    try:
+        _green_matrix(mesh, spec, ws, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    # the kernel is read from its even octant: no full-grid float64 array
+    assert peak < 8 * spec.cells
 
 
 def test_green_matrix_memory_stays_within_three_p_squared():
