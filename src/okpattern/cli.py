@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import astuple
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -427,7 +428,10 @@ def _cmd_render(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: every parse_args fills a fresh namespace from
+    # the defaults, so no flag carries over from one run to the next
     parser = argparse.ArgumentParser(
         prog="okpattern",
         description="Sharp and diffuse Ohta-Kawasaki energies on the flat torus.",

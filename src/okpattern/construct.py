@@ -120,14 +120,14 @@ def continue_family(
     floor = 0.0 if start is None else start.gamma
     if any(b < a for a, b in zip([floor] + gammas, gammas)):
         raise ValueError("gamma_list must be nondecreasing from 0 (or from start.gamma)")
-    seed_raster = rasterize(seed, spec)
-    target_cells = int(np.sum(seed_raster.values > 0))
     if start is None:
-        u, prev_sharp = tanh_profile(seed, spec, template.eps), seed_raster
+        u, prev_sharp = tanh_profile(seed, spec, template.eps), rasterize(seed, spec)
         result = FamilyResult()
     else:
+        # start.sharp was sharpened to the seed raster's volume exactly
         u, prev_sharp = start.phase, start.sharp
         result = FamilyResult([start])
+    target_cells = int(np.sum(prev_sharp.values > 0))
     for gamma in gammas:
         cfg = replace(template, gamma=sharp_to_diffuse_gamma(gamma))
         trace = minimize(u, cfg)

@@ -83,7 +83,8 @@ class FlowConfig:
 class FlowState:
     """One flow iterate.  uhat carries the normalized half spectrum
     rfftn(u.values)/cells from the step that produced u, so the next step
-    need not transform u again."""
+    need not transform u again, and well carries the well term u^2 - 1 that
+    the energy of u formed, which the next step's force reuses."""
 
     u: ScalarField
     energy: float
@@ -92,6 +93,7 @@ class FlowState:
     rejections: int = 0
     last_update_sup: float = 0.0
     uhat: np.ndarray = field(repr=False, compare=False, kw_only=True)
+    well: np.ndarray = field(repr=False, compare=False, kw_only=True)
 
 
 @dataclass
@@ -122,11 +124,19 @@ def ok_energy(
     if eps <= 0 or gamma < 0:
         raise ValueError("eps must be positive and gamma nonnegative")
     ws = ws or get_workspace(u.spec)
-    return _ok_energy_from(u.values, half_spectrum(u.values), ws, eps, gamma)
+    return _ok_energy_from(half_spectrum(u.values), _well(u.values), ws, eps, gamma)
+
+
+def _well(values: np.ndarray) -> np.ndarray:
+    """The well term u^2 - 1, read-only."""
+    well = values * values
+    well -= 1.0
+    well.flags.writeable = False
+    return well
 
 
 def _ok_energy_from(
-    values: np.ndarray, uhat: np.ndarray, ws: SpectralWorkspace, eps: float, gamma: float
+    uhat: np.ndarray, well: np.ndarray, ws: SpectralWorkspace, eps: float, gamma: float
 ) -> float:
     # |c|^2 with its Parseval weights is formed once for both spectral terms
     power = np.abs(uhat) ** 2
@@ -134,8 +144,6 @@ def _ok_energy_from(
     energy = eps * float(np.vdot(power, ws.lap_symbol))
     if gamma:
         energy += gamma * float(np.vdot(power, ws.inv_lap))
-    well = values * values
-    well -= 1.0
     return energy + float(np.vdot(well, well)) / (well.size * eps)
 
 
@@ -148,8 +156,9 @@ def flow_state(u0: ScalarField, config: FlowConfig, ws: SpectralWorkspace | None
     ws = ws or get_workspace(u0.spec)
     uhat = half_spectrum(u0.values)
     uhat.flags.writeable = False
-    energy = _ok_energy_from(u0.values, uhat, ws, config.eps, config.gamma)
-    return FlowState(u0, energy, config.dt, uhat=uhat)
+    well = _well(u0.values)
+    energy = _ok_energy_from(uhat, well, ws, config.eps, config.gamma)
+    return FlowState(u0, energy, config.dt, uhat=uhat, well=well)
 
 
 def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None = None) -> FlowState:
@@ -160,17 +169,18 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
     uhat / (4 pi^2 |xi|^2) itself (skipped at gamma = 0).  An accepted step
     costs two real FFTs (force transform, new iterate) and each rejection one
     more inverse FFT.  Around them a step makes a few elementwise passes: the
-    local force, formed in place; per trial, the update on the half spectrum,
-    |uhat|^2 once for both Parseval terms and the well term; and, once
-    accepted, one pass each for the min, max and sup of the update.
+    local force, two passes that reuse the well term u^2 - 1 carried in the
+    state; per trial, the update on the half spectrum, |uhat|^2 once for both
+    Parseval terms, and the new well term, which an accepted iterate carries
+    on; and, once accepted, one pass each for the min, max and sup of the
+    update.  The accepted iterate is the inverse FFT's own output, frozen and
+    handed to its ScalarField without a copy.
     """
     ws = ws or get_workspace(state.u.spec)
     spec = state.u.spec
     values = state.u.values
     local = values * (-4.0 / config.eps)
-    well = values * values
-    well -= 1.0
-    local *= well
+    local *= state.well
     force_hat = half_spectrum(local)
     if config.gamma:
         potential = state.uhat * ws.inv_lap
@@ -190,7 +200,9 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
         new_hat.flat[0] = state.uhat.flat[0]  # frozen zero mode: exact mass conservation
         new_hat.flags.writeable = False
         new_values = from_half_spectrum(new_hat, spec.sizes)
-        energy = _ok_energy_from(new_values, new_hat, ws, config.eps, config.gamma)
+        new_values.flags.writeable = False
+        well = _well(new_values)
+        energy = _ok_energy_from(new_hat, well, ws, config.eps, config.gamma)
         if energy <= state.energy:
             # a smooth iterate of an indicator start is a phase field
             kind = "phase" if state.u.kind == "indicator" else state.u.kind
@@ -207,6 +219,7 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
                 rejections=state.rejections + rejections,
                 last_update_sup=max(float(local.max()), -float(local.min())),
                 uhat=new_hat,
+                well=well,
             )
         dt *= 0.5
         rejections += 1

@@ -131,13 +131,24 @@ def get_workspace(spec: GridSpec) -> SpectralWorkspace:
 
 
 def half_spectrum(values: np.ndarray) -> np.ndarray:
-    """Normalized half spectrum rfftn(values)/cells."""
-    return np.fft.rfftn(values, axes=range(values.ndim), norm="forward")
+    """Normalized half spectrum rfftn(values)/cells.
+
+    The axes are transformed in rfftn's own order (a real FFT of the last
+    axis, then complex FFTs of the others, last first), so the result is
+    bitwise rfftn's; the complex passes run in place in the one output."""
+    out = np.fft.rfft(values, axis=-1, norm="forward")
+    for axis in range(values.ndim - 2, -1, -1):
+        np.fft.fft(out, axis=axis, norm="forward", out=out)
+    return out
 
 
 def from_half_spectrum(uhat: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """Real field whose normalized half spectrum is uhat."""
-    return np.fft.irfftn(uhat, s=sizes, axes=range(len(sizes)), norm="forward")
+    """Real field whose normalized half spectrum is uhat, bitwise irfftn's:
+    complex inverse FFTs of the leading axes in order (in place after the
+    first, which leaves uhat alone), then a real inverse FFT of the last."""
+    for axis in range(len(sizes) - 1):
+        uhat = np.fft.ifft(uhat, axis=axis, norm="forward", out=uhat if axis else None)
+    return np.fft.irfft(uhat, n=sizes[-1], axis=-1, norm="forward")
 
 
 def apply_multiplier(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:

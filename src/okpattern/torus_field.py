@@ -98,7 +98,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Double-precision samples on a GridSpec, tagged generic/indicator/phase."""
+    """Double-precision samples on a GridSpec, tagged generic/indicator/phase.
+
+    The values are frozen: a read-only array that owns its memory is taken
+    as it is, any other (writeable, or a view whose base may be written) is
+    copied first."""
 
     spec: GridSpec
     values: np.ndarray
@@ -123,13 +127,15 @@ class ScalarField:
                     f"phase field values escape [-{lim},{lim}]: "
                     f"[{vals.min()}, {vals.max()}]"
                 )
-        vals = vals.copy()
-        vals.flags.writeable = False
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = vals.copy()
+            vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        # np.mean's own sum and division, without its dispatch
+        return float(np.add.reduce(self.values, axis=None) / self.values.size)
 
     def with_values(self, values: np.ndarray, kind: str | None = None) -> "ScalarField":
         return ScalarField(self.spec, values, kind if kind is not None else self.kind)

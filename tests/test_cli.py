@@ -520,3 +520,37 @@ def test_construct_same_with_one_and_two_blas_threads(tmp_path):
     assert names == sorted(p.name for p in (two / "fields").iterdir())
     for name in names:
         assert (one / "fields" / name).read_bytes() == (two / "fields" / name).read_bytes()
+
+
+def test_runs_in_one_process_match_separate_processes(tmp_path, capsys):
+    # the parser is built once per process: a run after another subcommand
+    # and after a bad flag writes what a fresh process writes, and none of
+    # the first run's flags carries over
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    energy = ["energy", "--grid", "16,16", "--shape", "ball", "--center", "0.5,0.5"]
+    runs = [
+        (energy + ["--radius", "0.3", "--gamma", "2"], 0),
+        (["green", "--grid", "16,16", "--bogus", "1"], 2),
+        (["green"], 0),
+        (["energy"], 0),
+    ]
+    for i, (argv, code) in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        assert run(argv + ["--out", str(here)]) == code
+        proc = subprocess.run(
+            [sys.executable, "-c", "from okpattern.cli import main; main()", *argv, "--out", str(fresh)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert capsys.readouterr().err == proc.stderr
+        if code == 0:
+            for name in ("report.csv", "meta.txt"):
+                want = (fresh / name).read_text().replace(str(fresh), str(here))
+                assert (here / name).read_text() == want
+        else:
+            assert not here.exists() and not fresh.exists()

@@ -82,6 +82,27 @@ def test_continue_family_recovers_seed_at_gamma_zero():
     assert alpha_distance(member.sharp, rasterize(SEED, spec)) <= 10.0 / 64
 
 
+def test_continued_family_matches_one_family_without_a_raster(monkeypatch):
+    # a family continued from the last member of its gamma = 0 stage equals
+    # the one family run over the whole list, member for member, and takes
+    # its volume from start.sharp: the seed is not rasterized again
+    spec = GridSpec((32, 32))
+    ball = Ball((0.5, 0.5), 0.3)
+    flow = default_flow(eps=0.1, max_steps=60)
+    whole = continue_family(ball, [0.0, 2.0, 4.0], flow, spec)
+    base = continue_family(ball, [0.0], flow, spec)
+    rasterized = []
+    monkeypatch.setattr(construct, "rasterize", lambda *a: rasterized.append(a))
+    continued = continue_family(ball, [2.0, 4.0], flow, spec, start=base.members[-1])
+    assert rasterized == []
+    assert continued.status == whole.status == "complete"
+    assert len(continued.members) == len(whole.members) == 3
+    for a, b in zip(continued.members, whole.members):
+        assert (a.gamma, a.alpha_step, a.flow_status) == (b.gamma, b.alpha_step, b.flow_status)
+        assert a.phase.values.tobytes() == b.phase.values.tobytes()
+        assert a.sharp.values.tobytes() == b.sharp.values.tobytes()
+
+
 def test_continue_family_steps_shrink_with_gamma_refinement():
     # a disk genuinely deforms with gamma, so the per-step alpha must shrink
     # roughly in proportion to the gamma increment

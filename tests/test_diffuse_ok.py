@@ -268,11 +268,32 @@ def test_carried_half_spectrum_stays_exact():
     assert np.max(np.abs(state.uhat - fresh)) <= 1e-13
 
 
+def test_carried_well_term_is_exact():
+    # each step of a chained minimize reuses the well term u^2 - 1 that the
+    # energy of its start formed; restarting every step from the well term
+    # flow_state builds afresh gives the same bits, rejections included.
+    # The carried spectrum stays: a fresh rfftn of u is only 1e-13 close
+    u0 = noisy_ball((32, 32), 5)
+    cfg = FlowConfig(eps=0.1, gamma=5.0, dt=5.0, max_steps=30)
+    trace = minimize(u0, cfg)
+    assert trace.rejections > 0
+    state = flow_state(u0, cfg)
+    records = []
+    for _ in range(len(trace.records)):
+        state = flow_step(replace(state, well=flow_state(state.u, cfg).well), cfg)
+        records.append((state.step, state.dt, state.energy, state.u.mean, state.last_update_sup))
+    assert records == trace.records
+    assert state.rejections == trace.rejections
+    assert state.u.values.tobytes() == trace.final.values.tobytes()
+
+
 def test_minimize_fft_count(monkeypatch):
     # one forward FFT for the start, then per accepted step the transform of
-    # the local force and the new iterate, and one inverse FFT per rejection
+    # the local force and the new iterate, and one inverse FFT per rejection;
+    # on 32^2 a forward transform is one rfft and one fft, an inverse one
+    # ifft and one irfft
     calls = {}
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -282,4 +303,5 @@ def test_minimize_fft_count(monkeypatch):
     trace = minimize(u0, FlowConfig(eps=0.1, gamma=5.0, dt=5.0, max_steps=40))
     assert trace.status == "max_steps" and trace.rejections > 0
     accepted = len(trace.records)
-    assert calls == {"rfftn": 1 + accepted, "irfftn": accepted + trace.rejections}
+    forward, inverse = 1 + accepted, accepted + trace.rejections
+    assert calls == {"rfft": forward, "fft": forward, "ifft": inverse, "irfft": inverse}

@@ -19,8 +19,10 @@ from okpattern.spectral import (
     _PHASE_BLOCK_BYTES,
     _potential_and_gradient,
     cell_average_potential,
+    from_half_spectrum,
     get_workspace,
     gradient,
+    half_spectrum,
     kernel_table,
     laplacian,
     nonlocal_energy,
@@ -235,6 +237,24 @@ def test_multiplier_symmetry_and_positivity():
     rng = np.random.default_rng(1)
     u = ScalarField(GridSpec((16, 16)), rng.standard_normal((16, 16)))
     assert nonlocal_energy(u) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_per_axis_transforms_are_bitwise_rfftn_and_irfftn(sizes, seed):
+    # the transform path runs rfftn's and irfftn's own per-axis passes, so
+    # it agrees to the bit, on any axis lengths, and leaves its input alone
+    sizes = tuple(sizes)
+    axes = range(len(sizes))
+    values = np.random.default_rng(seed).standard_normal(sizes)
+    uhat = half_spectrum(values)
+    assert uhat.tobytes() == np.fft.rfftn(values, axes=axes, norm="forward").tobytes()
+    uhat.flags.writeable = False
+    before = uhat.tobytes()
+    back = from_half_spectrum(uhat, sizes)
+    assert back.shape == sizes
+    assert back.tobytes() == np.fft.irfftn(uhat, s=sizes, axes=axes, norm="forward").tobytes()
+    assert uhat.tobytes() == before
 
 
 @settings(max_examples=60, deadline=None)
@@ -577,9 +597,11 @@ def test_workspace_holds_no_full_grid_array():
 
 def test_spectral_fft_budget(monkeypatch):
     # grid operations run on the real-FFT half spectrum; an off-grid sampler
-    # contracts it directly, so a call is one real transform
+    # contracts it directly, so a call is one real transform.  On a 3D grid
+    # a forward transform is one rfft and two fft, an inverse two ifft and
+    # one irfft
     calls = {}
-    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
+    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn", "rfft", "irfft"):
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -588,15 +610,16 @@ def test_spectral_fft_budget(monkeypatch):
     spec = GridSpec((16, 24, 20))
     u = rasterize(Ball((0.4, 0.5, 0.6), 0.3), spec)
     ws = get_workspace(spec)
+    forward = {"rfft": 1, "fft": 2}
     nonlocal_energy(u, ws)
-    assert calls == {"rfftn": 1}
+    assert calls == forward
     calls.clear()
     poisson_zero_mean(u, ws)
-    assert calls == {"rfftn": 1, "irfftn": 1}
+    assert calls == {**forward, "ifft": 2, "irfft": 1}
     calls.clear()
     pts = np.random.default_rng(0).random((50, 3))
     sample_field(u, pts, ws)
-    assert calls == {"rfftn": 1}
+    assert calls == forward
     calls.clear()
     sample_potential(u, pts, ws, gradient=True)
-    assert calls == {"rfftn": 1}
+    assert calls == forward

@@ -118,6 +118,29 @@ def test_alpha_distance_identity_and_shift():
     assert alpha_distance(u, shifted) == 0.0
 
 
+def test_scalar_field_copies_an_array_its_caller_can_still_write():
+    spec = GridSpec((4, 6))
+    writeable = np.zeros(spec.sizes)
+    base = np.zeros(spec.sizes)
+    view = base[:]
+    view.flags.writeable = False  # a read-only view of a writeable base
+    fields = [ScalarField(spec, writeable), ScalarField(spec, view)]
+    writeable[0, 0] = base[0, 0] = 1.0
+    for f in fields:
+        assert f.values[0, 0] == 0.0 and not f.values.flags.writeable
+    # a frozen array that owns its memory is taken as it is
+    frozen = np.zeros(spec.sizes)
+    frozen.flags.writeable = False
+    assert ScalarField(spec, frozen).values is frozen
+
+
+@pytest.mark.parametrize("sizes", [(8,), (6, 10), (4, 6, 8)])
+def test_scalar_field_mean_is_bitwise_np_mean(sizes):
+    values = np.random.default_rng(len(sizes)).standard_normal(sizes) + 0.1
+    f = ScalarField(GridSpec(sizes), values)
+    assert f.mean == float(np.mean(values))
+
+
 def test_alpha_distance_of_equal_sets_needs_no_fft(monkeypatch):
     # equal sets read 0.0 without a transform; a grid-translated copy still
     # takes the FFT path and reads 0.0 there
