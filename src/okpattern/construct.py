@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -353,17 +354,34 @@ def local_minimality_probe(
 def _swap_pairs(f_field: ScalarField, k: int, amplitude: int) -> tuple[np.ndarray, np.ndarray]:
     """Every (inside, outside) cell pair of the fundamental cell within the
     given sup-distance, as (P, dim) index arrays a and b = (a + delta) mod n:
-    inside cells in index order, nonzero displacements in index order."""
+    inside cells in index order, nonzero displacements in index order.
+
+    Only inside cells of the interface band have a pair, so the outside mask
+    is read once over the block and a periodic margin of `amplitude` cells,
+    dilated by the (2 amplitude + 1)^dim box one axis at a time to find
+    them, and their neighbours come from that padded mask in one flat
+    gather."""
     spec = f_field.spec
     sizes = np.array(spec.sizes)
-    inside = np.argwhere(f_field.values[tuple(slice(0, n // k) for n in spec.sizes)] > 0)
-    deltas = np.array(list(np.ndindex(*(2 * amplitude + 1,) * spec.dim))) - amplitude
+    block = [n // k for n in spec.sizes]
+    width = 2 * amplitude + 1
+    deltas = np.array(list(np.ndindex(*(width,) * spec.dim))) - amplitude
     deltas = deltas[np.any(deltas, axis=1)]
-    outside = np.empty((len(inside), len(deltas)), dtype=bool)
-    for j, d in enumerate(deltas):
-        outside[:, j] = f_field.values[tuple(((inside + d) % sizes).T)] < 0
-    ia, jd = np.nonzero(outside)
-    return inside[ia], (inside[ia] + deltas[jd]) % sizes
+    # padded[y] is outside at y - amplitude (mod n), for y over block + 2 amplitude
+    pad = [np.arange(-amplitude, m + amplitude) % n for m, n in zip(block, spec.sizes)]
+    padded = f_field.values[np.ix_(*pad)] < 0
+    near = padded
+    for ax, m in enumerate(block):
+        near = reduce(np.logical_or, [near[(slice(None),) * ax + (slice(s, s + m),)] for s in range(width)])
+    inside = f_field.values[tuple(slice(0, m) for m in block)] > 0
+    band = np.argwhere(inside & near)
+    # padded flat index of cell x + delta: that of x plus that of delta + amplitude
+    hit = padded.ravel()[
+        np.ravel_multi_index(band.T, padded.shape)[:, None]
+        + np.ravel_multi_index((deltas + amplitude).T, padded.shape)
+    ]
+    ia, jd = np.nonzero(hit)
+    return band[ia], (band[ia] + deltas[jd]) % sizes
 
 
 def _swap_gaps(
@@ -381,18 +399,19 @@ def _swap_gaps(
     block = np.array(spec.sizes) // k
     reps = k**spec.dim
     a, b = np.asarray(a) % block, np.asarray(b) % block
-    u = f_field.values[tuple(slice(0, n) for n in block)]
+    u = f_field.values[tuple(slice(0, n) for n in block)].ravel()
+    flat_a, flat_b = np.ravel_multi_index(a.T, block), np.ravel_multi_index(b.T, block)
+    strides = [math.prod(block[ax + 1 :]) for ax in range(spec.dim)]
     # flipping a (+1 -> -1) changes each face by weight * u_nb, flipping b
     # afterwards by -weight * u_nb with a now -1; a block side of 1 has no faces
     d_perim = np.zeros(len(a))
     for ax in np.flatnonzero(block > 1):
         n = block[ax]
         for step in (-1, 1):
-            na, nb = a.copy(), b.copy()
-            na[:, ax] = (na[:, ax] + step) % n
-            nb[:, ax] = (nb[:, ax] + step) % n
-            adjacent = np.all(nb == a, axis=1)
-            d_perim += spec.sizes[ax] / spec.cells * (u[tuple(na.T)] - u[tuple(nb.T)] + 2 * adjacent)
+            # flat index of the neighbour one step along ax, on the block torus
+            na = flat_a + ((a[:, ax] + step) % n - a[:, ax]) * strides[ax]
+            nb = flat_b + ((b[:, ax] + step) % n - b[:, ax]) * strides[ax]
+            d_perim += spec.sizes[ax] / spec.cells * (u[na] - u[nb] + 2 * (nb == flat_a))
     ws = get_workspace(spec)
     w = cell_average_potential(f_field, ws).values
     kern = real_space_kernel(ws, 2)

@@ -84,7 +84,11 @@ class FlowState:
     """One flow iterate.  uhat carries the normalized half spectrum
     rfftn(u.values)/cells from the step that produced u, so the next step
     need not transform u again, and well carries the well term u^2 - 1 that
-    the energy of u formed, which the next step's force reuses."""
+    the energy of u formed, which the next step's force reuses.  recip is
+    the semi-implicit update's real multiplier
+    1 / (1 + c_s dt + 2 eps dt |2 pi xi|^2) at this state's dt and its
+    flow's eps, read-only; it is None until a step builds it, and a state
+    made with another dt or stepped under another eps must drop it."""
 
     u: ScalarField
     energy: float
@@ -94,6 +98,7 @@ class FlowState:
     last_update_sup: float = 0.0
     uhat: np.ndarray = field(repr=False, compare=False, kw_only=True)
     well: np.ndarray = field(repr=False, compare=False, kw_only=True)
+    recip: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
 
 
 @dataclass
@@ -173,8 +178,13 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
     state; per trial, the update on the half spectrum, |uhat|^2 once for both
     Parseval terms, and the new well term, which an accepted iterate carries
     on; and, once accepted, one pass each for the min, max and sup of the
-    update.  The accepted iterate is the inverse FFT's own output, frozen and
-    handed to its ScalarField without a copy.
+    update.  The update multiplies by the reciprocal of its denominator,
+    which the state carries for its dt: it is built on a state's first step
+    and after each rejection, when dt halves.  NumPy divides a complex array
+    by a real one by Smith's method, whose ratio is 0 here, so
+    (a + b 0) (1/d) is that multiply to the bit except for the sign of an
+    exact zero.  The accepted iterate is the inverse FFT's own output,
+    frozen and handed to its ScalarField without a copy.
     """
     ws = ws or get_workspace(state.u.spec)
     spec = state.u.spec
@@ -186,17 +196,20 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
         potential = state.uhat * ws.inv_lap
         potential *= 2.0 * config.gamma
         force_hat -= potential
-    dt = state.dt
+    dt, recip = state.dt, state.recip
     rejections = 0
     while True:
         if dt < DT_STALL_FLOOR:
             raise FlowStallError(f"dt underflow ({dt:.3e}) after {rejections} rejections", rejections)
         keep = 1.0 + dt * config.c_s
-        denom = ws.lap_symbol * (dt * 2.0 * config.eps)
-        denom += keep
+        if recip is None:
+            recip = ws.lap_symbol * (dt * 2.0 * config.eps)
+            recip += keep
+            np.divide(1.0, recip, out=recip)
+            recip.flags.writeable = False
         new_hat = state.uhat * keep
         new_hat += dt * force_hat
-        new_hat /= denom
+        new_hat *= recip
         new_hat.flat[0] = state.uhat.flat[0]  # frozen zero mode: exact mass conservation
         new_hat.flags.writeable = False
         new_values = from_half_spectrum(new_hat, spec.sizes)
@@ -220,8 +233,10 @@ def flow_step(state: FlowState, config: FlowConfig, ws: SpectralWorkspace | None
                 last_update_sup=max(float(local.max()), -float(local.min())),
                 uhat=new_hat,
                 well=well,
+                recip=recip,
             )
         dt *= 0.5
+        recip = None
         rejections += 1
 
 

@@ -359,22 +359,27 @@ def _mode_sum(
     sizes, dim = ws.spec.sizes, ws.spec.dim
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"points must have shape (P, {dim}), got {pts.shape}")
-    # distinct coordinates per axis, by exact float equality
+    # distinct coordinates per axis, by exact float equality, in ascending order
     by_axis = np.sort(pts, axis=0)
-    distinct = (1 + np.count_nonzero(by_axis[1:] != by_axis[:-1], axis=0)).tolist()
-    del by_axis
+    first = np.ones_like(by_axis, dtype=bool)
+    np.not_equal(by_axis[1:], by_axis[:-1], out=first[1:])
+    values = [by_axis[first[:, a], a] for a in range(dim)]
+    distinct = [v.size for v in values]
+    del by_axis, first
     # fewest distinct coordinates first; among equals the longest axis, which
     # leaves the fewest modes to the later levels
     order = sorted(range(dim), key=lambda a: (distinct[a], -sizes[a]))
     distinct = [distinct[a] for a in order]
+    values = [values[a] for a in order]
     # new[i, l]: point perm[i] starts a prefix of level l.  The points are
     # lexsorted, first axis of the order as the primary key.
     perm = np.lexsort([pts[:, a] for a in order[::-1]])
     new = np.ones((len(pts), dim), dtype=bool)
     for l, a in enumerate(order):
         x = pts[perm, a]
-        new[1:, l] = x[1:] != x[:-1]
-    np.logical_or.accumulate(new, axis=1, out=new)
+        np.not_equal(x[1:], x[:-1], out=new[1:, l])
+        if l:
+            np.logical_or(new[:, l - 1], new[:, l], out=new[:, l])
     counts = [1] + np.count_nonzero(new, axis=0).tolist()
     n = [sizes[a] for a in order]
     cells = math.prod(sizes)
@@ -433,7 +438,16 @@ def _mode_sum(
         for l in range(1, dim):
             starts = np.flatnonzero(starts_at[:, l])
             x = chunk[starts, order[l]]
-            uniq, inv = np.unique(x, return_inverse=True) if grid[l] else (x, None)
+            uniq, inv = x, None
+            if grid[l]:
+                # the axis's distinct values this chunk holds, ascending, and
+                # the index of each prefix's value among them
+                inv = np.searchsorted(values[l], x)
+                held = np.zeros(distinct[l], dtype=bool)
+                held[inv] = True
+                uniq = values[l][held]
+                if uniq.size < distinct[l]:
+                    inv = np.cumsum(held)[inv] - 1
             e = _factor_rows(uniq, n[l])
             e *= centre[l]
             src = prev.reshape(n_var[l], n_prev, n[l], rest[l])

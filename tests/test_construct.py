@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okpattern import construct
@@ -449,6 +449,46 @@ def test_swap_gaps_match_full_recompute_on_random_sets(half_sizes, k, amplitude,
     closed = _swap_gaps(f, gamma, k, a[pick], b[pick])
     oracle = _full_recompute_gaps(f, gamma, k, a[pick], b[pick])
     assert np.max(np.abs(closed - oracle)) <= 1e-12
+
+
+def _loop_swap_pairs(f_field, k, amplitude):
+    """Oracle: every inside cell of the block against every displacement,
+    one modular gather per displacement."""
+    spec = f_field.spec
+    sizes = np.array(spec.sizes)
+    inside = np.argwhere(f_field.values[tuple(slice(0, n // k) for n in spec.sizes)] > 0)
+    deltas = np.array(list(np.ndindex(*(2 * amplitude + 1,) * spec.dim))) - amplitude
+    deltas = deltas[np.any(deltas, axis=1)]
+    outside = np.empty((len(inside), len(deltas)), dtype=bool)
+    for j, d in enumerate(deltas):
+        outside[:, j] = f_field.values[tuple(((inside + d) % sizes).T)] < 0
+    ia, jd = np.nonzero(outside)
+    return inside[ia], (inside[ia] + deltas[jd]) % sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    k=st.sampled_from([1, 2, 4]),
+    sides=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+    amplitude=st.integers(0, 3),
+    fill=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=2, k=2, sides=[1, 2, 0], amplitude=2, fill=0.0, seed=0)
+@example(dim=3, k=4, sides=[0, 1, 2], amplitude=3, fill=1.0, seed=0)
+@example(dim=2, k=1, sides=[0, 0, 0], amplitude=0, fill=0.5, seed=0)
+def test_swap_pairs_match_the_per_displacement_loop(dim, k, sides, amplitude, fill, seed):
+    # block sides from 1 cell, on grid sides that are even and >= 4; an
+    # amplitude above a block side wraps the box round the torus more than once
+    valid = [m for m in range(1, 13) if m * k % 2 == 0 and m * k >= 4]
+    block = [valid[s % len(valid)] for s in sides[:dim]]
+    rng = np.random.default_rng(seed)
+    cells = np.where(rng.random(block) < fill, 1.0, -1.0)
+    f = ScalarField(GridSpec(tuple(m * k for m in block)), np.tile(cells, (k,) * dim), "indicator")
+    for got, want in zip(_swap_pairs(f, k, amplitude), _loop_swap_pairs(f, k, amplitude)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_exhaustive_small_probe_scan_coarse():

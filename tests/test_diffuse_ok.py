@@ -23,6 +23,7 @@ from okpattern.diffuse_ok import (
     ok_energy,
     sharp_to_diffuse_gamma,
 )
+from okpattern.spectral import from_half_spectrum, get_workspace, half_spectrum
 from okpattern.torus_field import (
     Ball,
     GridSpec,
@@ -285,6 +286,62 @@ def test_carried_well_term_is_exact():
     assert records == trace.records
     assert state.rejections == trace.rejections
     assert state.u.values.tobytes() == trace.final.values.tobytes()
+
+
+def dividing_minimize(u0: ScalarField, cfg: FlowConfig):
+    """Oracle: the flow with every trial dividing its update by the
+    denominator built from that trial's dt.  Returns the records, the
+    rejections and the final values."""
+    ws = get_workspace(u0.spec)
+    values, dt = u0.values, cfg.dt
+    uhat = half_spectrum(values)
+    energy = ok_energy(u0, cfg.eps, cfg.gamma)
+    records, rejections = [], 0
+    for step in range(1, cfg.max_steps + 1):
+        force_hat = half_spectrum(values * (-4.0 / cfg.eps) * (values * values - 1.0))
+        if cfg.gamma:
+            force_hat -= uhat * ws.inv_lap * (2.0 * cfg.gamma)
+        while True:
+            keep = 1.0 + dt * cfg.c_s
+            new_hat = (uhat * keep + dt * force_hat) / (ws.lap_symbol * (dt * 2.0 * cfg.eps) + keep)
+            new_hat.flat[0] = uhat.flat[0]
+            new_values = from_half_spectrum(new_hat.copy(), u0.spec.sizes)
+            new_energy = diffuse_ok._ok_energy_from(
+                new_hat, diffuse_ok._well(new_values), ws, cfg.eps, cfg.gamma
+            )
+            if new_energy <= energy:
+                break
+            dt *= 0.5
+            rejections += 1
+        update = new_values - values
+        mean = ScalarField(u0.spec, new_values, "generic").mean
+        records.append((step, dt, new_energy, mean, max(float(update.max()), -float(update.min()))))
+        values, uhat, energy = new_values, new_hat, new_energy
+    return records, rejections, values
+
+
+@pytest.mark.parametrize("gamma", [0.0, 5.0])
+def test_reciprocal_update_matches_dividing_flow(gamma):
+    # dt = 5 is too large for this flow: some steps halve it, and each
+    # halving rebuilds the carried reciprocal
+    u0 = noisy_ball((32, 32), 5)
+    cfg = FlowConfig(eps=0.1, gamma=gamma, dt=5.0, max_steps=30)
+    trace = minimize(u0, cfg)
+    records, rejections, values = dividing_minimize(u0, cfg)
+    assert rejections > 0 and trace.rejections == rejections
+    assert trace.records == records
+    assert trace.final.values.tobytes() == values.tobytes()
+    ws = get_workspace(u0.spec)
+    state = flow_state(u0, cfg, ws)
+    assert state.recip is None
+    while state.rejections == 0:
+        state = flow_step(state, cfg, ws)
+    assert state.dt < cfg.dt
+    want = 1.0 / (ws.lap_symbol * (state.dt * 2.0 * cfg.eps) + (1.0 + state.dt * cfg.c_s))
+    assert state.recip.tobytes() == want.tobytes() and not state.recip.flags.writeable
+    # a step that keeps dt reuses the reciprocal
+    again = flow_step(state, cfg, ws)
+    assert again.dt == state.dt and again.recip is state.recip
 
 
 def test_minimize_fft_count(monkeypatch):

@@ -535,6 +535,47 @@ def test_prefix_sampler_across_chunk_boundaries(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "sizes, axes",
+    [
+        ((16, 12), [[0.1, 0.55, 0.8], np.linspace(0.0, 0.95, 60)]),
+        ((8, 12, 10), [[0.2, 0.7], np.linspace(0.05, 0.9, 8), np.linspace(0.0, 0.96, 30)]),
+        ((16, 12), [[0.1, 0.55, 0.8], [-0.0, *np.linspace(0.0, 0.9, 60)]]),
+    ],
+    ids=["2d", "3d", "2d-negative-zero"],
+)
+def test_prefix_sampler_grid_levels_across_chunk_boundaries(monkeypatch, sizes, axes):
+    # shuffled tensor grids, the last axis with the most distinct values;
+    # under a budget of a few dozen points per chunk a chunk holds only
+    # some of that grid level's values, at times from two parents, which
+    # the sampler finds among the axis's sorted distinct values.  -0.0 and
+    # 0.0 are one value.
+    spec = GridSpec(sizes)
+    rng = np.random.default_rng(10)
+    u = ScalarField(spec, rng.standard_normal(sizes))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, spec.dim)
+    pts = pts[rng.permutation(len(pts))]
+    ws = get_workspace(spec)
+    hat = spectral._potential_hat(u, ws)
+    factor_rows = spectral._factor_rows
+
+    def run(budget):
+        rows = []
+        monkeypatch.setattr(spectral, "_PHASE_BLOCK_BYTES", budget)
+        monkeypatch.setattr(spectral, "_factor_rows", lambda x, n: rows.append((n, len(x))) or factor_rows(x, n))
+        return spectral._mode_sum(hat, pts, ws, 1, value=True, gradient=True), rows
+
+    whole, whole_rows = run(2**40)
+    chunked, chunk_rows = run(40_000)
+    last = (sizes[-1], len(np.unique(axes[-1])))
+    assert last in whole_rows
+    assert any(n == last[0] and 0 < m < last[1] for n, m in chunk_rows)
+    # a chunk's matrix products have fewer rows than the whole set's, which
+    # can take another BLAS kernel: the two agree to rounding, not bitwise
+    assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
+    assert_samplers_match_oracle(u, pts)
+
+
+@pytest.mark.parametrize(
     "sizes, pts",
     [((32,), np.linspace(0.0, 0.9, 10)), ((8, 8), np.full((4, 3), 0.3)), ((8, 8), np.full((4, 1), 0.3))],
     ids=["flat-on-1d", "three-coordinates-on-2d", "one-coordinate-on-2d"],
