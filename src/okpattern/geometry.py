@@ -28,7 +28,7 @@ from .torus_field import (
     Lamella,
     TiledShape,
     _check_shape_dim,
-    rasterize,
+    reduced_raster,
 )
 
 # Fewest nodes per chart axis that interface_mesh accepts.
@@ -273,18 +273,21 @@ def el_residual(shape, gamma: float, spec: GridSpec, resolution: int = 32) -> Cr
     -4 gamma grad_tau v (the curvature of candidates is constant per chart,
     so its direct tangential derivative vanishes identically).  The potential
     and its gradient are sampled together, in one call over the points of
-    every chart.
+    every chart, from reduced_raster on the grid of the axes the shape
+    varies along (its spectrum is zero off xi_a = 0 on the others); the
+    gradient, 0 along the other axes, is scattered back to dim columns.
     """
     k = shape.k if isinstance(shape, TiledShape) else 1
     mesh = interface_mesh(shape, resolution, spec.dim)
-    u = rasterize(shape, spec)
-    ws = get_workspace(spec)
+    axes, u = reduced_raster(shape, spec)
     pts, normals, weights = mesh.all_points(), mesh.all_normals(), mesh.all_weights()
     curv = np.concatenate([np.full(c.weights.size, c.mean_curv) for c in mesh.charts])
-    v, gv = _potential_and_gradient(u, pts, ws)
+    v, gv = _potential_and_gradient(u, pts[:, axes], get_workspace(u.spec))
+    grad = np.zeros_like(pts)
+    grad[:, axes] = gv
     g = curv + 4.0 * gamma * v
     lam = float(np.sum(weights * g)) / float(np.sum(weights))
     residual = float(np.max(np.abs(g - lam)))
-    tang = gv - np.sum(gv * normals, axis=-1)[:, None] * normals
+    tang = grad - np.sum(grad * normals, axis=-1)[:, None] * normals
     grad_sup = 4.0 * gamma * float(np.max(np.linalg.norm(tang, axis=-1)))
     return CriticalityReport(gamma, k, lam, residual, grad_sup)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .geometry import InterfaceMesh, interface_mesh
 from .spectral import get_workspace, kernel_table, sample_potential
-from .torus_field import GridSpec, Lamella, ShapeCandidate, TiledShape, rasterize
+from .torus_field import GridSpec, Lamella, ShapeCandidate, TiledShape, reduced_raster
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -286,13 +286,20 @@ def _second_variation_parts(shape, mesh: InterfaceMesh, gamma: float, spec: Grid
 def _normal_potential_slope(shape, mesh: InterfaceMesh, spec: GridSpec, rows=None) -> np.ndarray:
     """d_nu v of the rasterized shape at every mesh node (or at the nodes
     rows), charts concatenated as in mesh.all_points(), from one sampling
-    call."""
+    call.
+
+    The raster is constant along the axes the shape does not vary along, so
+    its spectrum lives on xi_a = 0 there: v and grad v at a node are the
+    potential of reduced_raster, on the grid of the varying axes, at the
+    node's coordinates along them, and the gradient is 0 along the others.
+    A lamella's potential is sampled on a line, a cylinder's on a plane; a
+    ball keeps every axis."""
     points, normals = mesh.all_points(), mesh.all_normals()
     if rows is not None:
         points, normals = points[rows], normals[rows]
-    u = rasterize(shape, spec)
-    grad_v = sample_potential(u, points, get_workspace(spec), gradient=True)
-    return np.sum(grad_v * normals, axis=-1)
+    axes, u = reduced_raster(shape, spec)
+    grad_v = sample_potential(u, points[:, axes], get_workspace(u.spec), gradient=True)
+    return np.sum(grad_v * normals[:, axes], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +622,15 @@ def _constraint_reflectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     p, ncols = constraints.shape
     tol = 1e-10 * np.max(np.linalg.norm(constraints, axis=0))
+    # T grows in place, its leading k x k block filled.  V stays a C-ordered
+    # stack of its k columns: a view of a wider buffer has other strides,
+    # which send NumPy's matrix-vector products down other BLAS paths and
+    # move the pencil's last bits
     v = np.zeros((p, 0))
-    t = np.zeros((0, 0))
+    t_all = np.zeros((ncols, ncols))
     for j in range(ncols):
         k = v.shape[1]
+        t = t_all[:k, :k]
         x = constraints[:, j] - v @ (t.T @ (v.T @ constraints[:, j]))  # Q^T c_j
         x[:k] = 0.0
         norm = np.linalg.norm(x)
@@ -627,9 +639,11 @@ def _constraint_reflectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndar
         x[k] += math.copysign(norm, x[k])
         tau = 2.0 / (x @ x)
         # H_1 ... H_{k+1} = I - [V x] [[T, -tau T V^T x], [0, tau]] [V x]^T
-        t = np.block([[t, -tau * (t @ (v.T @ x))[:, None]], [np.zeros((1, k)), tau]])
+        t_all[:k, k] = -tau * (t @ (v.T @ x))
+        t_all[k, k] = tau
         v = np.column_stack([v, x])
-    return v, t
+    k = v.shape[1]
+    return v, t_all[:k, :k].copy()
 
 
 def _restrict(mat: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:

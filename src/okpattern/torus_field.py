@@ -260,19 +260,36 @@ def _check_shape_dim(shape, dim: int) -> None:
 def rasterize(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> ScalarField:
     """Sample the +-1 density of a shape at cell centers.
 
-    Boundary-exact centers (signed distance 0) count as inside.  For a
-    TiledShape the parent is rasterized on the k-times-coarser grid and
-    periodized, which reproduces the exact cell-center samples of the
-    rescaled set because kx maps fine centers onto coarse centers.
+    Boundary-exact centers (signed distance 0) count as inside.  The
+    density is constant along the axes a shape does not vary along, so it
+    is the raster of reduced_raster broadcast back onto the full grid.
+    """
+    axes, reduced = reduced_raster(shape, spec)
+    full = [n if a in axes else 1 for a, n in enumerate(spec.sizes)]
+    values = np.broadcast_to(reduced.values.reshape(full), spec.sizes)
+    return ScalarField(spec, np.ascontiguousarray(values), "indicator")
+
+
+def reduced_raster(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> tuple[tuple[int, ...], ScalarField]:
+    """The raster of a shape on the grid of the axes it varies along.
+
+    Returns (axes, field): the axes, ascending, along which the shape's
+    broadcast signed distance has length > 1 (a lamella's axis, a
+    cylinder's cross-section, every axis of a ball), and the +-1 density
+    on the GridSpec of their sizes.  For a TiledShape the parent is
+    rasterized on the k-times-coarser grid and periodized, which reproduces
+    the exact cell-center samples of the rescaled set because kx maps fine
+    centers onto coarse centers.
     """
     if isinstance(shape, TiledShape):
-        coarse = rasterize(shape.shape, spec.coarsen(shape.k))
-        return periodize(coarse, shape.k)
+        axes, coarse = reduced_raster(shape.shape, spec.coarsen(shape.k))
+        return axes, periodize(coarse, shape.k)
     _check_shape_dim(shape, spec.dim)
     d = shape.signed_distance(spec.center_mesh())
-    values = np.where(d >= 0.0, 1.0, -1.0)
-    values = np.broadcast_to(values, spec.sizes)
-    return ScalarField(spec, np.ascontiguousarray(values), "indicator")
+    axes = tuple(a for a, n in enumerate(d.shape) if n > 1)
+    sizes = tuple(spec.sizes[a] for a in axes)
+    values = np.where(d >= 0.0, 1.0, -1.0).reshape(sizes)
+    return axes, ScalarField(GridSpec(sizes), values, "indicator")
 
 
 def tanh_profile(shape: ShapeCandidate, spec: GridSpec, eps: float) -> ScalarField:

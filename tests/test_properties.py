@@ -2,7 +2,8 @@
 
 Each law holds to rounding (or exactly) for every input, so hypothesis draws
 the grids, sets and parameters: the 1/k tiling laws of the energy and of the
-criticality residual, mass conservation and energy descent of one flow step,
+criticality residual, the potential of a raster from the grid of the axes
+its shape varies along, mass conservation and energy descent of one flow step,
 the alpha pseudometric, and the OKF byte round trip.
 """
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from okpattern.diffuse_ok import FlowConfig, flow_state, flow_step
 from okpattern.geometry import el_residual
 from okpattern.sharp_energy import total_variation_perimeter
-from okpattern.spectral import nonlocal_energy
+from okpattern.spectral import _potential_and_gradient, get_workspace, nonlocal_energy
 from okpattern.torus_field import (
     FIELD_KINDS,
     Ball,
@@ -28,7 +29,9 @@ from okpattern.torus_field import (
     TiledShape,
     alpha_distance,
     periodize,
+    rasterize,
     read_field,
+    reduced_raster,
     subsample,
     tile,
     write_field,
@@ -84,6 +87,52 @@ def test_criticality_tiling_law(candidate, k, gamma_bar):
     assert abs(tiled.lambda_ - k * parent.lambda_) <= tol
     assert abs(tiled.residual_sup - k * parent.residual_sup) <= tol
     assert abs(tiled.grad_h_sup - k**2 * parent.grad_h_sup) <= tol
+
+
+# (candidate, grid sizes) pairs; every size is divisible by k = 1, 2 and 4,
+# and the k = 4 coarse grid keeps at least 4 cells per axis
+SIZES_2D = st.sampled_from([(16, 16), (16, 32), (32, 24)])
+SIZES_3D = st.sampled_from([(16, 16, 16), (16, 24, 16)])
+TILEABLE = st.one_of(
+    st.tuples(st.builds(Lamella, st.integers(0, 1), UNIT, st.floats(0.05, 0.45)), SIZES_2D),
+    st.tuples(st.builds(Ball, st.tuples(UNIT, UNIT), RADII), SIZES_2D),
+    st.tuples(st.builds(Lamella, st.integers(0, 2), UNIT, st.floats(0.05, 0.45)), SIZES_3D),
+    st.tuples(st.builds(Cylinder, st.integers(0, 2), st.tuples(UNIT, UNIT), RADII), SIZES_3D),
+    st.tuples(st.builds(Ball, st.tuples(UNIT, UNIT, UNIT), RADII), SIZES_3D),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidate=TILEABLE, k=st.sampled_from([1, 2, 4]), seed=SEEDS)
+def test_reduced_raster_carries_the_potential_of_the_full_raster(candidate, k, seed):
+    # the raster is constant along the axes its shape does not vary along, so
+    # its spectrum is zero off xi_a = 0 there: the potential and gradient at
+    # x are the reduced raster's at x's varying coordinates, and the gradient
+    # along the other axes is 0
+    shape, sizes = candidate
+    spec = GridSpec(sizes)
+    tiled = TiledShape(shape, k)
+    axes, reduced = reduced_raster(tiled, spec)
+    if isinstance(shape, Lamella):
+        assert axes == (shape.axis,)
+    elif isinstance(shape, Cylinder):
+        assert axes == shape.cross_axes()
+    else:
+        assert axes == tuple(range(spec.dim))
+    assert reduced.kind == "indicator" and reduced.spec.sizes == tuple(sizes[a] for a in axes)
+    full = rasterize(tiled, spec)
+    keep = [n if a in axes else 1 for a, n in enumerate(sizes)]
+    assert full.values.tobytes() == np.broadcast_to(reduced.values.reshape(keep), sizes).tobytes()
+    cols = list(axes)
+    pts = np.random.default_rng(seed).random((16, spec.dim))
+    v_full, g_full = _potential_and_gradient(full, pts, get_workspace(spec))
+    v, g = _potential_and_gradient(reduced, pts[:, cols], get_workspace(reduced.spec))
+    if len(axes) == spec.dim:
+        # a ball keeps every axis: the same arithmetic, bit for bit
+        assert v.tobytes() == v_full.tobytes() and g.tobytes() == g_full.tobytes()
+    assert np.all(g_full[:, [a for a in range(spec.dim) if a not in axes]] == 0.0)
+    assert np.max(np.abs(v - v_full)) <= 1e-13 * np.max(np.abs(v_full))
+    assert np.max(np.abs(g - g_full[:, cols])) <= 1e-13 * np.max(np.abs(g_full))
 
 
 @settings(max_examples=25, deadline=None)

@@ -489,6 +489,22 @@ def test_normal_potential_slope_matches_per_chart_sampling(shape, spec, res):
     assert got_term == pytest.approx(term, rel=1e-13)
 
 
+@pytest.mark.parametrize("shape", [LAMELLA, CYLINDER], ids=["lamella", "cylinder"])
+def test_normal_potential_slope_needs_no_full_grid_array(shape):
+    # a lamella's raster varies along one axis and a cylinder's along two,
+    # so the pencil samples the potential of the raster on their grid: at
+    # its row nodes on 32^3 it holds less than one full-grid float64 array
+    mesh = interface_mesh(shape, 16, 3)
+    rows = np.arange(0, len(mesh.all_weights()), math.prod(_symmetry_order(mesh, CUBE)))
+    tracemalloc.start()
+    try:
+        _normal_potential_slope(shape, mesh, CUBE, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * CUBE.cells
+
+
 @pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize(
     "shape, dim, res",
@@ -575,6 +591,46 @@ def test_constraint_restriction_is_orthonormal_and_annihilates_constraints(const
     assert np.max(np.abs(eye - np.eye(p - rank))) <= 1e-14
     gram = constraints @ constraints.T
     assert np.max(np.abs(_restrict(gram, v, t))) <= 1e-14 * np.max(np.abs(gram))
+
+
+def constraint_reflectors_rebuilt(constraints):
+    """_constraint_reflectors with V and T rebuilt whole at every reflector
+    (np.column_stack and np.block), the oracle of the in-place growth."""
+    p, ncols = constraints.shape
+    tol = 1e-10 * np.max(np.linalg.norm(constraints, axis=0))
+    v, t = np.zeros((p, 0)), np.zeros((0, 0))
+    for j in range(ncols):
+        k = v.shape[1]
+        x = constraints[:, j] - v @ (t.T @ (v.T @ constraints[:, j]))
+        x[:k] = 0.0
+        norm = np.linalg.norm(x)
+        if norm <= tol:
+            continue
+        x[k] += math.copysign(norm, x[k])
+        tau = 2.0 / (x @ x)
+        t = np.block([[t, -tau * (t @ (v.T @ x))[:, None]], [np.zeros((1, k)), tau]])
+        v = np.column_stack([v, x])
+    return v, t
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        random_constraints(np.random.default_rng(5), 40),
+        pencil_constraints(interface_mesh(LAMELLA, 16, 3)),
+        pencil_constraints(interface_mesh(CYLINDER, 16, 3)),
+        pencil_constraints(interface_mesh(Ball((0.5, 0.5, 0.5), 0.25), 16, 3)),
+        pencil_constraints(interface_mesh(CYLINDER, 16, 3))[::16],
+    ],
+    ids=["random", "lamella", "cylinder", "ball", "cylinder-rows"],
+)
+def test_constraint_reflectors_grow_to_the_rebuilt_bits(constraints):
+    # T grows in place; V and T must keep the bits of factors rebuilt whole,
+    # since the pencil restricts by them
+    v, t = _constraint_reflectors(constraints)
+    want_v, want_t = constraint_reflectors_rebuilt(constraints)
+    assert v.shape == want_v.shape and t.shape == want_t.shape
+    assert v.tobytes() == want_v.tobytes() and t.tobytes() == want_t.tobytes()
 
 
 def test_surface_function_zero_mean_validation():
