@@ -297,7 +297,9 @@ def _cmd_construct(cfg: RunConfig):
                 cfg.get("construct", "probe_amplitude"),
                 seed=cfg.get("construct", "probe_seed"),
             )
-            failed = failed or rep.min_gap < -1e-12
+            if rep.min_gap < -1e-12:
+                print(f"k={cert.k}: probe gate failed: min gap {rep.min_gap:.3e} < -1e-12", file=sys.stderr)
+                failed = True
     header = "k,gamma_k,alpha,c0_proxy,residual_sup,grad_h_sup,energy_lhs,energy_rhs,rel_err,status"
     return header, rows, fields, 3 if failed else 0
 

@@ -3,8 +3,8 @@
 
 Pipeline per tiling factor k:
 
-1. continuation: warm-started mass-conserving flows ramp the sharp parameter
-   from 0 up to gamma_k = gamma_bar / k^3 (the flow runs at the diffuse
+1. continuation: a mass-conserving flow at gamma = 0, then one warm-started
+   flow at gamma_k = gamma_bar / k^3 (the flow runs at the diffuse
    parameter sigma * gamma so its sharp limit weighs the nonlocal term like
    P + gamma NL); the gamma = 0 stage is the same for every k, so it runs
    once and every k continues from it;
@@ -52,8 +52,6 @@ from .torus_field import (
 
 # Largest swap displacement, in cells per axis, of local_minimality_probe.
 MAX_PROBE_AMPLITUDE = 3
-# Flow stages that ramp gamma from 0 up to gamma_k, after the gamma = 0 stage.
-CONTINUATION_STEPS = 3
 # Nodes per chart axis of the seed meshes: the stability gate, the C0
 # proxy's normal lines and the criticality residual.
 MESH_RESOLUTION = 16
@@ -239,9 +237,9 @@ class StabilityGateError(RuntimeError):
 def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, ScalarField | None]]:
     """Run the construction for every k; failures are recorded per k.
 
-    The gamma = 0 continuation stage runs once, and every k continues its
-    ramp gamma_k (1/3, 2/3, 1) from that stage's phase field and sharpened
-    set; a stalled or truncated gamma = 0 stage gives every k that status.
+    The gamma = 0 continuation stage runs once, and every k continues with
+    one flow at gamma_k from that stage's phase field and sharpened set; a
+    stalled or truncated gamma = 0 stage gives every k that status.
     Returns (certificate, tiled field) pairs.  A k whose continuation
     truncates or stalls, or whose phase field has no zero crossing on some
     seed normal line (lost_interface), gets nan columns and no field.  The
@@ -259,10 +257,9 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
     out = []
     for k in config.k_list:
         gamma_k = config.gamma_bar / k**3
-        ramp = [gamma_k * (j + 1) / CONTINUATION_STEPS for j in range(CONTINUATION_STEPS)]
         family = base
         if base.status == "complete":
-            family = continue_family(config.seed, ramp, config.flow, spec, start=base.members[-1])
+            family = continue_family(config.seed, [gamma_k], config.flow, spec, start=base.members[-1])
         if family.status != "complete":
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, family.status), None))
             continue

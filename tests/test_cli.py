@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from okpattern.cli import _READS, RunConfig, render_heatmap, run
+from okpattern.construct import local_minimality_probe
 from okpattern.torus_field import GridSpec, Lamella, ScalarField, rasterize, read_field
 
 
@@ -392,6 +393,28 @@ def test_construct_with_probes(tmp_path):
         "[grid]\nsizes = 32,32\n\n[flow]\neps = 0.08\nmax_steps = 150\n"
     )
     assert run(["construct", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_construct_names_each_k_that_fails_the_probe_gate(tmp_path, capsys):
+    # the 64^2 disk's tiled fields fail the swap probes at both k (min gaps
+    # about -1e-6): exit 3 with one stderr line per k, naming its min gap;
+    # construct-64 passes them and writes nothing to stderr
+    ini = tmp_path / "probes.ini"
+    ini.write_text("[construct]\nprobes = 500\nprobe_amplitude = 2\nprobe_seed = 1\n")
+    common = ["construct", "--config", str(ini), "--grid", "64,64", "--gamma", "1"]
+    disk = tmp_path / "disk"
+    argv = [*common, "--shape", "ball", "--center", "0.5,0.5", "--radius", "0.2", "--k", "1,2"]
+    assert run([*argv, "--out", str(disk)]) == 3
+    want = []
+    for k in (1, 2):
+        tiled = read_field(disk / "fields" / f"tiled_k{k}.okf")
+        gap = local_minimality_probe(tiled, 1.0, k, 500, 2, seed=1).min_gap
+        assert gap < -1e-12
+        want.append(f"k={k}: probe gate failed: min gap {gap:.3e} < -1e-12")
+    assert capsys.readouterr().err.splitlines() == want
+    lamella = tmp_path / "construct-64"
+    assert run([*common, "--shape", "lamella", "--w", "0.25", "--out", str(lamella)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", RUNS)

@@ -23,7 +23,8 @@ from okpattern.construct import (
     sharpen_to_volume,
     zero_level_displacement,
 )
-from okpattern.diffuse_ok import FlowConfig
+from okpattern.cli import run
+from okpattern.diffuse_ok import FlowConfig, sharp_to_diffuse_gamma
 from okpattern.sharp_energy import total_variation_perimeter
 from okpattern.spectral import _trig_shift, nonlocal_energy
 from okpattern.torus_field import (
@@ -185,11 +186,12 @@ def test_build_periodic_runs_the_gamma_zero_stage_once(monkeypatch):
         construct, "minimize", lambda u, flow: gammas.append(flow.gamma) or real_minimize(u, flow)
     )
     shared = build_periodic(cfg)
-    assert len(gammas) == 1 + 3 * len(cfg.k_list) and gammas.count(0.0) == 1
+    # one shared gamma = 0 flow, then one flow at gamma_k per k
+    assert gammas == [0.0] + [sharp_to_diffuse_gamma(1.0 / k**3) for k in cfg.k_list]
 
-    def per_k(seed, ramp, flow, spec, *, start=None):
-        # the reference: each k runs continue_family(seed, [0.0] + ramp) whole
-        return real_continue(seed, ramp if start is None else [0.0] + ramp, flow, spec)
+    def per_k(seed, gamma_list, flow, spec, *, start=None):
+        # the reference: each k runs continue_family(seed, [0.0, gamma_k]) whole
+        return real_continue(seed, gamma_list if start is None else [0.0] + gamma_list, flow, spec)
 
     monkeypatch.setattr(construct, "continue_family", per_k)
     reference = build_periodic(cfg)
@@ -213,6 +215,35 @@ def test_build_periodic_gives_every_k_a_stalled_gamma_zero_stage(monkeypatch):
     )
     results = build_periodic(cfg)
     assert [(c.status, f) for c, f in results] == [("stalled", None)] * 2
+
+
+def test_build_periodic_truncates_only_the_k_whose_flow_jumps(monkeypatch, tmp_path):
+    # k = 2's gamma_k flow returns two stripes of half the lamella's width,
+    # at the lamella's volume but half the unit volume away from the gamma = 0
+    # member: that k truncates, k = 1 does not, and construct exits 3
+    spec = GridSpec((32, 32))
+    flow = default_flow(eps=0.08, max_steps=150)
+    stripes = ScalarField(spec, np.tile(-np.cos(4 * np.pi * spec.centers(0))[:, None], (1, 32)), "phase")
+    real_minimize = construct.minimize
+
+    def jump_at_k2(u, cfg):
+        trace = real_minimize(u, cfg)
+        if cfg.gamma == sharp_to_diffuse_gamma(1.0 / 2**3):
+            trace.final = stripes
+        return trace
+
+    monkeypatch.setattr(construct, "minimize", jump_at_k2)
+    cfg = ConstructConfig(seed=SEED, gamma_bar=1.0, k_list=(1, 2), spec=spec, flow=flow)
+    (ok, ok_field), (cut, cut_field) = build_periodic(cfg)
+    assert (ok.status, cut.status) == ("ok", "truncated")
+    assert ok_field is not None and cut_field is None
+    assert np.isnan([cut.alpha_to_seed, cut.c0_proxy, cut.energy_lhs, cut.energy_rhs]).all()
+    out = tmp_path / "c"
+    argv = ["construct", "--grid", "32,32", "--k", "1,2", "--gamma", "1", "--eps", "0.08"]
+    assert run([*argv, "--steps", "150", "--out", str(out)]) == 3
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["ok", "truncated"]
+    assert sorted(p.name for p in (out / "fields").iterdir()) == ["tiled_k1.okf"]
 
 
 def nl_tiling_identity_error(e_field, k):
