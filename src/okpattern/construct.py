@@ -36,7 +36,7 @@ from .diffuse_ok import FlowConfig, FlowTrace, minimize, sharp_to_diffuse_gamma
 from .geometry import interface_mesh, el_residual
 from .sharp_energy import total_variation_perimeter
 from .spectral import cell_average_potential, get_workspace
-from .spectral import nonlocal_energy, real_space_kernel, sample_field
+from .spectral import kernel_table, nonlocal_energy, sample_field
 from .stability import min_eigenvalue
 from .torus_field import (
     GridSpec,
@@ -44,6 +44,7 @@ from .torus_field import (
     ScalarField,
     ShapeCandidate,
     TiledShape,
+    _reduced_field,
     alpha_distance,
     rasterize,
     tanh_profile,
@@ -162,13 +163,23 @@ def zero_level_displacement(
     crossing nearest the seed interface located by linear interpolation.
     The lines span offsets in [-0.08, 0.08] at 81 samples; returns inf when
     a line never changes sign: the field has lost its interface there.
+
+    The field is sampled on the grid of the axes it varies along
+    (torus_field._reduced_field), at the lines' coordinates along them:
+    a lamella's phase field on a line, a cylinder's on a plane, a ball's on
+    the full grid.  Nodes with the same kept point and normal give the same
+    line, so each distinct one is sampled once; a lamella has 2 lines, a
+    cylinder one per node around its axis.
     """
     mesh = interface_mesh(seed, resolution, phase.spec.dim)
+    axes, field = _reduced_field(phase, seed)
+    nodes = np.concatenate([mesh.all_points()[:, axes], mesh.all_normals()[:, axes]], axis=1)
+    # the first node of each distinct line, in mesh order
+    nodes = nodes[np.sort(np.unique(nodes, axis=0, return_index=True)[1])]
+    points, normals = np.split(nodes, 2, axis=1)
     ts = np.linspace(-0.08, 0.08, 81)
-    lines = np.mod(
-        mesh.all_points()[:, None, :] + ts[None, :, None] * mesh.all_normals()[:, None, :], 1.0
-    )
-    line_vals = sample_field(phase, lines.reshape(-1, phase.spec.dim)).reshape(len(lines), len(ts))
+    lines = np.mod(points[:, None, :] + ts[None, :, None] * normals[:, None, :], 1.0)
+    line_vals = sample_field(field, lines.reshape(-1, len(axes))).reshape(len(lines), len(ts))
     return _max_crossing_offset(line_vals, ts)
 
 
@@ -411,11 +422,16 @@ def _swap_gaps(
             d_perim += spec.sizes[ax] / spec.cells * (u[na] - u[nb] + 2 * (nb == flat_a))
     ws = get_workspace(spec)
     w = cell_average_potential(f_field, ws).values
-    kern = real_space_kernel(ws, 2)
-    kern_b = kern.reshape([m for n in block for m in (k, n)]).sum(axis=tuple(range(0, 2 * spec.dim, 2)))
-    d_nl = (4 * reps / spec.cells) * (
-        w[tuple(b.T)] - w[tuple(a.T)] + 2 * (kern_b.flat[0] - kern_b[tuple(((b - a) % block).T)])
-    )
+    # K_B at block offset d sums the grid kernel over the R offsets d + j B,
+    # j in [0, k)^dim, each read from the table at min(t, n - t) + 1; the
+    # probes' few distinct offsets (and 0, the first) are summed once each
+    flat = np.ravel_multi_index(((b - a) % block).T, block)
+    offsets, pos = np.unique(np.append(0, flat), return_inverse=True)
+    copies = np.array(list(np.ndindex(*(k,) * spec.dim))) * block
+    t = np.array(np.unravel_index(offsets, block)).T[:, None, :] + copies
+    folded = 1 + np.minimum(t, np.array(spec.sizes) - t)
+    kern_b = kernel_table(ws, 2)[tuple(np.moveaxis(folded, -1, 0))].sum(axis=1)
+    d_nl = (4 * reps / spec.cells) * (w[tuple(b.T)] - w[tuple(a.T)] + 2 * (kern_b[0] - kern_b[pos[1:]]))
     return reps * d_perim + gamma_bar * d_nl
 
 

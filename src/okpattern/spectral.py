@@ -47,8 +47,8 @@ The grid kernels ifftn(inv_lap * sinc^p) need no transform: their
 multiplier is real and even along each axis, so `kernel_table` sums cosines
 over the even octant |xi_a| <= n_a/2 of the half spectrum, one matrix
 product per axis, at the offsets -1..n_a/2+1 of every axis.  The Green
-matrix gathers from that table, folding each offset d to min(d, n - d);
-`real_space_kernel` unfolds it onto the whole grid.
+matrix and the minimality probes' block kernel gather from that table,
+folding each offset d to min(d, n - d).
 
 Off-grid evaluation
 -------------------
@@ -193,13 +193,6 @@ def _cosine_rows(n: int, p: int) -> np.ndarray:
     weights = np.sinc(j[: half + 1] / n) ** p * (2.0 / n)
     weights[[0, -1]] *= 0.5
     return cosines * weights
-
-
-def real_space_kernel(ws: SpectralWorkspace, p: int) -> np.ndarray:
-    """ifftn(inv_lap * sinc^p) over the full lattice: the grid kernel whose
-    circular convolution applies the potential with p voxel factors,
-    unfolded from kernel_table (offset t is min(t, n - t))."""
-    return kernel_table(ws, p)[np.ix_(*[1 + n // 2 - np.abs(np.arange(n) - n // 2) for n in ws.spec.sizes])]
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,33 @@ def reduced_raster(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> tuple[
     return axes, ScalarField(GridSpec(sizes), values, "indicator")
 
 
+def _reduced_field(u: ScalarField, shape: ShapeCandidate) -> tuple[tuple[int, ...], ScalarField]:
+    """A field on the grid of the axes it varies along, as reduced_raster
+    gives a shape's raster.
+
+    The axes the shape does not vary along (a lamella's tangential axes, a
+    cylinder's axis, none of a ball's) are the candidates, and one is
+    dropped only if u equals its first slice along it.  u's spectrum then
+    lives on xi_a = 0 along a dropped axis a, so the trigonometric
+    interpolant of the result at a point's kept coordinates is u's at the
+    point.  Returns (kept axes, ascending; u's first slice along the dropped
+    ones, on the GridSpec of the kept sizes), or u itself when none drops.
+    """
+    _check_shape_dim(shape, u.spec.dim)
+    # the broadcast shape of the signed distance names the varying axes
+    varying = np.shape(shape.signed_distance(GridSpec((4,) * u.spec.dim).center_mesh()))
+    vals = u.values
+    kept = tuple(
+        a
+        for a, n in enumerate(varying)
+        if n > 1 or not np.all(vals == vals[(slice(None),) * a + (slice(0, 1),)])
+    )
+    if len(kept) == u.spec.dim:
+        return kept, u
+    first = vals[tuple(slice(None) if a in kept else 0 for a in range(u.spec.dim))]
+    return kept, ScalarField(GridSpec(tuple(u.spec.sizes[a] for a in kept)), first, u.kind)
+
+
 def tanh_profile(shape: ShapeCandidate, spec: GridSpec, eps: float) -> ScalarField:
     """Diffuse profile tanh(d/eps) of the periodic signed distance to the boundary.
 

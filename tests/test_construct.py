@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from okpattern import construct
 from okpattern.construct import (
+    MESH_RESOLUTION,
     ConstructConfig,
     FamilyMember,
     StabilityGateError,
@@ -25,8 +26,9 @@ from okpattern.construct import (
 )
 from okpattern.cli import run
 from okpattern.diffuse_ok import FlowConfig, sharp_to_diffuse_gamma
+from okpattern.geometry import interface_mesh
 from okpattern.sharp_energy import total_variation_perimeter
-from okpattern.spectral import _trig_shift, nonlocal_energy
+from okpattern.spectral import _trig_shift, nonlocal_energy, sample_field
 from okpattern.torus_field import (
     Ball,
     Cylinder,
@@ -351,6 +353,101 @@ def test_zero_level_displacement_on_curved_normals():
     u = tanh_profile(Ball((0.5, 0.5), 0.25 + 2.0 / 128), spec, 0.05)
     d = zero_level_displacement(u, seed, resolution=16)
     assert d == pytest.approx(2.0 / 128, abs=2e-4)
+
+
+def full_lines_displacement(phase, seed, resolution=MESH_RESOLUTION):
+    """Oracle: every mesh node's normal line in the full torus, through one
+    sample_field call on the full grid."""
+    mesh = interface_mesh(seed, resolution, phase.spec.dim)
+    ts = np.linspace(-0.08, 0.08, 81)
+    lines = mesh.all_points()[:, None, :] + ts[None, :, None] * mesh.all_normals()[:, None, :]
+    vals = sample_field(phase, np.mod(lines, 1.0).reshape(-1, phase.spec.dim)).reshape(len(lines), len(ts))
+    return _max_crossing_offset(vals, ts)
+
+
+def assert_c0_matches_full_lines(phase, seed):
+    got, want = zero_level_displacement(phase, seed), full_lines_displacement(phase, seed)
+    assert want < 0.08
+    assert abs(got - want) <= 1e-15
+
+
+def profile_with_ripples(seed, spec, ripple_axes, rng, eps=0.08):
+    """tanh of the seed's signed distance plus one small cosine along each
+    ripple axis: a generic field constant along every other axis."""
+    coords = spec.center_mesh()
+    values = np.tanh(seed.signed_distance(coords) / eps)
+    for a in ripple_axes:
+        amp, phase = rng.uniform(0.02, 0.1), rng.uniform(0.0, 1.0)
+        values = values + amp * np.cos(2 * np.pi * (int(rng.integers(1, 3)) * coords[a] + phase))
+    return ScalarField(spec, np.ascontiguousarray(np.broadcast_to(values, spec.sizes)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    half_sizes=st.lists(st.sampled_from([8, 12, 16]), min_size=2, max_size=3),
+    cylinder=st.booleans(),
+    axis=st.integers(0, 2),
+    ripples=st.lists(st.booleans(), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduced_c0_matches_full_lines_on_partly_constant_fields(half_sizes, cylinder, axis, ripples, seed):
+    # the field varies along a random subset of axes: the seed's own and
+    # any of the seed's invariant axes
+    spec = GridSpec(tuple(2 * h for h in half_sizes))
+    rng = np.random.default_rng(seed)
+    axis %= spec.dim
+    if cylinder and spec.dim == 3:
+        shape = Cylinder(axis, tuple(rng.uniform(0.4, 0.6, 2)), float(rng.uniform(0.2, 0.3)))
+    else:
+        shape = Lamella(axis, float(rng.uniform(0.4, 0.6)), float(rng.uniform(0.2, 0.3)))
+    field = profile_with_ripples(shape, spec, [a for a in range(spec.dim) if ripples[a]], rng)
+    assert_c0_matches_full_lines(field, shape)
+
+
+@pytest.mark.parametrize("sizes, axis", [((64, 64), a) for a in (0, 1)] + [((32, 24, 32), a) for a in (0, 1, 2)])
+def test_reduced_c0_matches_full_lines_on_lamella_seeds(sizes, axis):
+    spec = GridSpec(sizes)
+    seed = Lamella(axis, 0.5, 0.25)
+    assert_c0_matches_full_lines(tanh_profile(Lamella(axis, 0.51, 0.24), spec, 0.09), seed)
+
+
+def test_reduced_c0_keeps_an_invariant_axis_the_field_varies_along(monkeypatch):
+    # a lamella seed along axis 0 with its phase field rippled along both
+    # axes, or nudged by one ulp at one sample: both keep axis 1
+    spec = GridSpec((64, 64))
+    seed = Lamella(0, 0.5, 0.25)
+    rippled = profile_with_ripples(seed, spec, [0, 1], np.random.default_rng(7))
+    values = tanh_profile(seed, spec, 0.07).values.copy()
+    values[40, 3] = np.nextafter(values[40, 3], 2.0)
+    nudged = ScalarField(spec, values)
+    dims = []
+    sample = construct.sample_field
+    monkeypatch.setattr(construct, "sample_field", lambda u, pts: dims.append(pts.shape[1]) or sample(u, pts))
+    for field in (rippled, nudged):
+        assert_c0_matches_full_lines(field, seed)
+    assert dims == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "seed, sizes, eps, points, dim",
+    [
+        (SEED, (64, 64), 0.06, 162, 1),
+        (Cylinder(2, (0.5, 0.5), 0.25), (32, 32, 32), 0.07, 1296, 2),
+        (Ball((0.5, 0.5), 0.2), (64, 64), 0.06, 1296, 2),
+    ],
+    ids=["lamella64", "cylinder32", "disk64"],
+)
+def test_c0_proxy_samples_one_line_per_distinct_node(monkeypatch, seed, sizes, eps, points, dim):
+    # the lamella's 32 nodes give 2 lines on the line grid, the cylinder's
+    # 256 give 16 in the cross-section plane; the disk keeps its 16 oblique
+    # lines in the full plane
+    calls = []
+    sample = construct.sample_field
+    monkeypatch.setattr(
+        construct, "sample_field", lambda u, pts: calls.append((u.spec.dim, pts.shape)) or sample(u, pts)
+    )
+    zero_level_displacement(tanh_profile(seed, GridSpec(sizes), eps), seed)
+    assert calls == [(dim, (points, dim))]
 
 
 def loop_crossing_offset(line_vals, ts):

@@ -27,7 +27,6 @@ from okpattern.spectral import (
     laplacian,
     nonlocal_energy,
     poisson_zero_mean,
-    real_space_kernel,
     sample_field,
     sample_potential,
     sample_potential_on_planes,
@@ -272,14 +271,14 @@ def test_real_space_kernel_matches_full_lattice_ifftn(half_sizes, p):
     sinc = np.prod([np.sinc(f / n) for f, n in zip(freqs, sizes)], axis=0)
     want = np.fft.ifftn(np.where(lap > 0, 1.0 / np.where(lap > 0, lap, 1.0), 0.0) * sinc**p).real
     ws = get_workspace(GridSpec(sizes))
-    got = real_space_kernel(ws, p)
-    tol = 1e-14 * np.max(np.abs(want))
-    assert got.shape == sizes
-    assert np.max(np.abs(got - want)) <= tol
-    # the table holds the offsets -1..n/2+1 of every axis; its guard entries
-    # repeat the offsets they fold to: -1 is 1, and n/2 + 1 is n/2 - 1
     table = kernel_table(ws, p)
     assert table.shape == tuple(n // 2 + 3 for n in sizes)
+    # the table holds offset t of each axis at entry min(t, n - t) + 1
+    got = table[np.ix_(*[1 + np.minimum(np.arange(n), n - np.arange(n)) for n in sizes])]
+    tol = 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= tol
+    # its guard entries repeat the offsets they fold to: -1 is 1, and
+    # n/2 + 1 is n/2 - 1
     for a, n in enumerate(sizes):
         rows = np.moveaxis(table, a, 0)
         assert np.max(np.abs(rows[0] - rows[2])) <= tol
@@ -364,8 +363,10 @@ def test_pencil_row_node_sampling_holds_no_full_lattice():
 
 
 def test_c0_proxy_lines_contract_in_one_chunk(monkeypatch):
-    # the 2,592 C0 line points of the 64^2 lamella: one chunk, so each of
-    # the two levels makes its factor rows once, within the phase budget
+    # the 2,592 points of the 64^2 lamella's 32 normal lines in the full
+    # plane (the C0 proxy now samples its 2 distinct lines on the line
+    # grid): one chunk, so each of the two levels makes its factor rows
+    # once, within the phase budget
     spec = GridSpec((64, 64))
     seed = Lamella(axis=0, center=0.5, halfwidth=0.25)
     u = tanh_profile(seed, spec, 0.06)

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from okpattern import stability
 from okpattern.geometry import interface_mesh
-from okpattern.spectral import get_workspace, real_space_kernel, sample_potential
+from okpattern.spectral import get_workspace, kernel_table, sample_potential
 from okpattern.stability import (
     SurfaceFunction,
     _chart_stiffness,
@@ -287,7 +287,7 @@ def test_green_matrix_makes_no_fft_and_no_full_grid_array(monkeypatch):
     ws, cube_ws = get_workspace(spec), get_workspace(CUBE)
     calls.clear()
     _green_matrix(mesh, CUBE, cube_ws)
-    real_space_kernel(ws, 2)
+    kernel_table(ws, 2)
     tracemalloc.start()
     try:
         _green_matrix(mesh, spec, ws, rows)
