@@ -122,7 +122,7 @@ SCHEMA = {
         "q_max": (int, _positive("stability.q_max"), 8),
     },
     "gamma_limit": {
-        "eps_list": (_parse_floats, None, [0.08, 0.04, 0.02, 0.01]),
+        "eps_list": (_parse_floats, None, [0.16, 0.08, 0.04]),
     },
     "render": {
         "axis": (int, None, 2),

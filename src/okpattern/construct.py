@@ -3,13 +3,13 @@
 
 Pipeline per tiling factor k:
 
-1. continuation: a mass-conserving flow at gamma = 0, then one warm-started
-   flow at gamma_k = gamma_bar / k^3 (the flow runs at the diffuse
-   parameter sigma * gamma so its sharp limit weighs the nonlocal term like
-   P + gamma NL); the gamma = 0 stage is the same for every k, so it runs
-   once and every k continues from it;
-2. sharpening: threshold the final phase field at the level that restores the
-   seed volume to within one cell;
+1. continuation: two continue_family stages, each one mass-conserving flow:
+   gamma = 0 from the seed, then gamma_k = gamma_bar / k^3 warm-started from
+   that member (the flow runs at the diffuse parameter sigma * gamma so its
+   sharp limit weighs the nonlocal term like P + gamma NL); the gamma = 0
+   stage is the same for every k, so it runs once;
+2. sharpening: each stage thresholds its final phase field at the level that
+   restores the seed raster's volume exactly;
 3. tiling: the sharpened parent, measured on the full grid, is rescaled by
    1/k through the exact index map;
 4. certification: translation-minimized L1 distance to the seed, a C0 proxy
@@ -27,7 +27,7 @@ translation-minimized L1 distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -92,57 +92,43 @@ class FamilyMember:
     alpha_step: float
     flow_status: str
 
-
-@dataclass
-class FamilyResult:
-    members: list[FamilyMember] = field(default_factory=list)
-    status: str = "complete"  # complete | truncated | stalled
+    @property
+    def status(self) -> str:
+        """complete; stalled when the flow's dt underflowed; truncated when
+        the step from the previous member exceeds 0.02 (instability escape)."""
+        if self.flow_status == "stalled":
+            return "stalled"
+        return "truncated" if self.alpha_step > 0.02 else "complete"
 
 
 def continue_family(
     seed: ShapeCandidate,
-    gamma_list,
+    gamma: float,
     template: FlowConfig,
     spec: GridSpec,
     *,
     start: FamilyMember | None = None,
-) -> FamilyResult:
-    """Warm-started flow continuation along increasing sharp gamma values.
+) -> FamilyMember:
+    """One warm-started flow stage of the seed's family at sharp gamma.
 
-    Records the translation-minimized L1 step between consecutive sharpened
-    members; the family truncates when a flow stalls or a step exceeds
-    0.02 (instability escape).  The first stage starts from the seed's
-    tanh profile and raster or, given the last member `start` of a
-    family of this seed, from start's phase field and sharpened set; the
-    result then leads with `start`, so it continues that family exactly.
+    The flow starts from the seed's tanh profile and raster or, given a
+    member `start` of this seed's family, from start's phase field and
+    sharpened set; its final field is sharpened to that set's volume, and
+    alpha_step is the translation-minimized L1 distance between the two
+    sets.  Chaining stages through `start` continues a family one member at
+    a time, so gamma must be at least 0 (or start.gamma).
     """
-    gammas = [float(g) for g in gamma_list]
-    floor = 0.0 if start is None else start.gamma
-    if any(b < a for a, b in zip([floor] + gammas, gammas)):
-        raise ValueError("gamma_list must be nondecreasing from 0 (or from start.gamma)")
+    gamma = float(gamma)
+    if gamma < (0.0 if start is None else start.gamma):
+        raise ValueError("gamma must be at least 0 (or start.gamma)")
     if start is None:
         u, prev_sharp = tanh_profile(seed, spec, template.eps), rasterize(seed, spec)
-        result = FamilyResult()
     else:
         # start.sharp was sharpened to the seed raster's volume exactly
         u, prev_sharp = start.phase, start.sharp
-        result = FamilyResult([start])
-    target_cells = int(np.sum(prev_sharp.values > 0))
-    for gamma in gammas:
-        cfg = replace(template, gamma=sharp_to_diffuse_gamma(gamma))
-        trace = minimize(u, cfg)
-        u = trace.final
-        sharp = sharpen_to_volume(u, target_cells)
-        step = alpha_distance(sharp, prev_sharp)
-        result.members.append(FamilyMember(gamma, u, sharp, step, trace.status))
-        prev_sharp = sharp
-        if trace.status == "stalled":
-            result.status = "stalled"
-            break
-        if step > 0.02:
-            result.status = "truncated"
-            break
-    return result
+    trace = minimize(u, replace(template, gamma=sharp_to_diffuse_gamma(gamma)))
+    sharp = sharpen_to_volume(trace.final, int(np.sum(prev_sharp.values > 0)))
+    return FamilyMember(gamma, trace.final, sharp, alpha_distance(sharp, prev_sharp), trace.status)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +250,16 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
         raise StabilityGateError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
     seed_raster = rasterize(config.seed, spec)
     # the gamma = 0 stage does not depend on k: it runs once
-    base = continue_family(config.seed, [0.0], config.flow, spec)
+    base = continue_family(config.seed, 0.0, config.flow, spec)
     out = []
     for k in config.k_list:
         gamma_k = config.gamma_bar / k**3
-        family = base
+        last = base
         if base.status == "complete":
-            family = continue_family(config.seed, [gamma_k], config.flow, spec, start=base.members[-1])
-        if family.status != "complete":
-            out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, family.status), None))
+            last = continue_family(config.seed, gamma_k, config.flow, spec, start=base)
+        if last.status != "complete":
+            out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, last.status), None))
             continue
-        last = family.members[-1]
         c0 = zero_level_displacement(last.phase, config.seed) / k
         if c0 == math.inf:
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, "lost_interface"), None))

@@ -13,6 +13,7 @@ frozen after construction; all operations return new fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Union
 
@@ -50,9 +51,9 @@ class GridSpec:
         for n in sizes:
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"grid sizes must be even and >= 4, got {sizes}")
-        if int(np.prod(sizes)) > DEFAULT_CELL_BUDGET:
+        if self.cells > DEFAULT_CELL_BUDGET:
             raise ValueError(
-                f"grid with {int(np.prod(sizes))} cells exceeds the "
+                f"grid with {self.cells} cells exceeds the "
                 f"{DEFAULT_CELL_BUDGET}-cell memory budget"
             )
 
@@ -62,7 +63,8 @@ class GridSpec:
 
     @property
     def cells(self) -> int:
-        return int(np.prod(self.sizes))
+        # exact on Python ints, where np.prod would wrap in int64
+        return math.prod(self.sizes)
 
     @property
     def max_spacing(self) -> float:

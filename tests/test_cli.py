@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from okpattern.cli import _READS, RunConfig, render_heatmap, run
+from okpattern.cli import _COMMANDS, _READS, RunConfig, render_heatmap, run
 from okpattern.construct import local_minimality_probe
 from okpattern.torus_field import GridSpec, Lamella, ScalarField, rasterize, read_field
 
@@ -430,6 +430,15 @@ def test_run_directory_contract(tmp_path, command):
     assert lines[0] == header
     assert len(lines) > 1
     assert all(len(row.split(",")) == len(header.split(",")) for row in lines[1:])
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_subcommand_exits_0_on_defaults(tmp_path, monkeypatch, command):
+    # no flag at all: every run-directory subcommand runs on the default
+    # config (render reads an input field, so it has no such run)
+    monkeypatch.chdir(tmp_path)
+    assert run([command]) == 0
+    assert (tmp_path / "okrun" / "report.csv").is_file()
 
 
 def test_failed_run_leaves_no_earlier_results(tmp_path):

@@ -25,7 +25,7 @@ from okpattern.construct import (
     zero_level_displacement,
 )
 from okpattern.cli import run
-from okpattern.diffuse_ok import FlowConfig, sharp_to_diffuse_gamma
+from okpattern.diffuse_ok import FlowConfig, minimize, sharp_to_diffuse_gamma
 from okpattern.geometry import interface_mesh
 from okpattern.sharp_energy import total_variation_perimeter
 from okpattern.spectral import _trig_shift, nonlocal_energy, sample_field
@@ -78,32 +78,46 @@ def test_sharpen_exact_under_value_ties():
 
 def test_continue_family_recovers_seed_at_gamma_zero():
     spec = GridSpec((64, 64))
-    fam = continue_family(SEED, [0.0], default_flow(), spec)
-    assert fam.status == "complete"
-    member = fam.members[0]
+    member = continue_family(SEED, 0.0, default_flow(), spec)
+    assert member.status == "complete"
     assert member.alpha_step <= 10.0 / 64
     assert alpha_distance(member.sharp, rasterize(SEED, spec)) <= 10.0 / 64
 
 
 def test_continued_family_matches_one_family_without_a_raster(monkeypatch):
-    # a family continued from the last member of its gamma = 0 stage equals
-    # the one family run over the whole list, member for member, and takes
-    # its volume from start.sharp: the seed is not rasterized again
+    # a chain of stages, each started from the last member, is bitwise the
+    # family flowed in one loop: each flow warm-starts from the previous
+    # phase field, sharpens to the seed raster's volume and steps from the
+    # previous sharpened set
     spec = GridSpec((32, 32))
     ball = Ball((0.5, 0.5), 0.3)
     flow = default_flow(eps=0.1, max_steps=60)
-    whole = continue_family(ball, [0.0, 2.0, 4.0], flow, spec)
-    base = continue_family(ball, [0.0], flow, spec)
+    gammas = (0.0, 2.0, 4.0)
+    u, prev = tanh_profile(ball, spec, flow.eps), rasterize(ball, spec)
+    volume = int(np.sum(prev.values > 0))
+    whole = []
+    for gamma in gammas:
+        trace = minimize(u, replace(flow, gamma=sharp_to_diffuse_gamma(gamma)))
+        u, sharp = trace.final, sharpen_to_volume(trace.final, volume)
+        whole.append(FamilyMember(gamma, u, sharp, alpha_distance(sharp, prev), trace.status))
+        prev = sharp
+    chain = [continue_family(ball, gammas[0], flow, spec)]
+    # a stage given `start` does not rasterize the seed again
     rasterized = []
     monkeypatch.setattr(construct, "rasterize", lambda *a: rasterized.append(a))
-    continued = continue_family(ball, [2.0, 4.0], flow, spec, start=base.members[-1])
+    for gamma in gammas[1:]:
+        chain.append(continue_family(ball, gamma, flow, spec, start=chain[-1]))
     assert rasterized == []
-    assert continued.status == whole.status == "complete"
-    assert len(continued.members) == len(whole.members) == 3
-    for a, b in zip(continued.members, whole.members):
+    for a, b in zip(chain, whole, strict=True):
+        assert a.status == "complete"
         assert (a.gamma, a.alpha_step, a.flow_status) == (b.gamma, b.alpha_step, b.flow_status)
         assert a.phase.values.tobytes() == b.phase.values.tobytes()
         assert a.sharp.values.tobytes() == b.sharp.values.tobytes()
+    # ... and takes its volume from start.sharp, not from the seed
+    smaller = replace(chain[0], sharp=sharpen_to_volume(chain[0].phase, volume - 5))
+    member = continue_family(ball, 2.0, flow, spec, start=smaller)
+    assert int(np.sum(member.sharp.values > 0)) == volume - 5
+    assert member.alpha_step == alpha_distance(member.sharp, smaller.sharp)
 
 
 def test_continue_family_steps_shrink_with_gamma_refinement():
@@ -112,18 +126,20 @@ def test_continue_family_steps_shrink_with_gamma_refinement():
     spec = GridSpec((64, 64))
     ball = Ball((0.5, 0.5), 0.3)
     flow = default_flow(max_steps=400)
-    coarse = continue_family(ball, [0.0, 6.0], flow, spec)
-    fine = continue_family(ball, [0.0, 3.0, 6.0], flow, spec)
-    assert coarse.status == "complete" and fine.status == "complete"
-    step_coarse = coarse.members[-1].alpha_step
-    steps_fine = [m.alpha_step for m in fine.members[1:]]
-    assert max(steps_fine) <= step_coarse + 1e-12
+    base = continue_family(ball, 0.0, flow, spec)
+    coarse = continue_family(ball, 6.0, flow, spec, start=base)
+    fine = [base]
+    for gamma in (3.0, 6.0):
+        fine.append(continue_family(ball, gamma, flow, spec, start=fine[-1]))
+    assert all(m.status == "complete" for m in [coarse, *fine])
+    steps_fine = [m.alpha_step for m in fine[1:]]
+    assert max(steps_fine) <= coarse.alpha_step + 1e-12
 
 
 def test_continue_family_truncates_beyond_threshold():
     # before each stage the interfaces are displaced by 3 cells times
     # cos(2 pi y), so that tangential instabilities can express themselves;
-    # one single-stage continuation per gamma, each from the wobbled member
+    # one stage per gamma, each from the wobbled member
     spec = GridSpec((96, 96))
     flow = FlowConfig(eps=0.05, dt=2e-3, max_steps=1500, energy_tolerance=1e-13)
     disp = (3.0 / 96) * np.cos(2 * np.pi * spec.centers(1))[None, :]
@@ -135,11 +151,10 @@ def test_continue_family_truncates_beyond_threshold():
         for gamma in gammas:
             wobbled = np.clip(_trig_shift(last.phase.values, 0, disp), -1.1, 1.1)
             start = replace(last, phase=ScalarField(spec, wobbled, "phase"))
-            fam = continue_family(SEED, [gamma], flow, spec, start=start)
-            last = fam.members[-1]
+            last = continue_family(SEED, gamma, flow, spec, start=start)
             members.append(last)
-            if fam.status != "complete":
-                status = fam.status
+            if last.status != "complete":
+                status = last.status
                 break
         return members, status
 
@@ -149,16 +164,25 @@ def test_continue_family_truncates_beyond_threshold():
     assert all(m.alpha_step <= 2.0 / 96 for m in members)
 
 
+def test_family_member_status():
+    # a stalled flow outranks the step; a step past 0.02 truncates the family
+    spec = GridSpec((8, 8))
+    sharp = rasterize(SEED, spec)
+    member = FamilyMember(1.0, sharp, sharp, 0.02, "converged")
+    assert member.status == "complete"
+    assert replace(member, alpha_step=0.0201).status == "truncated"
+    assert replace(member, alpha_step=0.5, flow_status="stalled").status == "stalled"
+    assert replace(member, flow_status="max_steps").status == "complete"
+
+
 def test_continue_family_rejects_bad_gammas():
     spec = GridSpec((32, 32))
     with pytest.raises(ValueError):
-        continue_family(SEED, [1.0, 0.5], default_flow(), spec)
-    with pytest.raises(ValueError):
-        continue_family(SEED, [-0.5], default_flow(), spec)
+        continue_family(SEED, -0.5, default_flow(), spec)
     flow = default_flow(eps=0.07)
-    start = continue_family(SEED, [0.0, 1.0], flow, spec).members[-1]
+    start = continue_family(SEED, 1.0, flow, spec, start=continue_family(SEED, 0.0, flow, spec))
     with pytest.raises(ValueError):
-        continue_family(SEED, [0.5], flow, spec, start=start)
+        continue_family(SEED, 0.5, flow, spec, start=start)
 
 
 def test_build_periodic_certificates():
@@ -191,9 +215,11 @@ def test_build_periodic_runs_the_gamma_zero_stage_once(monkeypatch):
     # one shared gamma = 0 flow, then one flow at gamma_k per k
     assert gammas == [0.0] + [sharp_to_diffuse_gamma(1.0 / k**3) for k in cfg.k_list]
 
-    def per_k(seed, gamma_list, flow, spec, *, start=None):
-        # the reference: each k runs continue_family(seed, [0.0, gamma_k]) whole
-        return real_continue(seed, gamma_list if start is None else [0.0] + gamma_list, flow, spec)
+    def per_k(seed, gamma, flow, spec, *, start=None):
+        # the reference: each k chains a fresh gamma = 0 stage into gamma_k
+        if start is not None:
+            start = real_continue(seed, 0.0, flow, spec)
+        return real_continue(seed, gamma, flow, spec, start=start)
 
     monkeypatch.setattr(construct, "continue_family", per_k)
     reference = build_periodic(cfg)
@@ -262,8 +288,9 @@ def test_build_periodic_gamma_k_scaling_and_nl_identity():
     (cert, tiled), = build_periodic(cfg)
     assert cert.gamma_k == pytest.approx(2.0 / 8)
     # NL(tile(E,k)) = k^-2 NL(E) with the parent on the n/k grid: rounding-exact
-    fam = continue_family(SEED, [0.0, cert.gamma_k], default_flow(), spec)
-    err = nl_tiling_identity_error(fam.members[-1].sharp, 2)
+    base = continue_family(SEED, 0.0, default_flow(), spec)
+    member = continue_family(SEED, cert.gamma_k, default_flow(), spec, start=base)
+    err = nl_tiling_identity_error(member.sharp, 2)
     assert err <= 1e-12
 
 

@@ -332,6 +332,14 @@ def test_gridspec_memory_budget():
         GridSpec((1024, 1024, 1024))
 
 
+@pytest.mark.parametrize("sizes", [(2**32, 2**32), (2**21, 2**21, 2**22)])
+def test_gridspec_budget_counts_cells_exactly(sizes):
+    # 2^64 cells wrap to 0 in int64 arithmetic: such a grid must still fail
+    # the budget, before any array of it is allocated
+    with pytest.raises(ValueError, match="budget"):
+        GridSpec(sizes)
+
+
 def test_field_file_size_overflow(tmp_path):
     spec = GridSpec((8, 8))
     u = rasterize(Lamella(), spec)
