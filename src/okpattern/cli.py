@@ -19,7 +19,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -281,14 +281,11 @@ def _cmd_construct(cfg: RunConfig):
     except ValueError as exc:
         raise ConfigError(f"energy: {exc}") from exc
     n_probes = cfg.get("construct", "probes")
-    rows, fields, failed = [], {}, False
+    rows, fields = [], {}
     for cert, tiled in build_periodic(ccfg):
-        rows.append((*astuple(cert)[:-1], cert.energy_rel_err, cert.status))
-        if tiled is None:
-            failed = True
-            continue
-        fields[f"tiled_k{cert.k}"] = tiled
-        if n_probes > 0:
+        if tiled is not None:
+            fields[f"tiled_k{cert.k}"] = tiled
+        if tiled is not None and n_probes > 0:
             rep = local_minimality_probe(
                 tiled,
                 ccfg.gamma_bar,
@@ -299,9 +296,10 @@ def _cmd_construct(cfg: RunConfig):
             )
             if rep.min_gap < -1e-12:
                 print(f"k={cert.k}: probe gate failed: min gap {rep.min_gap:.3e} < -1e-12", file=sys.stderr)
-                failed = True
+                cert = replace(cert, status="probe_failed")
+        rows.append((*astuple(cert)[:-1], cert.energy_rel_err, cert.status))
     header = "k,gamma_k,alpha,c0_proxy,residual_sup,grad_h_sup,energy_lhs,energy_rhs,rel_err,status"
-    return header, rows, fields, 3 if failed else 0
+    return header, rows, fields, 3 if any(row[-1] != "ok" for row in rows) else 0
 
 
 def _cmd_stability(cfg: RunConfig):
@@ -358,15 +356,17 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _run_dir(cfg: RunConfig, command) -> int:
-    """Create the run directory, run the subcommand, write what it returned.
+    """Run the subcommand, then create the run directory and write what it
+    returned.
 
     The files a run writes are removed first, so a failed run never leaves
-    an earlier run's report, meta or fields behind as if they were its own."""
+    an earlier run's report, meta or fields behind as if they were its own,
+    and a run that raises makes no directory."""
     out = Path(cfg.get("run", "out_dir"))
-    (out / "fields").mkdir(parents=True, exist_ok=True)
     for owned in [out / "report.csv", out / "meta.txt", *(out / "fields").glob("*.okf")]:
         owned.unlink(missing_ok=True)
     header, rows, fields, code = command(cfg)
+    (out / "fields").mkdir(parents=True, exist_ok=True)
     for name, field in fields.items():
         write_field(field, out / "fields" / f"{name}.okf")
     (out / "report.csv").write_text("\n".join([header, *map(_text, rows)]) + "\n")

@@ -7,11 +7,14 @@ Pipeline per tiling factor k:
    gamma = 0 from the seed, then gamma_k = gamma_bar / k^3 warm-started from
    that member (the flow runs at the diffuse parameter sigma * gamma so its
    sharp limit weighs the nonlocal term like P + gamma NL); the gamma = 0
-   stage is the same for every k, so it runs once;
+   stage is the same for every k, so it runs once.  Each stage runs on the
+   grid of the axes the seed varies along (a line for a lamella, the
+   cross-section plane for a cylinder, every axis for a ball), since the
+   flow keeps the seed's invariance exactly;
 2. sharpening: each stage thresholds its final phase field at the level that
    restores the seed raster's volume exactly;
-3. tiling: the sharpened parent, measured on the full grid, is rescaled by
-   1/k through the exact index map;
+3. tiling: the sharpened parent, broadcast onto the full grid and measured
+   there, is rescaled by 1/k through the exact index map;
 4. certification: translation-minimized L1 distance to the seed, a C0 proxy
    (zero-level displacement along seed normals, divided by k, the exact
    scaling of the tiled set), criticality residual and tangential-curvature
@@ -44,10 +47,12 @@ from .torus_field import (
     ScalarField,
     ShapeCandidate,
     TiledShape,
+    _broadcast,
     _reduced_field,
+    _reduced_profile,
     alpha_distance,
     rasterize,
-    tanh_profile,
+    reduced_raster,
     tile,
 )
 
@@ -117,12 +122,19 @@ def continue_family(
     alpha_step is the translation-minimized L1 distance between the two
     sets.  Chaining stages through `start` continues a family one member at
     a time, so gamma must be at least 0 (or start.gamma).
+
+    The stage runs on the grid of the axes the seed varies along
+    (torus_field.reduced_raster): a line for a lamella, the cross-section
+    plane for a cylinder, every axis for a ball.  The flow keeps the seed's
+    invariance exactly, so the member's fields broadcast along the other
+    axes are the full grid's.  A stage given `start` runs on the grid of
+    start's fields; eps must be resolvable on the full grid spec.
     """
     gamma = float(gamma)
     if gamma < (0.0 if start is None else start.gamma):
         raise ValueError("gamma must be at least 0 (or start.gamma)")
     if start is None:
-        u, prev_sharp = tanh_profile(seed, spec, template.eps), rasterize(seed, spec)
+        u, prev_sharp = _reduced_profile(seed, spec, template.eps)[1], reduced_raster(seed, spec)[1]
     else:
         # start.sharp was sharpened to the seed raster's volume exactly
         u, prev_sharp = start.phase, start.sharp
@@ -141,6 +153,7 @@ def zero_level_displacement(
     seed: ShapeCandidate,
     *,
     resolution: int = MESH_RESOLUTION,
+    dim: int | None = None,
 ) -> float:
     """Max displacement of the phase field's zero level along seed normals.
 
@@ -155,10 +168,13 @@ def zero_level_displacement(
     a lamella's phase field on a line, a cylinder's on a plane, a ball's on
     the full grid.  Nodes with the same kept point and normal give the same
     line, so each distinct one is sampled once; a lamella has 2 lines, a
-    cylinder one per node around its axis.
+    cylinder one per node around its axis.  Given the torus dimension dim,
+    a phase field of fewer axes lies on that grid already (a
+    continue_family member's) and is sampled as it is.
     """
-    mesh = interface_mesh(seed, resolution, phase.spec.dim)
-    axes, field = _reduced_field(phase, seed)
+    dim = dim or phase.spec.dim
+    mesh = interface_mesh(seed, resolution, dim)
+    axes, field = _reduced_field(phase, seed, dim)
     nodes = np.concatenate([mesh.all_points()[:, axes], mesh.all_normals()[:, axes]], axis=1)
     # the first node of each distinct line, in mesh order
     nodes = nodes[np.sort(np.unique(nodes, axis=0, return_index=True)[1])]
@@ -236,19 +252,24 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
 
     The gamma = 0 continuation stage runs once, and every k continues with
     one flow at gamma_k from that stage's phase field and sharpened set; a
-    stalled or truncated gamma = 0 stage gives every k that status.
-    Returns (certificate, tiled field) pairs.  A k whose continuation
-    truncates or stalls, or whose phase field has no zero crossing on some
-    seed normal line (lost_interface), gets nan columns and no field.  The
-    criticality columns are the EL residual of the tiled seed, which is k
-    (residual) and k^2 (tangential bound) times the seed's at gamma_k on the
-    n/k grid.
+    stalled or truncated gamma = 0 stage gives every k that status.  The
+    stages run on the grid of the axes the seed varies along, and each
+    member's sharpened set is broadcast onto the full grid once, for alpha
+    to the seed, tiling, energies and the returned field; the C0 proxy reads
+    the member's phase field on its own grid.  The stability gate runs on
+    the full grid.  Returns (certificate, tiled field) pairs.  A k whose
+    continuation truncates or stalls, or whose phase field has no zero
+    crossing on some seed normal line (lost_interface), gets nan columns
+    and no field.  The criticality columns are the EL residual of the tiled
+    seed, which is k (residual) and k^2 (tangential bound) times the seed's
+    at gamma_k on the n/k grid.
     """
     spec = config.spec
     gate = min_eigenvalue(config.seed, 0.0, spec, resolution=MESH_RESOLUTION)
     if gate <= 0:
         raise StabilityGateError(f"seed fails the strict-stability gate (min eig {gate:.3e})")
-    seed_raster = rasterize(config.seed, spec)
+    axes, raster = reduced_raster(config.seed, spec)
+    seed_raster = _broadcast(axes, raster, spec)
     # the gamma = 0 stage does not depend on k: it runs once
     base = continue_family(config.seed, 0.0, config.flow, spec)
     out = []
@@ -260,11 +281,11 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
         if last.status != "complete":
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, last.status), None))
             continue
-        c0 = zero_level_displacement(last.phase, config.seed) / k
+        c0 = zero_level_displacement(last.phase, config.seed, dim=spec.dim) / k
         if c0 == math.inf:
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, "lost_interface"), None))
             continue
-        e_field = last.sharp
+        e_field = _broadcast(axes, last.sharp, spec)
         alpha_seed = alpha_distance(e_field, seed_raster)
         rep = el_residual(TiledShape(config.seed, k), config.gamma_bar, spec, MESH_RESOLUTION)
         tiled = tile(e_field, k)

@@ -266,10 +266,7 @@ def rasterize(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> ScalarField
     density is constant along the axes a shape does not vary along, so it
     is the raster of reduced_raster broadcast back onto the full grid.
     """
-    axes, reduced = reduced_raster(shape, spec)
-    full = [n if a in axes else 1 for a, n in enumerate(spec.sizes)]
-    values = np.broadcast_to(reduced.values.reshape(full), spec.sizes)
-    return ScalarField(spec, np.ascontiguousarray(values), "indicator")
+    return _broadcast(*reduced_raster(shape, spec), spec)
 
 
 def reduced_raster(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> tuple[tuple[int, ...], ScalarField]:
@@ -286,15 +283,29 @@ def reduced_raster(shape: ShapeCandidate | TiledShape, spec: GridSpec) -> tuple[
     if isinstance(shape, TiledShape):
         axes, coarse = reduced_raster(shape.shape, spec.coarsen(shape.k))
         return axes, periodize(coarse, shape.k)
+    axes, d = _squeezed_distance(shape, spec)
+    return axes, ScalarField(GridSpec(d.shape), np.where(d >= 0.0, 1.0, -1.0), "indicator")
+
+
+def _squeezed_distance(shape: ShapeCandidate, spec: GridSpec) -> tuple[tuple[int, ...], np.ndarray]:
+    """The shape's signed distance at the cell centers of the grid of the
+    axes it varies along: (those axes, ascending; the distance, shaped by
+    their sizes)."""
     _check_shape_dim(shape, spec.dim)
     d = shape.signed_distance(spec.center_mesh())
     axes = tuple(a for a, n in enumerate(d.shape) if n > 1)
-    sizes = tuple(spec.sizes[a] for a in axes)
-    values = np.where(d >= 0.0, 1.0, -1.0).reshape(sizes)
-    return axes, ScalarField(GridSpec(sizes), values, "indicator")
+    return axes, d.reshape(tuple(spec.sizes[a] for a in axes))
 
 
-def _reduced_field(u: ScalarField, shape: ShapeCandidate) -> tuple[tuple[int, ...], ScalarField]:
+def _broadcast(axes: tuple[int, ...], u: ScalarField, spec: GridSpec) -> ScalarField:
+    """A field u on the grid of the given axes of spec, repeated along the
+    others onto spec: the inverse of reduced_raster's reduction."""
+    full = [n if a in axes else 1 for a, n in enumerate(spec.sizes)]
+    values = np.broadcast_to(u.values.reshape(full), spec.sizes)
+    return ScalarField(spec, np.ascontiguousarray(values), u.kind)
+
+
+def _reduced_field(u: ScalarField, shape: ShapeCandidate, dim: int) -> tuple[tuple[int, ...], ScalarField]:
     """A field on the grid of the axes it varies along, as reduced_raster
     gives a shape's raster.
 
@@ -305,10 +316,15 @@ def _reduced_field(u: ScalarField, shape: ShapeCandidate) -> tuple[tuple[int, ..
     interpolant of the result at a point's kept coordinates is u's at the
     point.  Returns (kept axes, ascending; u's first slice along the dropped
     ones, on the GridSpec of the kept sizes), or u itself when none drops.
+    A u of fewer axes than the torus dimension dim lies on the grid of the
+    axes the shape varies along already, as a construct.continue_family
+    member's phase does, and is returned with them.
     """
-    _check_shape_dim(shape, u.spec.dim)
+    _check_shape_dim(shape, dim)
     # the broadcast shape of the signed distance names the varying axes
-    varying = np.shape(shape.signed_distance(GridSpec((4,) * u.spec.dim).center_mesh()))
+    varying = np.shape(shape.signed_distance(GridSpec((4,) * dim).center_mesh()))
+    if u.spec.dim < dim:
+        return tuple(a for a, n in enumerate(varying) if n > 1), u
     vals = u.values
     kept = tuple(
         a
@@ -325,16 +341,22 @@ def tanh_profile(shape: ShapeCandidate, spec: GridSpec, eps: float) -> ScalarFie
     """Diffuse profile tanh(d/eps) of the periodic signed distance to the boundary.
 
     Positive inside.  Requires eps >= 2*max spacing so the interface is
-    resolved on the grid.
+    resolved on the grid.  It is the profile of _reduced_profile broadcast
+    back onto the full grid.
     """
+    return _broadcast(*_reduced_profile(shape, spec, eps), spec)
+
+
+def _reduced_profile(shape: ShapeCandidate, spec: GridSpec, eps: float) -> tuple[tuple[int, ...], ScalarField]:
+    """tanh_profile on the grid of the axes the shape varies along, as
+    reduced_raster gives its raster: (those axes, the phase field).  eps is
+    checked against the full grid's spacing."""
     if eps < 2.0 * spec.max_spacing:
         raise ValueError(
             f"eps={eps} below resolvability bound 2/min(n)={2.0 * spec.max_spacing}"
         )
-    _check_shape_dim(shape, spec.dim)
-    d = shape.signed_distance(spec.center_mesh())
-    values = np.tanh(np.broadcast_to(d, spec.sizes) / eps)
-    return ScalarField(spec, np.ascontiguousarray(values), "phase")
+    axes, d = _squeezed_distance(shape, spec)
+    return axes, ScalarField(GridSpec(d.shape), np.tanh(d / eps), "phase")
 
 
 # ---------------------------------------------------------------------------

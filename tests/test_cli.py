@@ -397,8 +397,9 @@ def test_construct_with_probes(tmp_path):
 
 def test_construct_names_each_k_that_fails_the_probe_gate(tmp_path, capsys):
     # the 64^2 disk's tiled fields fail the swap probes at both k (min gaps
-    # about -1e-6): exit 3 with one stderr line per k, naming its min gap;
-    # construct-64 passes them and writes nothing to stderr
+    # about -1e-6): exit 3 with one stderr line per k, naming its min gap,
+    # and status probe_failed in its row; construct-64 passes them, its rows
+    # read ok and it writes nothing to stderr
     ini = tmp_path / "probes.ini"
     ini.write_text("[construct]\nprobes = 500\nprobe_amplitude = 2\nprobe_seed = 1\n")
     common = ["construct", "--config", str(ini), "--grid", "64,64", "--gamma", "1"]
@@ -412,9 +413,18 @@ def test_construct_names_each_k_that_fails_the_probe_gate(tmp_path, capsys):
         assert gap < -1e-12
         want.append(f"k={k}: probe gate failed: min gap {gap:.3e} < -1e-12")
     assert capsys.readouterr().err.splitlines() == want
+    assert statuses(disk) == ["probe_failed"] * 2
     lamella = tmp_path / "construct-64"
     assert run([*common, "--shape", "lamella", "--w", "0.25", "--out", str(lamella)]) == 0
     assert capsys.readouterr().err == ""
+    assert statuses(lamella) == ["ok"] * 3
+
+
+def statuses(out):
+    """The status column of a construct report, row by row."""
+    header, *rows = (out / "report.csv").read_text().splitlines()
+    col = header.split(",").index("status")
+    return [row.split(",")[col] for row in rows]
 
 
 @pytest.mark.parametrize("command", RUNS)
@@ -447,6 +457,20 @@ def test_failed_run_leaves_no_earlier_results(tmp_path):
     assert run(["flow", "--grid", "32,32", "--eps", "0.01", "--out", out]) == 2
     assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["fields"]
     assert list((tmp_path / "d" / "fields").iterdir()) == []
+
+
+def test_configuration_error_makes_no_run_directory(tmp_path, capsys):
+    # the grid is checked before anything is written: no directory at all,
+    # and a failed rerun into an existing run directory removes its report
+    huge = tmp_path / "huge"
+    assert run(["energy", "--grid", "4294967296,4294967296", "--out", str(huge)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: grid.sizes")
+    assert not huge.exists()
+    out = tmp_path / "d"
+    assert run(["energy", "--grid", "32,32", "--out", str(out)]) == 0
+    assert run(["energy", "--grid", "4294967296,4294967296", "--out", str(out)]) == 2
+    assert not (out / "report.csv").exists() and not (out / "meta.txt").exists()
+    assert list((out / "fields").iterdir()) == []
 
 
 def test_rerun_with_fewer_k_drops_stale_tiled_fields(tmp_path):

@@ -36,8 +36,10 @@ from okpattern.torus_field import (
     Lamella,
     ScalarField,
     alpha_distance,
+    _broadcast,
     periodize,
     rasterize,
+    reduced_raster,
     subsample,
     tanh_profile,
     tile,
@@ -77,11 +79,13 @@ def test_sharpen_exact_under_value_ties():
 
 
 def test_continue_family_recovers_seed_at_gamma_zero():
+    # the lamella's stage runs on its line grid
     spec = GridSpec((64, 64))
     member = continue_family(SEED, 0.0, default_flow(), spec)
     assert member.status == "complete"
+    assert member.sharp.spec == member.phase.spec == GridSpec((64,))
     assert member.alpha_step <= 10.0 / 64
-    assert alpha_distance(member.sharp, rasterize(SEED, spec)) <= 10.0 / 64
+    assert alpha_distance(member.sharp, reduced_raster(SEED, spec)[1]) <= 10.0 / 64
 
 
 def test_continued_family_matches_one_family_without_a_raster(monkeypatch):
@@ -104,7 +108,7 @@ def test_continued_family_matches_one_family_without_a_raster(monkeypatch):
     chain = [continue_family(ball, gammas[0], flow, spec)]
     # a stage given `start` does not rasterize the seed again
     rasterized = []
-    monkeypatch.setattr(construct, "rasterize", lambda *a: rasterized.append(a))
+    monkeypatch.setattr(construct, "reduced_raster", lambda *a: rasterized.append(a))
     for gamma in gammas[1:]:
         chain.append(continue_family(ball, gamma, flow, spec, start=chain[-1]))
     assert rasterized == []
@@ -185,6 +189,113 @@ def test_continue_family_rejects_bad_gammas():
         continue_family(SEED, 0.5, flow, spec, start=start)
 
 
+@pytest.mark.parametrize(
+    "seed, sizes, eps",
+    [
+        (Lamella(1, 0.5, 0.2), (64, 64), 0.06),
+        (Lamella(1, 0.45, 0.25), (32, 24, 32), 0.09),
+        (Cylinder(2, (0.5, 0.5), 0.25), (32, 32, 32), 0.07),
+        (Ball((0.5, 0.5), 0.2), (64, 64), 0.06),
+    ],
+    ids=["lamella-axis1", "lamella-3d", "cylinder32", "disk64"],
+)
+def test_stages_on_the_reduced_grid_match_full_grid_stages(seed, sizes, eps):
+    # oracle: the gamma = 0 and gamma = 1 stages flowed on the full grid, a
+    # loop of minimize and sharpen_to_volume from the full tanh profile and
+    # raster.  The flow keeps the seed's invariance, so each member broadcast
+    # is the full grid's: the sharpened set bitwise, the phase field to
+    # rounding (16 ulp of 1; the 3D lamella's 300 steps reach 1.7e-15); a
+    # disk keeps every axis, and its phase field is bitwise too
+    spec = GridSpec(sizes)
+    flow = default_flow(eps=eps)
+    axes = reduced_raster(seed, spec)[0]
+    u, prev = tanh_profile(seed, spec, eps), rasterize(seed, spec)
+    volume = int(np.sum(prev.values > 0))
+    member = None
+    for gamma in (0.0, 1.0):
+        trace = minimize(u, replace(flow, gamma=sharp_to_diffuse_gamma(gamma)))
+        u, sharp = trace.final, sharpen_to_volume(trace.final, volume)
+        alpha, prev = alpha_distance(sharp, prev), sharp
+        member = continue_family(seed, gamma, flow, spec, start=member)
+        assert member.phase.spec.sizes == tuple(sizes[a] for a in axes)
+        assert member.flow_status == trace.status
+        assert member.alpha_step == pytest.approx(alpha, rel=1e-15, abs=0.0)
+        assert _broadcast(axes, member.sharp, spec).values.tobytes() == sharp.values.tobytes()
+        phase = _broadcast(axes, member.phase, spec).values
+        if len(axes) == spec.dim:
+            assert phase.tobytes() == u.values.tobytes()
+        else:
+            assert np.max(np.abs(phase - u.values)) <= 16 * np.finfo(float).eps
+
+
+def construct_flow_dims(monkeypatch, argv, *, full_grid):
+    """Run construct; return the exit code and the dimension of every
+    flow's grid.  With full_grid, the oracle: the stages start from the full
+    grid's tanh profile and raster, so they flow on the full grid."""
+    dims = []
+    real_minimize = construct.minimize
+    with monkeypatch.context() as m:
+        if full_grid:
+            m.setattr(construct, "reduced_raster", lambda seed, spec: (tuple(range(spec.dim)), rasterize(seed, spec)))
+            m.setattr(
+                construct,
+                "_reduced_profile",
+                lambda seed, spec, eps: (tuple(range(spec.dim)), tanh_profile(seed, spec, eps)),
+            )
+        m.setattr(construct, "minimize", lambda u, flow: dims.append(u.spec.dim) or real_minimize(u, flow))
+        return run(argv), dims
+
+
+@pytest.mark.parametrize(
+    "argv, flow_dim",
+    [
+        (["--grid", "64,64", "--shape", "lamella", "--w", "0.25", "--k", "1,2,4"], 1),
+        (["--grid", "64,64", "--shape", "lamella", "--axis", "1", "--w", "0.2", "--k", "1,2,4"], 1),
+        (["--grid", "32,24,32", "--shape", "lamella", "--axis", "1", "--w", "0.25", "--eps", "0.09"], 1),
+        (["--grid", "32,32,32", "--shape", "cylinder", "--center", "0.5,0.5", "--eps", "0.07"], 2),
+        (["--grid", "64,64", "--shape", "ball", "--center", "0.5,0.5", "--radius", "0.2"], 2),
+    ],
+    ids=["construct-64", "lamella-axis1", "lamella-3d", "cylinder32", "disk64"],
+)
+def test_construct_on_the_reduced_grid_writes_the_full_grid_bytes(tmp_path, monkeypatch, argv, flow_dim):
+    # every field and every report column but c0_proxy are the full-grid
+    # run's bytes; c0_proxy samples the same lines of another field to
+    # rounding.  A disk keeps every axis, so its whole report is bitwise
+    dim = len(argv[1].split(","))
+    argv = ["construct", *argv, "--gamma", "1"]
+    full_run = construct_flow_dims(monkeypatch, [*argv, "--out", str(tmp_path / "full")], full_grid=True)
+    reduced_run = construct_flow_dims(monkeypatch, [*argv, "--out", str(tmp_path / "reduced")], full_grid=False)
+    assert full_run == (0, [dim] * len(full_run[1])) and reduced_run == (0, [flow_dim] * len(full_run[1]))
+    full, reduced = ((tmp_path / n / "report.csv").read_text().splitlines() for n in ("full", "reduced"))
+    assert len(full) == len(reduced)
+    c0_col = full[0].split(",").index("c0_proxy")
+    for a, b in zip(full, reduced):
+        a, b = a.split(","), b.split(",")
+        if flow_dim == dim:
+            assert a == b
+        c0 = (a.pop(c0_col), b.pop(c0_col))
+        assert a == b
+        if c0[0] != "c0_proxy":
+            assert abs(float(c0[0]) - float(c0[1])) <= 1e-15
+    names = sorted(p.name for p in (tmp_path / "full" / "fields").iterdir())
+    assert names and names == sorted(p.name for p in (tmp_path / "reduced" / "fields").iterdir())
+    for name in names:
+        assert (tmp_path / "full" / "fields" / name).read_bytes() == (tmp_path / "reduced" / "fields" / name).read_bytes()
+
+
+def test_construct_checks_eps_against_the_full_grid(tmp_path, capsys):
+    # eps = 0.04 resolves the lamella's 64-point line (2/64) but not the
+    # 64 x 32 grid (2/32): the stages flow on the line, and eps is still
+    # checked against the full grid's spacing
+    line = tanh_profile(SEED, GridSpec((64,)), 0.04)
+    assert minimize(line, default_flow(eps=0.04, max_steps=1)).status == "max_steps"
+    out = tmp_path / "r"
+    argv = ["construct", "--grid", "64,32", "--shape", "lamella", "--eps", "0.04", "--k", "1"]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: eps=0.04 below resolvability bound 2/min(n)=0.0625")
+    assert not out.exists()
+
+
 def test_build_periodic_certificates():
     spec = GridSpec((64, 64))
     cfg = ConstructConfig(
@@ -248,10 +359,11 @@ def test_build_periodic_gives_every_k_a_stalled_gamma_zero_stage(monkeypatch):
 def test_build_periodic_truncates_only_the_k_whose_flow_jumps(monkeypatch, tmp_path):
     # k = 2's gamma_k flow returns two stripes of half the lamella's width,
     # at the lamella's volume but half the unit volume away from the gamma = 0
-    # member: that k truncates, k = 1 does not, and construct exits 3
+    # member: that k truncates, k = 1 does not, and construct exits 3.  The
+    # lamella's stages run on its line grid, so the stripes live there
     spec = GridSpec((32, 32))
     flow = default_flow(eps=0.08, max_steps=150)
-    stripes = ScalarField(spec, np.tile(-np.cos(4 * np.pi * spec.centers(0))[:, None], (1, 32)), "phase")
+    stripes = ScalarField(GridSpec((32,)), -np.cos(4 * np.pi * spec.centers(0)), "phase")
     real_minimize = construct.minimize
 
     def jump_at_k2(u, cfg):

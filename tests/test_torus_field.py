@@ -13,10 +13,13 @@ from okpattern.torus_field import (
     Lamella,
     ScalarField,
     TiledShape,
+    _broadcast,
+    _reduced_profile,
     alpha_distance,
     periodize,
     rasterize,
     read_field,
+    reduced_raster,
     subsample,
     tanh_profile,
     tile,
@@ -96,6 +99,31 @@ def test_tanh_profile_values():
     assert np.allclose(u.values[i, :], expected, atol=1e-12)
     with pytest.raises(ValueError):
         tanh_profile(shape, spec, 0.01)  # below 2/min(n)
+
+
+@pytest.mark.parametrize(
+    "shape, sizes",
+    [
+        (Lamella(1, 0.45, 0.2), (64, 48)),
+        (Lamella(2, 0.5, 0.25), (24, 40, 32)),
+        (Cylinder(0, (0.4, 0.55), 0.25), (32, 24, 48)),
+        (Ball((0.5, 0.45), 0.3), (32, 48)),
+    ],
+    ids=["lamella-axis1", "lamella-3d", "cylinder", "disk"],
+)
+def test_tanh_profile_is_the_reduced_profile_broadcast(shape, sizes):
+    # tanh of the signed distance on the grid of the varying axes, broadcast,
+    # has the bits of tanh of the full grid's distance; eps is checked
+    # against the full grid's spacing
+    spec = GridSpec(sizes)
+    d = np.broadcast_to(shape.signed_distance(spec.center_mesh()), sizes)
+    u = tanh_profile(shape, spec, 0.09)
+    assert u.kind == "phase" and u.values.tobytes() == np.tanh(d / 0.09).tobytes()
+    axes, reduced = _reduced_profile(shape, spec, 0.09)
+    assert axes == reduced_raster(shape, spec)[0]
+    assert _broadcast(axes, reduced, spec).values.tobytes() == u.values.tobytes()
+    with pytest.raises(ValueError, match="resolvability"):
+        _reduced_profile(shape, spec, 1.9 / min(sizes))
 
 
 def test_tanh_profile_saturates_and_vanishes_on_boundary():
