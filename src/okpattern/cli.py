@@ -97,7 +97,11 @@ SCHEMA = {
     # tiling factors k (scaling, construct)
     "energy": {
         "gamma": (_finite, _nonnegative("energy.gamma"), 1.0),
-        "k_list": (_parse_ints, None, [1, 2, 4]),
+        "k_list": (
+            _parse_ints,
+            lambda v: len(set(v)) == len(v) or _fail("energy.k_list must not repeat a tiling factor"),
+            [1, 2, 4],
+        ),
     },
     "flow": {
         "eps": (_finite, _positive("flow.eps"), 0.06),
@@ -389,8 +393,9 @@ def _run_dir(cfg: RunConfig, command) -> int:
 def render_heatmap(field: ScalarField, path, axis: int | None = None, index: int | None = None) -> None:
     """Binary P6 grayscale pixmap of a 2d field (or a slice of a 3d one).
 
-    Row 0 is y = 0 (second axis index 0); a constant field maps to mid-gray.
-    Deterministic bytes for a given field.
+    Row 0 is y = 0 (second axis index 0); a constant field maps to mid-gray,
+    and a nan or inf value raises ValueError.  Deterministic bytes for a
+    given field.
     """
     values = field.values
     if field.spec.dim == 3:
@@ -403,6 +408,8 @@ def render_heatmap(field: ScalarField, path, axis: int | None = None, index: int
         values = np.take(values, index, axis=axis)
     elif field.spec.dim != 2:
         raise ValueError("render expects a 2d field or a 3d slice")
+    if not np.isfinite(values).all():
+        raise ValueError("render needs finite values: the field holds nan or inf")
     lo, hi = float(values.min()), float(values.max())
     if hi > lo:
         gray = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)

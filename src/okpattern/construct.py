@@ -48,7 +48,6 @@ from .torus_field import (
     ShapeCandidate,
     TiledShape,
     _broadcast,
-    _reduced_field,
     _reduced_profile,
     alpha_distance,
     rasterize,
@@ -151,9 +150,9 @@ def continue_family(
 def zero_level_displacement(
     phase: ScalarField,
     seed: ShapeCandidate,
+    spec: GridSpec,
     *,
     resolution: int = MESH_RESOLUTION,
-    dim: int | None = None,
 ) -> float:
     """Max displacement of the phase field's zero level along seed normals.
 
@@ -163,25 +162,25 @@ def zero_level_displacement(
     The lines span offsets in [-0.08, 0.08] at 81 samples; returns inf when
     a line never changes sign: the field has lost its interface there.
 
-    The field is sampled on the grid of the axes it varies along
-    (torus_field._reduced_field), at the lines' coordinates along them:
-    a lamella's phase field on a line, a cylinder's on a plane, a ball's on
-    the full grid.  Nodes with the same kept point and normal give the same
-    line, so each distinct one is sampled once; a lamella has 2 lines, a
-    cylinder one per node around its axis.  Given the torus dimension dim,
-    a phase field of fewer axes lies on that grid already (a
-    continue_family member's) and is sampled as it is.
+    The phase field lies on the grid of the axes of spec the seed varies
+    along (reduced_raster(seed, spec)), as a continue_family member's does: a
+    lamella's on a line, a cylinder's on a plane, a ball's on spec itself;
+    any other grid raises ValueError.  It is sampled at the lines'
+    coordinates along those axes.  Nodes with the same such point and
+    normal give the same line, so each distinct one is sampled once; a
+    lamella has 2 lines, a cylinder one per node around its axis.
     """
-    dim = dim or phase.spec.dim
-    mesh = interface_mesh(seed, resolution, dim)
-    axes, field = _reduced_field(phase, seed, dim)
+    axes, raster = reduced_raster(seed, spec)
+    if phase.spec != raster.spec:
+        raise ValueError(f"phase field on grid {phase.spec.sizes}, not the seed's grid {raster.spec.sizes}")
+    mesh = interface_mesh(seed, resolution, spec.dim)
     nodes = np.concatenate([mesh.all_points()[:, axes], mesh.all_normals()[:, axes]], axis=1)
     # the first node of each distinct line, in mesh order
     nodes = nodes[np.sort(np.unique(nodes, axis=0, return_index=True)[1])]
     points, normals = np.split(nodes, 2, axis=1)
     ts = np.linspace(-0.08, 0.08, 81)
     lines = np.mod(points[:, None, :] + ts[None, :, None] * normals[:, None, :], 1.0)
-    line_vals = sample_field(field, lines.reshape(-1, len(axes))).reshape(len(lines), len(ts))
+    line_vals = sample_field(phase, lines.reshape(-1, len(axes))).reshape(len(lines), len(ts))
     return _max_crossing_offset(line_vals, ts)
 
 
@@ -281,7 +280,7 @@ def build_periodic(config: ConstructConfig) -> list[tuple[ConstructCertificate, 
         if last.status != "complete":
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, last.status), None))
             continue
-        c0 = zero_level_displacement(last.phase, config.seed, dim=spec.dim) / k
+        c0 = zero_level_displacement(last.phase, config.seed, spec) / k
         if c0 == math.inf:
             out.append((ConstructCertificate(k, gamma_k, *[math.nan] * 6, "lost_interface"), None))
             continue

@@ -57,14 +57,15 @@ rounding) at arbitrary points, one axis at a time.  The per-axis factors of
 the coefficients (the centre phase, the potential's voxel factor, the
 derivative symbol) ride on the factor rows, so the coefficients are the half
 spectrum (over 4 pi^2 |xi|^2 for the potential) and nothing else.  The query
-sets the program builds are structured: chart nodes are tensor grids and the
-C0 proxy's lines run along normals, so some axis carries few distinct
-coordinates.  The contraction runs over distinct coordinate prefixes, axes
-with the fewest distinct values first, so its cost is the sum over levels
-of (distinct prefixes x remaining modes): O(points x cells) for scattered
-points, far less for grids and lines.  The first level reads the half
-spectrum and mirrors its own output, which is small for chart nodes.
-Chunks of points keep its temporaries within a fixed byte budget.
+sets the program builds are few points or lines along normals, sampled on
+the grid of the axes the seed varies along, so some axis carries few
+distinct coordinates.  The contraction runs over distinct coordinate
+prefixes, axes with the fewest distinct values first, so its cost is the sum
+over levels of (distinct prefixes x remaining modes): O(points x cells) for
+scattered points, far less for grids and lines.  The first level reads the
+half spectrum and mirrors its own output.  No program path reaches a tensor
+grid level past the first; only `sample_potential_on_planes` and the tests
+do.  Chunks of points keep its temporaries within a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def _mode_sum(
     contracted in ascending order of distinct count, and level l contracts
     one row per distinct prefix (x_{o_0}, ..., x_{o_l}), not one per point.
     The cost is the sum over levels of (distinct prefixes x remaining
-    modes): O(P * cells) for scattered points, far less on chart grids and
+    modes): O(P * cells) for scattered points, far less on grids and
     normal lines.
 
     The points are lexsorted by their coordinates, so every prefix is a run.
@@ -339,7 +340,8 @@ def _mode_sum(
     output, which is small when the first axis has few distinct values.
     A later level whose prefixes fill the product of its parents and the
     axis's distinct values (a tensor grid) is one matrix product of the
-    factor table with each parent row; any other level contracts each
+    factor table with each parent row; of the program's query sets, only
+    sample_potential_on_planes' reach one.  Any other level contracts each
     prefix's own factor row with its parent's row, gathered only where a
     parent has more than one continuation.  Gradient component a replaces
     E_a by 2 pi i xi_a E_a and shares the prefix before axis a, so level 0

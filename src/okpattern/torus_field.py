@@ -37,14 +37,16 @@ class GridSpec:
     """Uniform periodic sampling of the unit torus [0,1)^dim.
 
     sizes[i] is the sample count along axis i; spacing is 1/sizes[i].  All
-    sizes must be even and at least 4 (even counts keep the Nyquist mode
-    handling in the spectral module unambiguous).
+    sizes must be integral, even and at least 4 (even counts keep the
+    Nyquist mode handling in the spectral module unambiguous).
     """
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sizes)
+        if sizes != tuple(self.sizes):
+            raise ValueError(f"grid sizes must be integers, got {self.sizes}")
         object.__setattr__(self, "sizes", sizes)
         if not 1 <= len(sizes) <= 3:
             raise ValueError(f"dim must be 1, 2 or 3, got {len(sizes)}")
@@ -303,38 +305,6 @@ def _broadcast(axes: tuple[int, ...], u: ScalarField, spec: GridSpec) -> ScalarF
     full = [n if a in axes else 1 for a, n in enumerate(spec.sizes)]
     values = np.broadcast_to(u.values.reshape(full), spec.sizes)
     return ScalarField(spec, np.ascontiguousarray(values), u.kind)
-
-
-def _reduced_field(u: ScalarField, shape: ShapeCandidate, dim: int) -> tuple[tuple[int, ...], ScalarField]:
-    """A field on the grid of the axes it varies along, as reduced_raster
-    gives a shape's raster.
-
-    The axes the shape does not vary along (a lamella's tangential axes, a
-    cylinder's axis, none of a ball's) are the candidates, and one is
-    dropped only if u equals its first slice along it.  u's spectrum then
-    lives on xi_a = 0 along a dropped axis a, so the trigonometric
-    interpolant of the result at a point's kept coordinates is u's at the
-    point.  Returns (kept axes, ascending; u's first slice along the dropped
-    ones, on the GridSpec of the kept sizes), or u itself when none drops.
-    A u of fewer axes than the torus dimension dim lies on the grid of the
-    axes the shape varies along already, as a construct.continue_family
-    member's phase does, and is returned with them.
-    """
-    _check_shape_dim(shape, dim)
-    # the broadcast shape of the signed distance names the varying axes
-    varying = np.shape(shape.signed_distance(GridSpec((4,) * dim).center_mesh()))
-    if u.spec.dim < dim:
-        return tuple(a for a, n in enumerate(varying) if n > 1), u
-    vals = u.values
-    kept = tuple(
-        a
-        for a, n in enumerate(varying)
-        if n > 1 or not np.all(vals == vals[(slice(None),) * a + (slice(0, 1),)])
-    )
-    if len(kept) == u.spec.dim:
-        return kept, u
-    first = vals[tuple(slice(None) if a in kept else 0 for a in range(u.spec.dim))]
-    return kept, ScalarField(GridSpec(tuple(u.spec.sizes[a] for a in kept)), first, u.kind)
 
 
 def tanh_profile(shape: ShapeCandidate, spec: GridSpec, eps: float) -> ScalarField:

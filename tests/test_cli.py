@@ -290,6 +290,25 @@ def test_render_cli_round_trip(tmp_path):
     assert run(["render", str(tmp_path / "missing.okf"), str(out)]) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_render_rejects_non_finite_fields(tmp_path, capsys, bad):
+    # nan makes min and max nan, which the hi > lo test would paint
+    # mid-gray; inf leaves the gray scale undefined
+    from okpattern.torus_field import write_field
+
+    spec = GridSpec((8, 8))
+    values = np.zeros(spec.sizes)
+    values[2, 5] = bad
+    u = ScalarField(spec, values)
+    with pytest.raises(ValueError, match="finite"):
+        render_heatmap(u, tmp_path / "direct.ppm")
+    fpath, out = tmp_path / "f.okf", tmp_path / "o.ppm"
+    write_field(u, fpath)
+    assert run(["render", str(fpath), str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists() and not (tmp_path / "direct.ppm").exists()
+
+
 def test_threads_env_recorded(tmp_path, monkeypatch):
     # the BLAS thread settings are one comment line of meta.txt, not a key
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -496,6 +515,21 @@ def test_bad_tiling_factor_or_empty_list_exits_2(tmp_path, capsys, argv, config)
     ini.write_text(config)
     assert run(argv + ["--grid", "32,32", "--config", str(ini), "--out", str(tmp_path / "r")]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["construct", "scaling"])
+def test_repeated_tiling_factor_exits_2(tmp_path, capsys, command):
+    # a repeated k would run the flow and the probes twice, for two
+    # identical rows and one tiled_k1.okf
+    out = tmp_path / "r"
+    assert run([command, "--grid", "32,32", "--k", "1,2,1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: energy.k_list") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    ini = tmp_path / "c.ini"
+    ini.write_text("[energy]\nk_list = 2,2\n")
+    assert run([command, "--grid", "32,32", "--config", str(ini), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_lamella_center_with_extra_coordinates_exits_2(tmp_path, capsys):

@@ -37,6 +37,7 @@ from okpattern.torus_field import (
     ScalarField,
     alpha_distance,
     _broadcast,
+    _reduced_profile,
     periodize,
     rasterize,
     reduced_raster,
@@ -480,8 +481,8 @@ def test_tiling_factor_below_one_rejected():
 def test_zero_level_displacement_detects_shift():
     spec = GridSpec((128, 128))
     shifted = Lamella(axis=0, center=0.5 + 2.0 / 128, halfwidth=0.25)
-    u = tanh_profile(shifted, spec, 0.05)
-    d = zero_level_displacement(u, SEED, resolution=8)
+    u = _reduced_profile(shifted, spec, 0.05)[1]
+    d = zero_level_displacement(u, SEED, spec, resolution=8)
     assert d == pytest.approx(2.0 / 128, abs=2e-4)
 
 
@@ -490,7 +491,7 @@ def test_zero_level_displacement_on_curved_normals():
     spec = GridSpec((128, 128))
     seed = Ball((0.5, 0.5), 0.25)
     u = tanh_profile(Ball((0.5, 0.5), 0.25 + 2.0 / 128), spec, 0.05)
-    d = zero_level_displacement(u, seed, resolution=16)
+    d = zero_level_displacement(u, seed, spec, resolution=16)
     assert d == pytest.approx(2.0 / 128, abs=2e-4)
 
 
@@ -504,21 +505,27 @@ def full_lines_displacement(phase, seed, resolution=MESH_RESOLUTION):
     return _max_crossing_offset(vals, ts)
 
 
-def assert_c0_matches_full_lines(phase, seed):
-    got, want = zero_level_displacement(phase, seed), full_lines_displacement(phase, seed)
+def assert_c0_matches_full_lines(phase, seed, spec):
+    """phase lies on the grid of the axes the seed varies along; the oracle
+    samples it broadcast onto spec."""
+    full = _broadcast(reduced_raster(seed, spec)[0], phase, spec)
+    got, want = zero_level_displacement(phase, seed, spec), full_lines_displacement(full, seed)
     assert want < 0.08
     assert abs(got - want) <= 1e-15
 
 
-def profile_with_ripples(seed, spec, ripple_axes, rng, eps=0.08):
+def profile_with_ripples(seed, spec, ripples, rng, eps=0.08):
     """tanh of the seed's signed distance plus one small cosine along each
-    ripple axis: a generic field constant along every other axis."""
+    axis the seed varies along that ripples flags, on the grid of those
+    axes: a generic field where a member's phase field lies."""
+    axes, raster = reduced_raster(seed, spec)
     coords = spec.center_mesh()
     values = np.tanh(seed.signed_distance(coords) / eps)
-    for a in ripple_axes:
-        amp, phase = rng.uniform(0.02, 0.1), rng.uniform(0.0, 1.0)
-        values = values + amp * np.cos(2 * np.pi * (int(rng.integers(1, 3)) * coords[a] + phase))
-    return ScalarField(spec, np.ascontiguousarray(np.broadcast_to(values, spec.sizes)))
+    for a in axes:
+        if ripples[a]:
+            amp, phase = rng.uniform(0.02, 0.1), rng.uniform(0.0, 1.0)
+            values = values + amp * np.cos(2 * np.pi * (int(rng.integers(1, 3)) * coords[a] + phase))
+    return ScalarField(raster.spec, values.reshape(raster.spec.sizes))
 
 
 @settings(max_examples=30, deadline=None)
@@ -530,8 +537,8 @@ def profile_with_ripples(seed, spec, ripple_axes, rng, eps=0.08):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_reduced_c0_matches_full_lines_on_partly_constant_fields(half_sizes, cylinder, axis, ripples, seed):
-    # the field varies along a random subset of axes: the seed's own and
-    # any of the seed's invariant axes
+    # the field lies on the grid of the axes the seed varies along, and is
+    # rippled along a random subset of them
     spec = GridSpec(tuple(2 * h for h in half_sizes))
     rng = np.random.default_rng(seed)
     axis %= spec.dim
@@ -539,32 +546,26 @@ def test_reduced_c0_matches_full_lines_on_partly_constant_fields(half_sizes, cyl
         shape = Cylinder(axis, tuple(rng.uniform(0.4, 0.6, 2)), float(rng.uniform(0.2, 0.3)))
     else:
         shape = Lamella(axis, float(rng.uniform(0.4, 0.6)), float(rng.uniform(0.2, 0.3)))
-    field = profile_with_ripples(shape, spec, [a for a in range(spec.dim) if ripples[a]], rng)
-    assert_c0_matches_full_lines(field, shape)
+    assert_c0_matches_full_lines(profile_with_ripples(shape, spec, ripples, rng), shape, spec)
 
 
 @pytest.mark.parametrize("sizes, axis", [((64, 64), a) for a in (0, 1)] + [((32, 24, 32), a) for a in (0, 1, 2)])
 def test_reduced_c0_matches_full_lines_on_lamella_seeds(sizes, axis):
     spec = GridSpec(sizes)
     seed = Lamella(axis, 0.5, 0.25)
-    assert_c0_matches_full_lines(tanh_profile(Lamella(axis, 0.51, 0.24), spec, 0.09), seed)
+    assert_c0_matches_full_lines(_reduced_profile(Lamella(axis, 0.51, 0.24), spec, 0.09)[1], seed, spec)
 
 
-def test_reduced_c0_keeps_an_invariant_axis_the_field_varies_along(monkeypatch):
-    # a lamella seed along axis 0 with its phase field rippled along both
-    # axes, or nudged by one ulp at one sample: both keep axis 1
+def test_c0_proxy_rejects_a_phase_field_off_the_seeds_grid():
+    # a lamella's member phase field lies on its 64-point line; the full
+    # 64^2 profile, a 32-point line or the line under a disk seed is refused
     spec = GridSpec((64, 64))
-    seed = Lamella(0, 0.5, 0.25)
-    rippled = profile_with_ripples(seed, spec, [0, 1], np.random.default_rng(7))
-    values = tanh_profile(seed, spec, 0.07).values.copy()
-    values[40, 3] = np.nextafter(values[40, 3], 2.0)
-    nudged = ScalarField(spec, values)
-    dims = []
-    sample = construct.sample_field
-    monkeypatch.setattr(construct, "sample_field", lambda u, pts: dims.append(pts.shape[1]) or sample(u, pts))
-    for field in (rippled, nudged):
-        assert_c0_matches_full_lines(field, seed)
-    assert dims == [2, 2]
+    with pytest.raises(ValueError, match="not the seed's grid"):
+        zero_level_displacement(tanh_profile(SEED, spec, 0.06), SEED, spec)
+    with pytest.raises(ValueError, match="not the seed's grid"):
+        zero_level_displacement(_reduced_profile(SEED, GridSpec((32, 32)), 0.07)[1], SEED, spec)
+    with pytest.raises(ValueError, match="not the seed's grid"):
+        zero_level_displacement(_reduced_profile(SEED, spec, 0.06)[1], Ball((0.5, 0.5), 0.2), spec)
 
 
 @pytest.mark.parametrize(
@@ -585,7 +586,8 @@ def test_c0_proxy_samples_one_line_per_distinct_node(monkeypatch, seed, sizes, e
     monkeypatch.setattr(
         construct, "sample_field", lambda u, pts: calls.append((u.spec.dim, pts.shape)) or sample(u, pts)
     )
-    zero_level_displacement(tanh_profile(seed, GridSpec(sizes), eps), seed)
+    spec = GridSpec(sizes)
+    zero_level_displacement(_reduced_profile(seed, spec, eps)[1], seed, spec)
     assert calls == [(dim, (points, dim))]
 
 

@@ -38,6 +38,16 @@ def test_gridspec_validation():
         GridSpec((8, 8, 8, 8))  # dim 4
 
 
+def test_gridspec_rejects_non_integral_sizes():
+    # int() alone would truncate 64.7 to 64
+    with pytest.raises(ValueError, match="integers"):
+        GridSpec((64.7, 64))
+    with pytest.raises(ValueError, match="integers"):
+        GridSpec((np.float64(8.5),))
+    spec = GridSpec((64.0, np.int64(32), np.int32(8)))
+    assert spec.sizes == (64, 32, 8) and all(type(n) is int for n in spec.sizes)
+
+
 def test_scalarfield_kind_invariants():
     spec = GridSpec((8, 8))
     ScalarField(spec, np.ones(spec.sizes), "indicator")
